@@ -14,7 +14,9 @@
 //! This crate is deliberately dependency-free plain data: the VM embeds a
 //! `ChaosState` (or `None` when chaos is off), and everything here is
 //! `Clone` so fault bookkeeping snapshots and restores together with the
-//! machine it instruments.
+//! machine it instruments. Being the leaf every layer already imports, it
+//! also holds the stack's one seedable generator ([`SplitMix64`]) and one
+//! identity hash ([`fnv1a`]).
 
 /// The kinds of fault the engine can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -149,10 +151,10 @@ pub fn seeded_schedule(
     let horizon = horizon.max(1);
     let mut points = Vec::new();
     if n_kinds > 0 && max_points > 0 {
-        let n = 1 + (rng.next() as usize % max_points);
+        let n = 1 + (rng.next_u64() as usize % max_points);
         for _ in 0..n {
-            let tick = 1 + rng.next() % horizon;
-            let idx = rng.next() as usize % n_kinds;
+            let tick = 1 + rng.next_u64() % horizon;
+            let idx = rng.next_u64() as usize % n_kinds;
             points.push((tick, idx));
         }
     }
@@ -359,25 +361,67 @@ impl<M: Clone> Snapshot<M> {
     }
 }
 
-/// SplitMix64: tiny, deterministic, and good enough for schedule
-/// derivation. Matches the generator used by the vendored proptest shim.
+/// SplitMix64: the stack's one seedable generator. Fault plans, retry
+/// jitter, per-cell seeds, fuzz programs, arrivals and network fates all
+/// draw from it, so a seed means the same thing in every layer. Seed
+/// salts stay at the call sites; `tests/pinned_streams.rs` pins the
+/// stream.
 #[derive(Debug, Clone)]
-struct SplitMix64 {
+pub struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    fn new(seed: u64) -> SplitMix64 {
+    /// A generator seeded with `seed`.
+    #[inline]
+    pub fn new(seed: u64) -> SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    fn next(&mut self) -> u64 {
+    /// The next raw 64-bit value.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
+
+    /// Uniform f64 in `[0, 1)`.
+    #[inline]
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A value in `[0, n)`; `n` must be nonzero.
+    #[inline]
+    pub fn below(&mut self, n: u64) -> u64 {
+        debug_assert!(n > 0);
+        self.next_u64() % n
+    }
+
+    /// True with probability `pct`/100.
+    #[inline]
+    pub fn chance(&mut self, pct: u64) -> bool {
+        self.below(100) < pct
+    }
+
+    /// A uniformly chosen element of a nonempty slice.
+    #[inline]
+    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
+        &xs[self.below(xs.len() as u64) as usize]
+    }
+}
+
+/// FNV-1a 64 over `bytes`: the stack's one string and identity hash.
+/// It takes an iterator so callers can hash a sequence of pieces, with
+/// separators, without joining them first.
+#[inline]
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 #[cfg(test)]

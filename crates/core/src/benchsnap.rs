@@ -6,16 +6,16 @@
 //! pairs a *wall* measurement (host-dependent, trend only) with a
 //! *simulated-cycle* measurement (deterministic, regression-gateable).
 //!
-//! # Schema versions
+//! # Schema version
 //!
-//! Snapshots are versioned by a top-level `schema_version` field.
-//! Version 1 (the original shape) had no such field — [`parse_bench_json`]
-//! treats its absence as version 1, so committed v1 files keep loading.
-//! Version 2 ([`BENCH_SCHEMA_VERSION`]) adds the field and is what
-//! [`render_bench_json`] emits. The regression gate ([`diff_snapshots`])
-//! compares *cycles* exactly — they are deterministic replay counts — and
-//! only flags *wall* moves outside a tolerance band, since wall time is
-//! host noise.
+//! Snapshots carry a top-level `schema_version` field, and
+//! [`parse_bench_json`] reads exactly one: [`BENCH_SCHEMA_VERSION`]. A
+//! snapshot is a regenerable measurement, so a file without the field or
+//! with another version is rejected and gets rebuilt by rerunning the
+//! tool that wrote it. The regression gate ([`diff_snapshots`]) compares
+//! *cycles* exactly — they are deterministic replay counts — and only
+//! flags *wall* moves outside a tolerance band, since wall time is host
+//! noise.
 
 use crate::error::QoaError;
 use std::collections::BTreeMap;
@@ -85,11 +85,9 @@ pub fn write_bench_json(
     Ok(path)
 }
 
-/// A parsed `BENCH_<name>.json` snapshot (any supported schema version).
+/// A parsed `BENCH_<name>.json` snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchSnapshot {
-    /// Schema version the file declared (1 when the field was absent).
-    pub schema_version: u64,
     /// Bench family name (the `<name>` in the filename).
     pub bench: String,
     /// Tool that produced the snapshot.
@@ -107,8 +105,7 @@ impl BenchSnapshot {
     }
 }
 
-/// Parses a snapshot, accepting schema versions 1 (no `schema_version`
-/// field — the pre-v2 committed files) and 2.
+/// Parses a snapshot written under [`BENCH_SCHEMA_VERSION`].
 ///
 /// Validates that the recorded `totals` (when present) match the sum of
 /// the class entries, so a hand-edited file cannot silently misreport.
@@ -123,16 +120,12 @@ pub fn parse_bench_json(text: &str) -> Result<BenchSnapshot, String> {
     let Value::Object(map) = root else {
         return Err("bench snapshot is not a JSON object".into());
     };
-    let schema_version = match map.get("schema_version") {
-        None => 1,
-        Some(v) => v
-            .as_i64()
-            .filter(|v| *v >= 1)
-            .ok_or("schema_version is not a positive integer")? as u64,
-    };
-    if schema_version > BENCH_SCHEMA_VERSION {
+    let version = map.get("schema_version").and_then(Value::as_i64);
+    if version != Some(BENCH_SCHEMA_VERSION as i64) {
+        let found = version.map_or_else(|| "missing".to_string(), |v| v.to_string());
         return Err(format!(
-            "snapshot schema_version {schema_version} is newer than supported {BENCH_SCHEMA_VERSION}"
+            "snapshot schema_version is {found}, not {BENCH_SCHEMA_VERSION}: \
+             regenerate the snapshot with the tool that wrote it"
         ));
     }
     let str_field = |key: &str| -> Result<String, String> {
@@ -183,7 +176,7 @@ pub fn parse_bench_json(text: &str) -> Result<BenchSnapshot, String> {
             }
         }
     }
-    Ok(BenchSnapshot { schema_version, bench, tool, seed, entries })
+    Ok(BenchSnapshot { bench, tool, seed, entries })
 }
 
 /// One class's baseline-vs-current measurement pair.
@@ -338,7 +331,6 @@ mod tests {
         let snap =
             parse_bench_json(&render_bench_json("trajectory", "qoa-bench", 42, &entries))
                 .expect("parses");
-        assert_eq!(snap.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(snap.bench, "trajectory");
         assert_eq!(snap.tool, "qoa-bench");
         assert_eq!(snap.seed, 42);
@@ -347,23 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_without_schema_version_still_parse() {
-        // Exact pre-v2 shape: no schema_version key.
-        let v1 = "{\n  \"bench\": \"opt\",\n  \"tool\": \"fig04-static\",\n  \"seed\": 0,\n  \
-                  \"classes\": [\n    {\"class\": \"go/opt0\", \"wall_nanos\": 5, \"cycles\": 9}\n  ],\n  \
-                  \"totals\": {\"wall_nanos\": 5, \"cycles\": 9}\n}\n";
-        let snap = parse_bench_json(v1).expect("v1 parses");
-        assert_eq!(snap.schema_version, 1);
-        assert_eq!(snap.entries[0].class, "go/opt0");
-    }
-
-    #[test]
     fn parser_rejects_future_versions_and_corrupt_totals() {
         let future = "{\"schema_version\": 99, \"bench\": \"x\", \"tool\": \"t\", \
                       \"seed\": 0, \"classes\": []}";
-        assert!(parse_bench_json(future).expect_err("future version").contains("newer"));
-        let corrupt = "{\"bench\": \"x\", \"tool\": \"t\", \"seed\": 0, \"classes\": [\
-                       {\"class\": \"a\", \"wall_nanos\": 1, \"cycles\": 10}], \
+        assert!(parse_bench_json(future).expect_err("future version").contains("99"));
+        let corrupt = "{\"schema_version\": 2, \"bench\": \"x\", \"tool\": \"t\", \"seed\": 0, \
+                       \"classes\": [{\"class\": \"a\", \"wall_nanos\": 1, \"cycles\": 10}], \
                        \"totals\": {\"wall_nanos\": 1, \"cycles\": 11}}";
         assert!(parse_bench_json(corrupt).expect_err("bad totals").contains("totals.cycles"));
     }
@@ -371,7 +352,6 @@ mod tests {
     #[test]
     fn diff_gates_on_cycle_regressions_and_dropped_classes() {
         let snap = |cycles_a: u64, wall_a: u64, extra: bool| BenchSnapshot {
-            schema_version: 2,
             bench: "t".into(),
             tool: "t".into(),
             seed: 0,

@@ -49,6 +49,7 @@ pub use crate::breaker::{BreakerCore, BreakerOptions};
 use crate::error::QoaError;
 use crate::isolate::run_isolated;
 use crate::journal::CellKey;
+use qoa_chaos::{fnv1a, SplitMix64};
 use qoa_obs::metrics::Registry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,44 +72,15 @@ pub fn available_jobs() -> usize {
 // ---- deterministic scheduling RNG -----------------------------------------
 
 /// FNV-1a over a cell key's display form: the per-cell seed component.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+fn key_hash(key: &CellKey) -> u64 {
+    fnv1a(key.to_string().bytes())
 }
 
 /// Derives a per-cell seed from a batch seed and the cell's key: a pure
 /// function of the two, so any thread deriving it for the same cell gets
 /// the same value. Used to seed per-cell chaos fault plans.
 pub fn cell_seed(seed: u64, key: &CellKey) -> u64 {
-    SplitMix64::new(seed ^ fnv1a(&key.to_string())).next()
-}
-
-/// SplitMix64: tiny, deterministic, and good enough for backoff jitter.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform f64 in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
+    SplitMix64::new(seed ^ key_hash(key)).next_u64()
 }
 
 // ---- retry policy ----------------------------------------------------------
@@ -154,8 +126,7 @@ impl RetryPolicy {
             .saturating_mul(1u32.checked_shl(attempt.saturating_sub(1)).unwrap_or(u32::MAX))
             .min(self.cap);
         let jitter = self.jitter.clamp(0.0, 1.0);
-        let mut rng =
-            SplitMix64::new(seed ^ fnv1a(&key.to_string()) ^ (u64::from(attempt) << 32));
+        let mut rng = SplitMix64::new(seed ^ key_hash(key) ^ (u64::from(attempt) << 32));
         let factor = 1.0 - jitter + 2.0 * jitter * rng.next_f64();
         exp.mul_f64(factor)
     }

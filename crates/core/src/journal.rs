@@ -9,37 +9,24 @@
 //!
 //! The file is rewritten atomically (temp file + rename) on every record;
 //! a crash mid-write can never leave a half-line behind. There is no
-//! `serde` in the dependency tree, so the tiny JSON subset used here
-//! (flat objects of strings, integers and floats) is encoded and parsed
-//! by hand. Floats are written with Rust's shortest round-trip `Display`,
-//! which makes a resumed figure byte-identical to an uninterrupted one.
+//! `serde` in the dependency tree: lines are rendered by hand and read
+//! back through the stack's one JSON codec, [`qoa_obs::perfetto::json`],
+//! whose exact integers keep cycle counts exact. Floats are written with
+//! Rust's shortest round-trip `Display`, which makes a resumed figure
+//! byte-identical to an uninterrupted one.
 
 use crate::error::QoaError;
+use qoa_obs::perfetto::json::{self, encode_str, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Journal line format version.
 ///
-/// * v1 (unversioned lines): figure/config/key/status/metrics.
-/// * v2: adds the explicit `"version"` field and the optional `"obs"`
-///   object — a flattened metrics-registry snapshot for the cell.
-/// * v3: adds the optional `"chaos"` object (fault-injection and
-///   checkpoint/restore counters for the cell) and the optional
-///   `"location"` field on failed lines (panic site `file:line:column`).
-/// * v4: adds the `"shed"` status (admission control / circuit breaker
-///   declined the cell — recorded distinctly from `"failed"`, with a
-///   `"reason"` field), plus the optional supervision fields written by
-///   the parallel executor: `"attempts"` (how many times the cell ran,
-///   counting retries) and `"breaker"` (the cell's runtime circuit-breaker
-///   state at commit: `closed`, `open` or `half-open`).
-/// * v5: adds the optional `"net"` object (simulated-network counters for
-///   cluster cells: messages by fate, retries, hedges, dedup hits, node
-///   crashes — written by `qoa-cluster`).
-///
-/// Lines without a `version` field are read as v1; lines with a version
-/// above [`JOURNAL_VERSION`] are skipped (the cell reruns) rather than
-/// misread.
+/// The journal is a cache, not an archive: a line whose `"version"` is
+/// anything but this one (including the unversioned lines of the first
+/// format) is skipped when the journal is opened, and its cell reruns.
+/// Bump it whenever a line's meaning changes.
 pub const JOURNAL_VERSION: i64 = 5;
 
 /// One journaled measurement value.
@@ -123,13 +110,13 @@ pub enum CellOutcome {
         /// Rendered error message.
         message: String,
         /// Panic site (`file:line:column`) when the failure was a caught
-        /// panic whose hook saw a location. (v3)
+        /// panic whose hook saw a location.
         location: Option<String>,
     },
     /// The supervised executor declined to run the cell: load shedding
     /// under a budget gate, or a runtime whose circuit breaker was open.
     /// Distinct from `Failed` — nothing about the cell itself is known to
-    /// be wrong, and a later run under a lighter load may measure it. (v4)
+    /// be wrong, and a later run under a lighter load may measure it.
     Shed {
         /// Why admission was denied (`budget`, `breaker`).
         reason: String,
@@ -137,7 +124,7 @@ pub enum CellOutcome {
 }
 
 /// Supervision metadata the parallel executor records beside a cell's
-/// outcome (the v4 `"attempts"`/`"breaker"` fields).
+/// outcome (the `"attempts"`/`"breaker"` fields).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Supervision {
     /// Times the cell actually ran (1 = no retries; 0 = shed, never ran).
@@ -154,16 +141,16 @@ pub struct Journal {
     figure: String,
     config: String,
     entries: BTreeMap<CellKey, CellOutcome>,
-    /// Per-cell observability snapshots (v2 `"obs"` field), kept beside
-    /// the outcome so old readers that only know `metrics` still work.
+    /// Per-cell observability snapshots (the `"obs"` field), kept beside
+    /// the outcome's own metrics.
     obs: BTreeMap<CellKey, CellMetrics>,
-    /// Per-cell chaos counters (v3 `"chaos"` field): faults injected,
+    /// Per-cell chaos counters (the `"chaos"` field): faults injected,
     /// recoveries by kind, checkpoints written, restores.
     chaos: BTreeMap<CellKey, CellMetrics>,
-    /// Per-cell supervision metadata (v4 `"attempts"`/`"breaker"`
+    /// Per-cell supervision metadata (the `"attempts"`/`"breaker"`
     /// fields), written by the parallel executor.
     supervision: BTreeMap<CellKey, Supervision>,
-    /// Per-cell simulated-network counters (v5 `"net"` field), written
+    /// Per-cell simulated-network counters (the `"net"` field), written
     /// by the cluster driver.
     net: BTreeMap<CellKey, CellMetrics>,
 }
@@ -281,7 +268,7 @@ impl Journal {
     }
 
     /// Records a completed cell with chaos-engine counters (faults
-    /// injected, recoveries, checkpoints — the line's v3 `"chaos"` object)
+    /// injected, recoveries, checkpoints — the line's `"chaos"` object)
     /// and persists the journal atomically.
     ///
     /// # Errors
@@ -308,7 +295,7 @@ impl Journal {
 
     /// Records a completed cell with the supervision metadata the
     /// parallel executor tracked for it (attempt count and circuit-breaker
-    /// state — the line's v4 `"attempts"`/`"breaker"` fields) and persists
+    /// state — the line's `"attempts"`/`"breaker"` fields) and persists
     /// the journal atomically.
     ///
     /// # Errors
@@ -328,7 +315,7 @@ impl Journal {
 
     /// Records a completed cell with simulated-network counters
     /// (messages by fate, retries, hedges, dedup hits, crashes — the
-    /// line's v5 `"net"` object) and persists the journal atomically.
+    /// line's `"net"` object) and persists the journal atomically.
     ///
     /// # Errors
     ///
@@ -457,69 +444,60 @@ impl Journal {
     // ---- decoding --------------------------------------------------------
 
     fn parse_line(&self, line: &str) -> Option<ParsedLine> {
-        let fields = parse_object(line)?;
-        if fields.get("figure")?.str()? != self.figure
-            || fields.get("config")?.str()? != self.config
+        let Ok(Value::Object(fields)) = json::parse(line) else { return None };
+        let str_of = |name: &str| fields.get(name)?.as_str();
+        // The journal is a cache: a line written under any other format
+        // version (or none) is skipped and its cell reruns.
+        if str_of("figure")? != self.figure
+            || str_of("config")? != self.config
+            || fields.get("version")? != &Value::Int(JOURNAL_VERSION)
         {
             return None;
         }
-        // Unversioned lines are v1; anything newer than this reader is
-        // skipped rather than misread.
-        match fields.get("version") {
-            None => {}
-            Some(Json::Int(v)) if (1..=JOURNAL_VERSION).contains(v) => {}
-            Some(_) => return None,
-        }
+        // An optional metrics object: `Some(None)` when absent, `None`
+        // when present but malformed (the line is skipped).
+        let metrics_of = |name: &str| match fields.get(name) {
+            Some(Value::Object(raw)) => Some(Some(parse_metrics(raw)?)),
+            Some(_) => None,
+            None => Some(None),
+        };
         let key = CellKey::new(
-            fields.get("workload")?.str()?,
-            fields.get("runtime")?.str()?,
-            fields.get("param")?.str()?,
-            fields.get("value")?.str()?,
+            str_of("workload")?,
+            str_of("runtime")?,
+            str_of("param")?,
+            str_of("value")?,
         );
-        let outcome = match fields.get("status")?.str()? {
-            "ok" => {
-                let Json::Object(raw) = fields.get("metrics")? else { return None };
-                CellOutcome::Ok(parse_metrics(raw)?)
-            }
+        let outcome = match str_of("status")? {
+            "ok" => CellOutcome::Ok(metrics_of("metrics")??),
             "failed" => CellOutcome::Failed {
-                kind: fields.get("kind")?.str()?.to_string(),
-                message: fields.get("error")?.str()?.to_string(),
+                kind: str_of("kind")?.to_string(),
+                message: str_of("error")?.to_string(),
                 location: match fields.get("location") {
-                    Some(v) => Some(v.str()?.to_string()),
+                    Some(v) => Some(v.as_str()?.to_string()),
                     None => None,
                 },
             },
-            "shed" => CellOutcome::Shed {
-                reason: fields.get("reason")?.str()?.to_string(),
-            },
+            "shed" => CellOutcome::Shed { reason: str_of("reason")?.to_string() },
             _ => return None,
         };
-        let obs = match fields.get("obs") {
-            Some(Json::Object(raw)) => Some(parse_metrics(raw)?),
-            Some(_) => return None,
-            None => None,
-        };
-        let chaos = match fields.get("chaos") {
-            Some(Json::Object(raw)) => Some(parse_metrics(raw)?),
-            Some(_) => return None,
-            None => None,
-        };
-        let net = match fields.get("net") {
-            Some(Json::Object(raw)) => Some(parse_metrics(raw)?),
-            Some(_) => return None,
-            None => None,
-        };
         let supervision = match (fields.get("attempts"), fields.get("breaker")) {
-            (Some(Json::Int(n)), Some(b)) => Some(Supervision {
+            (Some(Value::Int(n)), Some(b)) => Some(Supervision {
                 attempts: u32::try_from(*n).ok()?,
-                breaker: b.str()?.to_string(),
+                breaker: b.as_str()?.to_string(),
             }),
             (None, None) => None,
             // A line carrying only half the supervision pair (or a
             // mistyped field) is malformed; skip it so the cell reruns.
             _ => return None,
         };
-        Some(ParsedLine { key, outcome, obs, chaos, supervision, net })
+        Some(ParsedLine {
+            key,
+            outcome,
+            obs: metrics_of("obs")?,
+            chaos: metrics_of("chaos")?,
+            supervision,
+            net: metrics_of("net")?,
+        })
     }
 }
 
@@ -554,36 +532,22 @@ fn encode_metrics(out: &mut String, metrics: &CellMetrics) {
     out.push('}');
 }
 
-fn parse_metrics(raw: &BTreeMap<String, Json>) -> Option<CellMetrics> {
+fn parse_metrics(raw: &BTreeMap<String, Value>) -> Option<CellMetrics> {
     let mut metrics = CellMetrics::new();
     for (name, v) in raw {
         let metric = match v {
-            Json::Int(i) => Metric::Int(*i),
-            Json::Num(f) => Metric::Num(*f),
-            Json::Str(s) => Metric::Str(s.clone()),
-            Json::Object(_) => return None,
+            Value::Int(i) => Metric::Int(*i),
+            Value::Num(f) => Metric::Num(*f),
+            // A tagged non-finite float round-trips back to a number.
+            Value::Str(s) => match s.strip_prefix("!f64:").map(str::parse::<f64>) {
+                Some(Ok(f)) => Metric::Num(f),
+                _ => Metric::Str(s.clone()),
+            },
+            _ => return None,
         };
         metrics.insert(name.clone(), metric);
     }
     Some(metrics)
-}
-
-fn encode_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn encode_f64(out: &mut String, v: f64) {
@@ -599,139 +563,6 @@ fn encode_f64(out: &mut String, v: f64) {
     } else {
         // NaN/inf can't appear in JSON; preserve them as tagged strings.
         let _ = write!(out, "\"!f64:{v}\"");
-    }
-}
-
-/// The JSON subset the journal uses.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Int(i64),
-    Num(f64),
-    Object(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-fn parse_object(text: &str) -> Option<BTreeMap<String, Json>> {
-    let mut chars = text.trim().char_indices().peekable();
-    let (value, rest) = parse_value(text.trim(), &mut chars)?;
-    if !rest.trim().is_empty() {
-        return None;
-    }
-    match value {
-        Json::Object(map) => Some(map),
-        _ => None,
-    }
-}
-
-type CharIter<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-fn skip_ws(chars: &mut CharIter) {
-    while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_value<'a>(text: &'a str, chars: &mut CharIter<'a>) -> Option<(Json, &'a str)> {
-    skip_ws(chars);
-    let &(start, c) = chars.peek()?;
-    match c {
-        '{' => {
-            chars.next();
-            let mut map = BTreeMap::new();
-            skip_ws(chars);
-            if matches!(chars.peek(), Some((_, '}'))) {
-                chars.next();
-            } else {
-                loop {
-                    skip_ws(chars);
-                    let (key, _) = parse_value(text, chars)?;
-                    let key = match key {
-                        Json::Str(s) => s,
-                        _ => return None,
-                    };
-                    skip_ws(chars);
-                    match chars.next() {
-                        Some((_, ':')) => {}
-                        _ => return None,
-                    }
-                    let (value, _) = parse_value(text, chars)?;
-                    map.insert(key, value);
-                    skip_ws(chars);
-                    match chars.next() {
-                        Some((_, ',')) => continue,
-                        Some((_, '}')) => break,
-                        _ => return None,
-                    }
-                }
-            }
-            let rest_at = chars.peek().map_or(text.len(), |&(i, _)| i);
-            Some((Json::Object(map), &text[rest_at..]))
-        }
-        '"' => {
-            chars.next();
-            let mut s = String::new();
-            loop {
-                let (_, c) = chars.next()?;
-                match c {
-                    '"' => break,
-                    '\\' => {
-                        let (_, esc) = chars.next()?;
-                        match esc {
-                            '"' => s.push('"'),
-                            '\\' => s.push('\\'),
-                            'n' => s.push('\n'),
-                            't' => s.push('\t'),
-                            'r' => s.push('\r'),
-                            'u' => {
-                                let mut code = 0u32;
-                                for _ in 0..4 {
-                                    let (_, h) = chars.next()?;
-                                    code = code * 16 + h.to_digit(16)?;
-                                }
-                                s.push(char::from_u32(code)?);
-                            }
-                            _ => return None,
-                        }
-                    }
-                    c => s.push(c),
-                }
-            }
-            let rest_at = chars.peek().map_or(text.len(), |&(i, _)| i);
-            // A tagged non-finite float round-trips back to a number.
-            if let Some(tag) = s.strip_prefix("!f64:") {
-                if let Ok(v) = tag.parse::<f64>() {
-                    return Some((Json::Num(v), &text[rest_at..]));
-                }
-            }
-            Some((Json::Str(s), &text[rest_at..]))
-        }
-        _ => {
-            // Number: consume until a structural delimiter.
-            let mut end = start;
-            while let Some(&(i, c)) = chars.peek() {
-                if c == ',' || c == '}' || c.is_whitespace() {
-                    break;
-                }
-                end = i + c.len_utf8();
-                chars.next();
-            }
-            let token = &text[start..end];
-            if !token.contains(['.', 'e', 'E']) {
-                if let Ok(v) = token.parse::<i64>() {
-                    return Some((Json::Int(v), &text[end..]));
-                }
-            }
-            token.parse::<f64>().ok().map(|v| (Json::Num(v), &text[end..]))
-        }
     }
 }
 
@@ -815,50 +646,13 @@ mod tests {
             let mut out = String::new();
             encode_f64(&mut out, v);
             let line = format!("{{\"x\":{out}}}");
-            let map = parse_object(&line).expect("parses");
-            let got = match map.get("x").expect("x") {
-                Json::Num(f) => *f,
-                Json::Int(i) => *i as f64,
-                other => panic!("unexpected {other:?}"),
-            };
+            let Ok(Value::Object(raw)) = json::parse(&line) else { panic!("{line}") };
+            let got = parse_metrics(&raw).expect("metrics")["x"].as_f64().expect("number");
             assert!(
                 got.to_bits() == v.to_bits() || (got.is_nan() && v.is_nan()),
                 "{v} -> {line} -> {got}"
             );
         }
-    }
-
-    #[test]
-    fn v1_lines_without_version_are_still_read() {
-        // A hand-written line in the original (pre-version) format: no
-        // "version" field, no "obs" object.
-        let dir = tmp_dir("v1compat");
-        let path = dir.join("fig10.journal.jsonl");
-        let v1 = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"workload\":\"go\",\
-                  \"runtime\":\"PyPyJit\",\"param\":\"nursery\",\"value\":\"4096\",\
-                  \"status\":\"ok\",\"metrics\":{\"cycles\":42}}\n";
-        std::fs::write(&path, v1).expect("write");
-        let j = Journal::open(&dir, "fig10", "cfg", false).expect("open");
-        let key = CellKey::new("go", "PyPyJit", "nursery", "4096");
-        let Some(CellOutcome::Ok(metrics)) = j.get(&key) else {
-            panic!("v1 line not honored: {:?}", j.get(&key));
-        };
-        assert_eq!(metrics.get("cycles"), Some(&Metric::Int(42)));
-        assert!(j.obs_snapshot(&key).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn future_version_lines_are_skipped() {
-        let dir = tmp_dir("v99");
-        let path = dir.join("fig10.journal.jsonl");
-        let v99 = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":99,\
-                   \"workload\":\"go\",\"runtime\":\"CPython\",\"param\":\"p\",\
-                   \"value\":\"1\",\"status\":\"ok\",\"metrics\":{}}\n";
-        std::fs::write(&path, v99).expect("write");
-        let j = Journal::open(&dir, "fig10", "cfg", false).expect("open");
-        assert!(j.is_empty(), "future-version line must rerun, not misread");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -926,25 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_lines_without_chaos_or_location_are_still_read() {
-        let dir = tmp_dir("v2compat");
-        let path = dir.join("fig10.journal.jsonl");
-        let v2 = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":2,\
-                  \"workload\":\"go\",\"runtime\":\"PyPyJit\",\"param\":\"nursery\",\
-                  \"value\":\"4096\",\"status\":\"failed\",\"kind\":\"panic\",\
-                  \"error\":\"boom\"}\n";
-        std::fs::write(&path, v2).expect("write");
-        let j = Journal::open(&dir, "fig10", "cfg", false).expect("open");
-        let key = CellKey::new("go", "PyPyJit", "nursery", "4096");
-        let Some(CellOutcome::Failed { kind, location, .. }) = j.get(&key) else {
-            panic!("v2 line not honored: {:?}", j.get(&key));
-        };
-        assert_eq!(kind, "panic");
-        assert_eq!(location.as_deref(), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn shed_and_supervision_fields_round_trip() {
         let dir = tmp_dir("v4roundtrip");
         let shed_key = CellKey::new("go", "PyPyJit", "nursery", "4096");
@@ -982,50 +757,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_through_v3_fixture_lines_are_all_honored() {
-        // One hand-written line per historical version, mixed in a single
-        // journal file: the v4 reader must honor every one of them.
-        let dir = tmp_dir("backcompat");
-        let path = dir.join("fig10.journal.jsonl");
-        let v1 = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"workload\":\"w1\",\
-                  \"runtime\":\"CPython\",\"param\":\"p\",\"value\":\"1\",\
-                  \"status\":\"ok\",\"metrics\":{\"cycles\":1}}\n";
-        let v2 = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":2,\
-                  \"workload\":\"w2\",\"runtime\":\"CPython\",\"param\":\"p\",\
-                  \"value\":\"1\",\"status\":\"ok\",\"metrics\":{\"cycles\":2},\
-                  \"obs\":{\"qoa_sim_cycles_total\":2.0}}\n";
-        let v3 = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":3,\
-                  \"workload\":\"w3\",\"runtime\":\"CPython\",\"param\":\"p\",\
-                  \"value\":\"1\",\"status\":\"failed\",\"kind\":\"panic\",\
-                  \"error\":\"boom\",\"location\":\"interp.rs:1:1\",\
-                  \"chaos\":{\"faults_injected_total\":3}}\n";
-        std::fs::write(&path, format!("{v1}{v2}{v3}")).expect("write");
-        let j = Journal::open(&dir, "fig10", "cfg", false).expect("open");
-        assert_eq!(j.len(), 3, "all three historical versions must parse");
-        let k1 = CellKey::new("w1", "CPython", "p", "1");
-        let k2 = CellKey::new("w2", "CPython", "p", "1");
-        let k3 = CellKey::new("w3", "CPython", "p", "1");
-        assert!(matches!(j.get(&k1), Some(CellOutcome::Ok(m)) if m.get("cycles") == Some(&Metric::Int(1))));
-        assert!(j.obs_snapshot(&k2).is_some());
-        assert!(matches!(
-            j.get(&k3),
-            Some(CellOutcome::Failed { kind, location: Some(at), .. })
-                if kind == "panic" && at == "interp.rs:1:1"
-        ));
-        assert!(j.chaos_snapshot(&k3).is_some());
-        // Pre-v4 lines carry no supervision metadata.
-        assert!(j.supervision(&k1).is_none());
-        assert!(j.supervision(&k2).is_none());
-        assert!(j.supervision(&k3).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn half_written_supervision_fields_invalidate_the_line() {
         let dir = tmp_dir("v4half");
         let path = dir.join("fig10.journal.jsonl");
         // "attempts" without "breaker": malformed, must rerun not misread.
-        let bad = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":4,\
+        let bad = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":5,\
                    \"workload\":\"go\",\"runtime\":\"CPython\",\"param\":\"p\",\
                    \"value\":\"1\",\"status\":\"ok\",\"metrics\":{},\"attempts\":2}\n";
         std::fs::write(&path, bad).expect("write");

@@ -166,23 +166,24 @@ pub fn capture_observed(
     let code = obs
         .wall_span("compile", || qoa_frontend::compile_module(&module))
         .map_err(qoa_frontend::FrontendError::from)?;
+    // One span around `prepare`, named for the step it takes (none when
+    // there is neither optimization nor verification to do).
     let (code, verified) = if rt.opt_level > 0 {
-        let (v, _report) = obs.wall_span("optimize", || qoa_analysis::optimize(&code, rt.opt_level))?;
-        let code = Rc::clone(v.get());
-        (code, rt.elide_checks.then_some(v))
+        obs.wall_span("optimize", || prepare(code, rt))?
+    } else if rt.elide_checks {
+        obs.wall_span("verify", || prepare(code, rt))?
     } else {
-        let verified = if rt.elide_checks {
-            Some(obs.wall_span("verify", || qoa_analysis::verify(&code))?)
-        } else {
-            None
-        };
-        (code, verified)
+        prepare(code, rt)?
     };
     obs.wall_span("execute", || {
         run_compiled(&code, verified.as_ref(), rt, TraceBuffer::with_frame_capture())
     })
     .map(|(trace, vm, jit, output, result)| CapturedRun { trace, vm, jit, output, result })
 }
+
+/// Everything a runtime execution yields besides the trace: the sink,
+/// VM and JIT statistics, guest stdout, and the `result` global.
+pub type SinkRun<S> = (S, VmStats, JitStats, Vec<String>, Option<String>);
 
 /// Runs `source` under `rt` with an arbitrary sink (e.g. a core model
 /// directly, when trace memory is a concern).
@@ -191,10 +192,6 @@ pub fn capture_observed(
 ///
 /// Returns the typed [`QoaError`]: compile error, guest run-time error,
 /// or resource cutoff (fuel, deadline, simulated OOM).
-/// Everything a runtime execution yields besides the trace: the sink,
-/// VM and JIT statistics, guest stdout, and the `result` global.
-pub type SinkRun<S> = (S, VmStats, JitStats, Vec<String>, Option<String>);
-
 pub fn run_with_sink<S: OpSink>(
     source: &str,
     rt: &RuntimeConfig,

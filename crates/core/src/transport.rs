@@ -19,6 +19,8 @@
 //! so future transports (real sockets, shared-memory rings) can slot in
 //! behind the same trait without dragging serve-layer types into core.
 
+use qoa_chaos::{fnv1a, SplitMix64};
+
 /// A numbered endpoint on a transport. Server nodes are `0..n`; by
 /// convention the driving client takes the next id after the last node.
 pub type NodeId = usize;
@@ -70,36 +72,6 @@ pub trait Transport {
 
 // ---- seeded virtual-time retry ---------------------------------------------
 
-/// FNV-1a, the stack's standard string hash (same constants as the
-/// executor's per-cell seeding).
-fn fnv1a64(x: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in x.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 — tiny and deterministic; good enough for backoff jitter.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// Capped exponential backoff with seeded jitter over **virtual
 /// cycles** — the integer twin of the executor's wall-clock
 /// [`RetryPolicy`](crate::executor::RetryPolicy). Every delay is a pure
@@ -145,8 +117,9 @@ impl VirtualRetryPolicy {
             return raw.max(1);
         }
         let j = u64::from(self.jitter_permille.min(1000));
-        let mut rng = SplitMix64::new(seed ^ fnv1a64(key) ^ (u64::from(attempt) << 32));
-        let factor = 1000 - j + rng.next() % (2 * j + 1);
+        let mut rng =
+            SplitMix64::new(seed ^ fnv1a(key.to_le_bytes()) ^ (u64::from(attempt) << 32));
+        let factor = 1000 - j + rng.next_u64() % (2 * j + 1);
         (raw.saturating_mul(factor) / 1000).max(1)
     }
 

@@ -45,47 +45,10 @@ pub use oracle::{differential, plant_bug, BugPlant, Divergence, FuzzVerdict, TIE
 pub use shrink::{shrink, ShrinkReport};
 pub use sweep::{run_sweep, SweepOptions, SweepSummary};
 
-/// The SplitMix64 generator: the crate's single source of randomness.
-///
-/// Same construction as the chaos fault planner and the executor's retry
-/// jitter — a pure function of the seed, so every generated program is
-/// reproducible from `(sweep seed, program index)` alone.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// The next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A value in `[0, n)`; `n` must be nonzero.
-    pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next_u64() % n
-    }
-
-    /// True with probability `pct`/100.
-    pub fn chance(&mut self, pct: u64) -> bool {
-        self.below(100) < pct
-    }
-
-    /// A uniformly chosen element of a nonempty slice.
-    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.below(xs.len() as u64) as usize]
-    }
-}
+/// The crate's single source of randomness: the stack-wide generator, so
+/// every generated program is reproducible from `(sweep seed, program
+/// index)` alone.
+pub use qoa_chaos::SplitMix64;
 
 /// The per-program seed: a pure function of the sweep seed and the
 /// program's index, so any single program can be regenerated without
@@ -98,15 +61,6 @@ pub fn program_seed(sweep_seed: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
 
     #[test]
     fn program_seeds_are_distinct() {

@@ -36,7 +36,7 @@ pub fn export_trace(spans: &[SpanEvent]) -> String {
     ));
     for span in spans {
         out.push_str(",\n{\"name\":");
-        encode_str(&mut out, &span.name);
+        json::encode_str(&mut out, &span.name);
         let _ = write!(out, ",\"cat\":\"{}\",\"ph\":\"X\",", span.clock.label());
         match span.clock {
             Clock::Wall => {
@@ -151,31 +151,14 @@ pub fn parse_trace(text: &str) -> Result<Vec<SpanEvent>, String> {
     Ok(spans)
 }
 
-fn encode_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A minimal JSON parser covering the full value grammar. The journal
-/// parser in `qoa-core` is private and sits *above* this crate in the
-/// dependency graph, so the exporter round-trip check carries its own.
-/// Public because `qoa-core`'s versioned benchsnap reader reuses it —
-/// this is the one in-tree JSON reader below the core crate.
+/// The stack's one JSON codec: a parser for the full value grammar plus
+/// the string encoder every hand-rendered JSON line uses. It lives in
+/// this leaf crate so everything above it shares it: the trace
+/// round-trip check here, and in `qoa-core` the run journal and the
+/// benchsnap reader.
 pub mod json {
     use std::collections::BTreeMap;
+    use std::fmt::Write as _;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +167,10 @@ pub mod json {
         Null,
         /// `true` / `false`.
         Bool(bool),
-        /// Any number (parsed as f64).
+        /// A number token with no `.`, `e` or `E` that fits in `i64`,
+        /// kept exact.
+        Int(i64),
+        /// Any other number (parsed as f64).
         Num(f64),
         /// A string.
         Str(String),
@@ -203,9 +189,10 @@ pub mod json {
             }
         }
 
-        /// The contained number, if this is a [`Value::Num`].
+        /// The contained number (an [`Value::Int`] widens).
         pub fn as_f64(&self) -> Option<f64> {
             match self {
+                Value::Int(v) => Some(*v as f64),
                 Value::Num(v) => Some(*v),
                 _ => None,
             }
@@ -214,12 +201,32 @@ pub mod json {
         /// The contained number as an integer, if it is one exactly.
         pub fn as_i64(&self) -> Option<i64> {
             match self {
+                Value::Int(v) => Some(*v),
                 Value::Num(v) if v.fract() == 0.0 && v.abs() < i64::MAX as f64 => {
                     Some(*v as i64)
                 }
                 _ => None,
             }
         }
+    }
+
+    /// Appends `s` to `out` as a quoted JSON string.
+    pub fn encode_str(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
 
     /// Parses one complete JSON document.
@@ -338,6 +345,11 @@ pub mod json {
         }
         let token = std::str::from_utf8(&bytes[start..*pos])
             .map_err(|_| format!("invalid number at byte {start}"))?;
+        if !token.contains(['.', 'e', 'E']) {
+            if let Ok(v) = token.parse::<i64>() {
+                return Ok(Value::Int(v));
+            }
+        }
         token
             .parse::<f64>()
             .map(Value::Num)

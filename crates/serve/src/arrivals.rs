@@ -9,6 +9,9 @@
 
 use qoa_core::QoaError;
 
+/// `SplitMix64`, the stack's standard seedable generator.
+pub use qoa_chaos::SplitMix64;
+
 /// One serving request, fully specified before execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -24,28 +27,6 @@ pub struct Request {
     pub priority: i64,
     /// Relative deadline in virtual cycles from arrival.
     pub deadline: u64,
-}
-
-/// `SplitMix64`, the stack's standard seedable generator.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 }
 
 /// Per-tenant traffic profile the generator draws from.

@@ -39,7 +39,9 @@
 use crate::admission::TokenBucket;
 use crate::arrivals::{Request, SplitMix64};
 use crate::pool::{serve_one, Tier};
-use crate::server::{fuel_cap, Calibration, Outcome, ServeConfig, ShedCause};
+use crate::server::{
+    fuel_cap, json_str, opt_str, Calibration, Outcome, ServeConfig, ShedCause,
+};
 use qoa_chaos::{seeded_schedule, Snapshot};
 use qoa_core::{
     BreakerBank, BreakerOptions, CellMetrics, Delivery, Metric, NodeId, QoaError, Transport,
@@ -1567,22 +1569,6 @@ impl ClusterReport {
 
 // ---- the cluster journal ----------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one cluster journal row. Keys are in a fixed order; no wall
 /// times, so lines are byte-identical across hosts and `--jobs`.
 pub fn cluster_journal_line(rec: &ClusterRecord) -> String {
@@ -1595,11 +1581,11 @@ pub fn cluster_journal_line(rec: &ClusterRecord) -> String {
         }
     };
     let head = format!(
-        "{{\"id\":{},\"tenant\":\"{}\",\"workload\":\"{}\",\"arrival\":{},\
+        "{{\"id\":{},\"tenant\":{},\"workload\":{},\"arrival\":{},\
          \"attempts\":{},\"hedges\":{},\"faults\":\"{}\"",
         rec.id,
-        esc(&rec.tenant),
-        esc(&rec.workload),
+        json_str(&rec.tenant),
+        json_str(&rec.workload),
         rec.arrival,
         rec.attempts,
         rec.hedges,
@@ -1607,10 +1593,7 @@ pub fn cluster_journal_line(rec: &ClusterRecord) -> String {
     );
     match &rec.outcome {
         NetOutcome::Ok { acked_at, cost, steps, result, out_hash, tier, dedup, node } => {
-            let result = match result {
-                Some(s) => format!("\"{}\"", esc(s)),
-                None => "null".into(),
-            };
+            let result = opt_str(result);
             format!(
                 "{head},\"outcome\":\"ok\",\"node\":{node},\"tier\":\"{}\",\"acked\":{acked_at},\
                  \"cost\":{cost},\"steps\":{steps},\"result\":{result},\"hash\":{out_hash},\
@@ -1624,9 +1607,9 @@ pub fn cluster_journal_line(rec: &ClusterRecord) -> String {
         }
         NetOutcome::Failed { kind, message } => {
             format!(
-                "{head},\"outcome\":\"failed\",\"kind\":\"{}\",\"error\":\"{}\"}}",
-                esc(kind),
-                esc(message)
+                "{head},\"outcome\":\"failed\",\"kind\":{},\"error\":{}}}",
+                json_str(kind),
+                json_str(message)
             )
         }
     }

@@ -12,7 +12,7 @@
 //! own thread-local pool instead; results are identical regardless of
 //! which worker serves a request, so determinism is unaffected.
 
-use qoa_chaos::{ChaosState, FaultKind, FaultPlan, Snapshot};
+use qoa_chaos::{fnv1a, ChaosState, FaultKind, FaultPlan, Snapshot};
 use qoa_core::runtime::DEFAULT_FUEL;
 use qoa_core::QoaError;
 use qoa_jit::{JitConfig, PyPyVm};
@@ -151,23 +151,7 @@ pub struct ForkRun {
 
 /// FNV-1a over output lines, newline-delimited.
 pub fn hash_output(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for b in line.as_bytes().iter().copied().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-fn fnv1a_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(lines.iter().flat_map(|line| line.bytes().chain([b'\n'])))
 }
 
 /// Compiles, loads, and snapshots one machine for `(source, tier)`.
@@ -238,7 +222,7 @@ pub fn serve_one(
     fuel: u64,
     plan: Option<&FaultPlan>,
 ) -> Result<ForkRun, QoaError> {
-    let key = (fnv1a_str(source), tier);
+    let key = (fnv1a(source.bytes()), tier);
     POOL.with(|cell| {
         let mut pool = cell.borrow_mut();
         let snap = match pool.entry(key) {

@@ -13,11 +13,12 @@
 use crate::admission::{TokenBucket, TokenBucketConfig};
 use crate::arrivals::Request;
 use crate::pool::{serve_one, ForkRun, Tier};
-use qoa_chaos::FaultPlan;
+use qoa_chaos::{fnv1a, FaultPlan};
 use qoa_core::{
     cell_seed, run_supervised, BreakerBank, BreakerOptions, BreakerState, CellKey, CellVerdict,
     ExecutorOptions, ExecutorStats, QoaError, RetryPolicy, SupervisedCell,
 };
+use qoa_obs::perfetto::json::encode_str;
 use qoa_obs::Registry;
 use qoa_workloads::{by_name, Scale};
 use std::collections::BTreeMap;
@@ -899,27 +900,16 @@ impl ServeReport {
 
 // ---- journal ---------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a quoted JSON string.
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    encode_str(&mut out, s);
     out
 }
 
-fn opt_str(v: &Option<String>) -> String {
-    match v {
-        Some(s) => format!("\"{}\"", esc(s)),
-        None => "null".into(),
-    }
+/// A quoted JSON string, or `null`.
+pub(crate) fn opt_str(v: &Option<String>) -> String {
+    v.as_deref().map_or_else(|| "null".into(), json_str)
 }
 
 /// Renders one journal row. Keys are in a fixed order; the
@@ -964,16 +954,16 @@ pub fn journal_line(rec: &RequestRecord) -> String {
                 "null".into(),
                 "null".into(),
                 "null".into(),
-                format!("\"{}: {}\"", esc(kind), esc(message)),
+                json_str(&format!("{kind}: {message}")),
                 0,
                 0,
             ),
         };
     format!(
-        "{{\"id\":{},\"tenant\":\"{}\",\"workload\":\"{}\",\"tier\":\"{}\",\"arrival\":{},\"priority\":{},\"deadline\":{},\"outcome\":\"{}\",\"start\":{},\"done\":{},\"latency\":{},\"cost\":{},\"steps\":{},\"result\":{},\"out_hash\":{},\"error\":{},\"faults\":{},\"restores\":{}}}",
+        "{{\"id\":{},\"tenant\":{},\"workload\":{},\"tier\":\"{}\",\"arrival\":{},\"priority\":{},\"deadline\":{},\"outcome\":\"{}\",\"start\":{},\"done\":{},\"latency\":{},\"cost\":{},\"steps\":{},\"result\":{},\"out_hash\":{},\"error\":{},\"faults\":{},\"restores\":{}}}",
         rec.id,
-        esc(&rec.tenant),
-        esc(&rec.workload),
+        json_str(&rec.tenant),
+        json_str(&rec.workload),
         rec.tier.name(),
         rec.arrival,
         rec.priority,
@@ -1004,27 +994,19 @@ pub fn strip_fault_counters(line: &str) -> String {
 }
 
 fn fingerprint(cfg: &ServeConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |s: &str| {
-        for b in s.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut fields: Vec<String> = Vec::new();
     for w in &cfg.workloads {
-        mix(&w.name);
-        mix(&w.source);
+        fields.push(w.name.clone());
+        fields.push(w.source.clone());
     }
     for t in &cfg.tenants {
-        mix(&t.name);
-        mix(&format!(
+        fields.push(t.name.clone());
+        fields.push(format!(
             "{}/{}/{}/{}/{}",
             t.priority, t.deadline, t.bucket.burst, t.bucket.refill_per_m, t.weight
         ));
     }
-    mix(&format!(
+    fields.push(format!(
         "vw={}/win={}/q={}/full={}/nojit={}/seed={}",
         cfg.virtual_workers,
         cfg.window,
@@ -1033,7 +1015,8 @@ fn fingerprint(cfg: &ServeConfig) -> u64 {
         cfg.ladder.nojit_max,
         cfg.seed
     ));
-    h
+    // Every field is followed by a 0xff separator byte.
+    fnv1a(fields.iter().flat_map(|f| f.bytes().chain([0xff])))
 }
 
 /// Renders the full deterministic request journal: a header line (schema

@@ -187,6 +187,40 @@ fn fresh_reruns_journaled_cells() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The journal is a cache: lines from another format version — an
+/// unversioned first-format line, a `"version":4` line — are skipped on
+/// open, so the journal starts empty and the cell reruns and is rewritten
+/// under the current version.
+#[test]
+fn other_version_journal_lines_rerun() {
+    let opts = options("oldversion");
+    let dir = opts.journal_dir.clone();
+    let tail = "\"workload\":\"w\",\"runtime\":\"CPython\",\"param\":\"p\",\"value\":\"1\",\
+                \"status\":\"ok\",\"metrics\":{\"x\":1}}\n";
+    let unversioned = format!("{{\"figure\":\"figtest\",\"config\":\"cfg\",{tail}");
+    let v4 = format!("{{\"figure\":\"figtest\",\"config\":\"cfg\",\"version\":4,{tail}");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("figtest.journal.jsonl");
+    std::fs::write(&path, format!("{unversioned}{v4}")).expect("write");
+
+    let mut h = Harness::open(opts).expect("open");
+    let ran = std::cell::Cell::new(false);
+    let m = h.cell(CellKey::new("w", "CPython", "p", "1"), |_| {
+        ran.set(true);
+        let mut m = CellMetrics::new();
+        m.insert("x".into(), Metric::Int(2));
+        Ok(m)
+    });
+    assert!(ran.get(), "an old-version line must not answer the cell");
+    assert_eq!(h.cells_skipped(), 0);
+    assert_eq!(m.expect("runs").get("x").and_then(Metric::as_i64), Some(2));
+    let text = std::fs::read_to_string(&path).expect("read");
+    let version = format!("\"version\":{},", qoa::core::journal::JOURNAL_VERSION);
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(text.contains(&version), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The typed taxonomy end to end: each guest-visible failure mode maps to
 /// its own [`QoaError`] kind.
 #[test]
