@@ -1,14 +1,15 @@
 //! Overhead attribution: the paper's §IV methodology.
 //!
-//! A workload's captured trace is replayed through the **simple core**
-//! model (exact per-category cycle attribution, §IV-B.2) and summarized
+//! A workload's micro-op stream runs straight into the **simple core**
+//! model (exact per-category cycle attribution, §IV-B.2) — one core, so
+//! no trace is recorded — and is summarized
 //! into a per-category share breakdown — the data behind Fig. 4 (CPython),
 //! Fig. 5 (PyPy) and Fig. 6 (V8).
 
 use crate::error::QoaError;
-use crate::runtime::{capture, RuntimeConfig};
+use crate::runtime::{run_with_sink, RuntimeConfig};
 use qoa_model::{CategoryMap, RuntimeKind};
-use qoa_uarch::{ExecutionStats, UarchConfig};
+use qoa_uarch::{ExecutionStats, SimpleCore, UarchConfig};
 use qoa_workloads::{Scale, Workload};
 
 /// Per-benchmark attribution result.
@@ -61,9 +62,8 @@ pub fn attribute_workload(
     rt: &RuntimeConfig,
     uarch: &UarchConfig,
 ) -> Result<Breakdown, QoaError> {
-    let run = capture(&w.source(scale), rt)?;
-    let stats = run.trace.simulate_simple(uarch);
-    Ok(Breakdown::from_stats(w.name, &stats))
+    let (core, ..) = run_with_sink(&w.source(scale), rt, SimpleCore::new(uarch))?;
+    Ok(Breakdown::from_stats(w.name, &core.finish()))
 }
 
 /// Attributes every workload in `suite` under `rt`.

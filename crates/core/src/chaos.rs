@@ -170,6 +170,8 @@ trait ChaosMachine: Clone {
     fn take_injected(&mut self) -> Option<FaultRecord>;
     /// The armed chaos state.
     fn chaos_mut(&mut self) -> Option<&mut ChaosState>;
+    /// Whether a fault raised mid-step waits for the next step boundary.
+    fn has_pending_fault(&self) -> bool;
 }
 
 impl<S: OpSink + Clone> ChaosMachine for Vm<S> {
@@ -188,6 +190,10 @@ impl<S: OpSink + Clone> ChaosMachine for Vm<S> {
     fn chaos_mut(&mut self) -> Option<&mut ChaosState> {
         Vm::chaos_mut(self)
     }
+
+    fn has_pending_fault(&self) -> bool {
+        Vm::has_pending_fault(self)
+    }
 }
 
 impl<S: OpSink + Clone> ChaosMachine for PyPyVm<S> {
@@ -205,6 +211,10 @@ impl<S: OpSink + Clone> ChaosMachine for PyPyVm<S> {
 
     fn chaos_mut(&mut self) -> Option<&mut ChaosState> {
         self.vm.chaos_mut()
+    }
+
+    fn has_pending_fault(&self) -> bool {
+        self.vm.has_pending_fault()
     }
 }
 
@@ -225,13 +235,16 @@ fn drive<M: ChaosMachine>(
     loop {
         // Checkpoint only while unconsumed fault points remain: once the
         // plan is exhausted nothing can trigger a restore, so further
-        // snapshots would be pure overhead.
+        // snapshots would be pure overhead. Never checkpoint while a fault
+        // raised mid-step is still pending: the snapshot would carry it,
+        // and every restore would re-raise a fault that disarming its
+        // point cannot clear. The checkpoint moves to the next boundary.
         let pending = machine.chaos_mut().is_some_and(|c| !c.exhausted());
         let due = match &snap {
             None => true,
             Some(s) => machine.steps().saturating_sub(s.steps()) >= every,
         };
-        if pending && due {
+        if pending && due && !machine.has_pending_fault() {
             snap = Some(Snapshot::capture(machine.steps(), &machine));
             out.checkpoints_written += 1;
         }

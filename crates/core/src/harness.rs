@@ -23,12 +23,13 @@ use crate::executor::{
 };
 use crate::isolate::run_isolated;
 use crate::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Supervision};
-use crate::runtime::{capture, CapturedRun, RuntimeConfig};
+use crate::runtime::{capture, run_with_sink, CapturedRun, RuntimeConfig};
 use crate::sweeps::SweepParam;
 use crate::Breakdown;
 use qoa_chaos::FaultPlan;
-use qoa_model::{Category, CategoryMap, Phase};
-use qoa_uarch::{TraceBuffer, UarchConfig};
+use qoa_model::{Category, CategoryMap, OpSink, Phase};
+use qoa_uarch::{OooCore, SimpleCore, TraceBuffer, UarchConfig};
+use qoa_vm::VmStats;
 use qoa_workloads::{Scale, Workload};
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -346,8 +347,9 @@ pub struct CellChaos {
 /// Captures `source` under `rt`, plainly or under a seeded per-cell
 /// fault plan.
 ///
-/// This is the capture primitive behind the spec builders; binaries with
-/// bespoke cells use it directly so `--chaos-seed` covers them too. The
+/// This is the capture primitive behind the sweep spec builders and the
+/// chaos path of the others; binaries with bespoke cells use it directly
+/// so `--chaos-seed` covers them too. The
 /// plan seed depends only on the batch seed and the cell key, so the
 /// schedule is identical for any worker count.
 pub fn capture_cell(
@@ -371,6 +373,26 @@ pub fn capture_cell(
     }
 }
 
+/// Runs `source` under `rt` into `core`, the cell's only replay. Without
+/// chaos the micro-ops stream straight into the core, so no trace is
+/// recorded and the cell deadline bounds the core model too. Under chaos
+/// the run is captured and then replayed: a checkpoint must rewind its
+/// sink with the machine, which a core model cannot do.
+fn run_cell_into<S: OpSink>(
+    source: &str,
+    rt: &RuntimeConfig,
+    chaos: Option<CellChaos>,
+    key: &CellKey,
+    mut core: S,
+) -> Result<(S, VmStats), QoaError> {
+    if chaos.is_none() {
+        return run_with_sink(source, rt, core).map(|(core, vm, ..)| (core, vm));
+    }
+    let run = capture_cell(source, rt, chaos, key)?;
+    run.trace.replay(&mut core);
+    Ok((core, run.vm))
+}
+
 fn measure_nursery(
     w: &Workload,
     scale: Scale,
@@ -381,8 +403,8 @@ fn measure_nursery(
     key: &CellKey,
 ) -> Result<CellMetrics, QoaError> {
     let rt = rt.with_deadline(deadline);
-    let run = capture_cell(&w.source(scale), &rt, chaos, key)?;
-    let stats = run.trace.simulate_ooo(uarch);
+    let (core, vm) = run_cell_into(&w.source(scale), &rt, chaos, key, OooCore::new(uarch))?;
+    let stats = core.finish();
     let mut m = CellMetrics::new();
     m.insert("cycles".into(), Metric::Int(stats.cycles as i64));
     m.insert(
@@ -392,7 +414,7 @@ fn measure_nursery(
         ),
     );
     m.insert("llc_miss_rate".into(), Metric::Num(stats.llc.miss_rate()));
-    m.insert("minor_collections".into(), Metric::Int(run.vm.gc.minor_collections as i64));
+    m.insert("minor_collections".into(), Metric::Int(vm.gc.minor_collections as i64));
     Ok(m)
 }
 
@@ -406,9 +428,8 @@ fn measure_breakdown(
     key: &CellKey,
 ) -> Result<CellMetrics, QoaError> {
     let rt = rt.with_deadline(deadline);
-    let run = capture_cell(&w.source(scale), &rt, chaos, key)?;
-    let stats = run.trace.simulate_simple(uarch);
-    let b = Breakdown::from_stats(w.name, &stats);
+    let (core, _) = run_cell_into(&w.source(scale), &rt, chaos, key, SimpleCore::new(uarch))?;
+    let b = Breakdown::from_stats(w.name, &core.finish());
     let mut m = CellMetrics::new();
     m.insert("cycles".into(), Metric::Int(b.cycles as i64));
     m.insert("instructions".into(), Metric::Int(b.instructions as i64));

@@ -5,12 +5,13 @@
 //! hardware configuration — timing never feeds back into run-time
 //! behaviour, exactly as with Pin + ZSim. Nursery sweeps (Fig. 10–17)
 //! re-*execute* the program per nursery size, because the nursery changes
-//! GC behaviour itself.
+//! GC behaviour itself; each of those executions meets one core, so it
+//! streams into the model instead of recording a trace.
 
 use crate::error::QoaError;
-use crate::runtime::{capture, RuntimeConfig};
+use crate::runtime::{run_with_sink, RuntimeConfig};
 use qoa_model::{Phase, PhaseMap, RuntimeKind};
-use qoa_uarch::{ExecutionStats, TraceBuffer, UarchConfig};
+use qoa_uarch::{ExecutionStats, OooCore, TraceBuffer, UarchConfig};
 use qoa_workloads::{Scale, Workload};
 
 /// One sweepable microarchitecture parameter with the paper's value grid.
@@ -213,8 +214,9 @@ impl NurseryPoint {
     }
 }
 
-/// Re-executes `w` under `rt` for every nursery size, simulating each run
-/// on the OOO core under `uarch`.
+/// Re-executes `w` under `rt` for every nursery size, streaming each run
+/// into the OOO core under `uarch` (each execution is replayed once, so
+/// none is recorded).
 ///
 /// # Errors
 ///
@@ -229,15 +231,16 @@ pub fn nursery_sweep(
     sizes
         .iter()
         .map(|&nursery| {
-            let run = capture(&w.source(scale), &rt.with_nursery(nursery))?;
-            let stats = run.trace.simulate_ooo(uarch);
+            let (core, vm, ..) =
+                run_with_sink(&w.source(scale), &rt.with_nursery(nursery), OooCore::new(uarch))?;
+            let stats = core.finish();
             Ok(NurseryPoint {
                 nursery,
                 cycles: stats.cycles,
                 gc_cycles: stats.cycles_by_phase[Phase::GcMinor]
                     + stats.cycles_by_phase[Phase::GcMajor],
                 llc_miss_rate: stats.llc.miss_rate(),
-                minor_collections: run.vm.gc.minor_collections,
+                minor_collections: vm.gc.minor_collections,
                 stats,
             })
         })
@@ -263,6 +266,7 @@ pub fn fig7_runtimes() -> [RuntimeConfig; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::capture;
     use qoa_workloads::by_name;
 
     #[test]

@@ -21,6 +21,14 @@
 //! elision, the optimizer, and the JIT legitimately change the micro-op
 //! stream; what they may never change is what the program computes.
 //!
+//! Only two tiers record a micro-op trace, because only their traces are
+//! replayed: the `interp-elided` twin (which also supplies the chaos
+//! horizon and the reported bytecode count) and the `chaos` tier, the
+//! two sides of [`oracle_check`]. The other four compare guest-visible
+//! outcomes alone, so they run straight into a [`NullSink`] and never
+//! materialize a trace. The shrinker predicate [`tier_diverges`] records
+//! only for the chaos tier, where it needs both sides again.
+//!
 //! Fuel exhaustion in any tier makes the verdict [`Inconclusive`] rather
 //! than a divergence: optimized tiers execute different bytecode counts,
 //! so a program straddling the fuel limit would otherwise produce false
@@ -33,12 +41,12 @@
 
 use qoa_chaos::FaultPlan;
 use qoa_core::{
-    capture, capture_chaos, fault_kinds_for, oracle_check, run_isolated, CapturedRun,
-    ChaosOptions, RuntimeConfig,
+    capture, capture_chaos, fault_kinds_for, oracle_check, run_isolated, run_with_sink,
+    CapturedRun, ChaosOptions, RunFailure, RunOutcome, RuntimeConfig,
 };
 use qoa_frontend::ast::{Expr, ExprKind, Module, Stmt, StmtKind};
 use qoa_frontend::render::render_module;
-use qoa_model::RuntimeKind;
+use qoa_model::{NullSink, RuntimeKind};
 use qoa_uarch::UarchConfig;
 
 /// The six tier labels, in evaluation order.
@@ -229,21 +237,54 @@ impl FuzzVerdict {
 /// failure carries the typed error identity.
 type TierOutcome = Result<(Option<String>, Vec<String>), String>;
 
-fn outcome_of(run: Result<CapturedRun, String>) -> (TierOutcome, Option<CapturedRun>) {
+/// The oracle's configuration for `kind`: elided checks, opt0, and the
+/// oracle's fuel ceiling.
+fn oracle_rt(kind: RuntimeKind) -> RuntimeConfig {
+    let mut rt = RuntimeConfig::new(kind);
+    rt.max_steps = ORACLE_FUEL;
+    rt
+}
+
+fn failure_text(failure: RunFailure) -> String {
+    format!("{}: {}", failure.error.kind(), failure.error)
+}
+
+/// Runs an outcome-only tier straight into a [`NullSink`]: nothing
+/// replays its micro-ops, so none are recorded.
+fn run_tier(source: &str, rt: &RuntimeConfig) -> TierOutcome {
+    run_isolated(|| run_with_sink(source, rt, NullSink))
+        .map(|(_, _, _, output, result)| (result, output))
+        .map_err(failure_text)
+}
+
+/// Splits an isolated capture into its outcome and, on success, the run
+/// whose trace [`oracle_check`] replays.
+fn recorded(run: RunOutcome<CapturedRun>) -> (TierOutcome, Option<CapturedRun>) {
     match run {
-        Ok(r) => {
-            let summary = (r.result.clone(), r.output.clone());
-            (Ok(summary), Some(r))
-        }
-        Err(e) => (Err(e), None),
+        Ok(r) => (Ok((r.result.clone(), r.output.clone())), Some(r)),
+        Err(failure) => (Err(failure_text(failure)), None),
     }
 }
 
-fn capture_tier(source: &str, rt: &RuntimeConfig) -> Result<CapturedRun, String> {
-    match run_isolated(|| capture(source, rt)) {
-        Ok(run) => Ok(run),
-        Err(failure) => Err(format!("{}: {}", failure.error.kind(), failure.error)),
-    }
+/// Captures the chaos tier: seeded interpreter faults with snapshot
+/// recovery. The horizon comes from the elided twin so faults land
+/// mid-run.
+fn chaos_tier(
+    source: &str,
+    rt: &RuntimeConfig,
+    chaos_seed: u64,
+    twin: Option<&CapturedRun>,
+) -> (TierOutcome, Option<CapturedRun>) {
+    let horizon = twin.map_or(1024, |r| r.vm.bytecodes.max(1));
+    let plan = FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
+    let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
+    recorded(run_isolated(|| capture_chaos(source, rt, &opts).map(|(run, _outcome)| run)))
+}
+
+/// The strict oracle between the chaos run and its fault-free twin, when
+/// both completed.
+fn strict_divergence(twin: Option<&CapturedRun>, chaos: Option<&CapturedRun>) -> Option<String> {
+    oracle_check(twin?, chaos?, &UarchConfig::skylake())
 }
 
 fn describe(outcome: &TierOutcome) -> String {
@@ -265,54 +306,35 @@ fn is_fuel(outcome: &TierOutcome) -> bool {
 /// the planted program text is what the `opt2` tier executes — modeling
 /// a miscompile confined to that tier.
 pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> FuzzVerdict {
-    let mut rt_checked = RuntimeConfig::new(RuntimeKind::CPython).with_check_elision(false);
-    rt_checked.max_steps = ORACLE_FUEL;
-    let mut rt_elided = RuntimeConfig::new(RuntimeKind::CPython);
-    rt_elided.max_steps = ORACLE_FUEL;
-    let rt_opt1 = rt_elided.with_opt_level(1);
-    let rt_opt2 = rt_elided.with_opt_level(2);
-    let mut rt_jit = RuntimeConfig::new(RuntimeKind::PyPyJit);
-    rt_jit.max_steps = ORACLE_FUEL;
+    let rt_checked = oracle_rt(RuntimeKind::CPython).with_check_elision(false);
+    let rt_elided = oracle_rt(RuntimeKind::CPython);
 
     // Baseline: the checked interpreter.
-    let (baseline, _) = outcome_of(capture_tier(source, &rt_checked));
+    let baseline = run_tier(source, &rt_checked);
     if is_fuel(&baseline) {
         return FuzzVerdict::Inconclusive;
     }
 
-    // The fault-free elided run doubles as the chaos tier's strict twin.
-    let (elided, elided_run) = outcome_of(capture_tier(source, &rt_elided));
-
     let planted_source = plant.and_then(|p| plant_bug(source, p));
     let opt2_source: &str = planted_source.as_deref().unwrap_or(source);
 
-    let mut tiers: Vec<(&'static str, TierOutcome, Option<CapturedRun>)> = vec![
-        ("interp-elided", elided, elided_run),
+    // The fault-free elided twin records: it sets the chaos horizon and is
+    // the reference the chaos trace is held to.
+    let (elided, twin) = recorded(run_isolated(|| capture(source, &rt_elided)));
+    let (chaos, chaos_run) = chaos_tier(source, &rt_elided, chaos_seed, twin.as_ref());
+    let tiers: [(&str, TierOutcome); 5] = [
+        ("interp-elided", elided),
+        ("opt1", run_tier(source, &rt_elided.with_opt_level(1))),
+        ("opt2", run_tier(opt2_source, &rt_elided.with_opt_level(2))),
+        ("jit", run_tier(source, &oracle_rt(RuntimeKind::PyPyJit))),
+        ("chaos", chaos),
     ];
-    let (o, r) = outcome_of(capture_tier(source, &rt_opt1));
-    tiers.push(("opt1", o, r));
-    let (o, r) = outcome_of(capture_tier(opt2_source, &rt_opt2));
-    tiers.push(("opt2", o, r));
-    let (o, r) = outcome_of(capture_tier(source, &rt_jit));
-    tiers.push(("jit", o, r));
 
-    // Chaos tier: seeded interpreter faults with snapshot recovery; the
-    // horizon comes from the elided twin so faults land mid-run.
-    let horizon = tiers[0].2.as_ref().map_or(1024, |r| r.vm.bytecodes.max(1));
-    let plan = FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
-    let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
-    let chaos = match run_isolated(|| capture_chaos(source, &rt_elided, &opts)) {
-        Ok((run, _outcome)) => Ok(run),
-        Err(failure) => Err(format!("{}: {}", failure.error.kind(), failure.error)),
-    };
-    let (o, r) = outcome_of(chaos);
-    tiers.push(("chaos", o, r));
-
-    if tiers.iter().any(|(_, o, _)| is_fuel(o)) {
+    if tiers.iter().any(|(_, o)| is_fuel(o)) {
         return FuzzVerdict::Inconclusive;
     }
 
-    for (tier, outcome, run) in &tiers {
+    for (tier, outcome) in &tiers {
         if *outcome != baseline {
             return FuzzVerdict::Diverge(Divergence {
                 tier: (*tier).to_string(),
@@ -323,21 +345,17 @@ pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> F
                 ),
             });
         }
-        // The chaos tier must additionally be byte-identical to its
-        // fault-free twin: trace length and every ExecutionStats counter.
-        if *tier == "chaos" {
-            if let (Some(twin), Some(chaos_run)) = (&tiers[0].2, run) {
-                if let Some(div) = oracle_check(twin, chaos_run, &UarchConfig::skylake()) {
-                    return FuzzVerdict::Diverge(Divergence {
-                        tier: "chaos".to_string(),
-                        detail: format!("strict oracle vs interp-elided: {div}"),
-                    });
-                }
-            }
-        }
+    }
+    // The chaos tier must additionally be byte-identical to its
+    // fault-free twin: trace length and every ExecutionStats counter.
+    if let Some(div) = strict_divergence(twin.as_ref(), chaos_run.as_ref()) {
+        return FuzzVerdict::Diverge(Divergence {
+            tier: "chaos".to_string(),
+            detail: format!("strict oracle vs interp-elided: {div}"),
+        });
     }
 
-    let bytecodes = tiers[0].2.as_ref().map_or(0, |r| r.vm.bytecodes);
+    let bytecodes = twin.as_ref().map_or(0, |r| r.vm.bytecodes);
     let result = match baseline {
         Ok((result, _)) => result,
         Err(_) => None,
@@ -354,57 +372,36 @@ pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> F
 /// either run yields `false`: inconclusive candidates never count as
 /// still-failing. An unknown tier name falls back to the full oracle.
 pub fn tier_diverges(source: &str, tier: &str, chaos_seed: u64, plant: Option<BugPlant>) -> bool {
-    let mut rt_checked = RuntimeConfig::new(RuntimeKind::CPython).with_check_elision(false);
-    rt_checked.max_steps = ORACLE_FUEL;
-    let mut rt_elided = RuntimeConfig::new(RuntimeKind::CPython);
-    rt_elided.max_steps = ORACLE_FUEL;
+    let rt_elided = oracle_rt(RuntimeKind::CPython);
 
-    let (baseline, _) = outcome_of(capture_tier(source, &rt_checked));
+    let baseline = run_tier(source, &rt_elided.with_check_elision(false));
     if is_fuel(&baseline) {
         return false;
     }
 
-    let (outcome, _) = match tier {
+    let outcome = match tier {
         // The baseline cannot diverge from itself.
         "interp-checked" => return false,
-        "interp-elided" => outcome_of(capture_tier(source, &rt_elided)),
-        "opt1" => outcome_of(capture_tier(source, &rt_elided.with_opt_level(1))),
+        "interp-elided" => run_tier(source, &rt_elided),
+        "opt1" => run_tier(source, &rt_elided.with_opt_level(1)),
         "opt2" => {
             let planted = plant.and_then(|p| plant_bug(source, p));
             let opt2_source: &str = planted.as_deref().unwrap_or(source);
-            outcome_of(capture_tier(opt2_source, &rt_elided.with_opt_level(2)))
+            run_tier(opt2_source, &rt_elided.with_opt_level(2))
         }
-        "jit" => {
-            let mut rt_jit = RuntimeConfig::new(RuntimeKind::PyPyJit);
-            rt_jit.max_steps = ORACLE_FUEL;
-            outcome_of(capture_tier(source, &rt_jit))
-        }
+        "jit" => run_tier(source, &oracle_rt(RuntimeKind::PyPyJit)),
         "chaos" => {
             // The chaos tier needs its fault-free elided twin for the
             // fault horizon and the strict oracle.
-            let (twin_outcome, twin_run) = outcome_of(capture_tier(source, &rt_elided));
+            let (twin_outcome, twin) = recorded(run_isolated(|| capture(source, &rt_elided)));
             if is_fuel(&twin_outcome) {
                 return false;
             }
-            let horizon = twin_run.as_ref().map_or(1024, |r| r.vm.bytecodes.max(1));
-            let plan =
-                FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
-            let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
-            let chaos = match run_isolated(|| capture_chaos(source, &rt_elided, &opts)) {
-                Ok((run, _outcome)) => Ok(run),
-                Err(failure) => Err(format!("{}: {}", failure.error.kind(), failure.error)),
-            };
-            let (outcome, run) = outcome_of(chaos);
+            let (outcome, run) = chaos_tier(source, &rt_elided, chaos_seed, twin.as_ref());
             if is_fuel(&outcome) {
                 return false;
             }
-            if outcome != baseline {
-                return true;
-            }
-            if let (Some(twin), Some(chaos_run)) = (&twin_run, &run) {
-                return oracle_check(twin, chaos_run, &UarchConfig::skylake()).is_some();
-            }
-            return false;
+            return outcome != baseline || strict_divergence(twin.as_ref(), run.as_ref()).is_some();
         }
         _ => return differential(source, chaos_seed, plant).diverged(),
     };

@@ -516,6 +516,14 @@ impl<S: OpSink> Vm<S> {
         self.chaos.as_mut()?.take_last_injected()
     }
 
+    /// Whether a fault raised mid-step (an allocation failure or a
+    /// simulated OOM) is waiting to surface at the next step boundary.
+    /// A snapshot taken now would carry it, so every restore of that
+    /// snapshot would raise it again.
+    pub fn has_pending_fault(&self) -> bool {
+        self.pending_fault.is_some()
+    }
+
     /// Whether the per-dispatch guard checks are elided (true only after
     /// `Vm::load_verified`).
     pub fn check_elision(&self) -> bool {

@@ -16,7 +16,7 @@
 
 use qoa::chaos::{FaultKind, FaultPlan, FaultPoint, Snapshot};
 use qoa::core::runtime::{capture, RuntimeConfig};
-use qoa::core::{capture_chaos, oracle_check, stats_divergence, ChaosOptions};
+use qoa::core::{capture_chaos, fault_kinds_for, oracle_check, stats_divergence, ChaosOptions};
 use qoa::model::RuntimeKind;
 use qoa::obs::metrics::Registry;
 use qoa::obs::parse_exposition;
@@ -97,6 +97,43 @@ fn multiple_faults_in_one_checkpoint_window_recover() {
     assert_eq!(out.faults_injected_total(), 3);
     assert_eq!(out.restores, 3);
     assert_eq!(oracle_check(&baseline, &run, &uarch), None);
+}
+
+/// Regression: a checkpoint falls due while an injected fault is still
+/// pending delivery. Generated program 179 of sweep seed 1 has a fault
+/// horizon of 1415 bytecodes and a checkpoint every 353; its allocation
+/// fault at tick 683 is raised mid-step inside step 706 (= 2 × 353) and
+/// only surfaces at the next step boundary. A snapshot taken at that
+/// boundary would carry the pending fault, so every restore would raise
+/// it again and recovery would never finish. The run goes on a helper
+/// thread so a regression fails the test instead of hanging the suite.
+#[test]
+fn checkpoint_never_captures_a_pending_fault() {
+    let seed = qoa_fuzz::program_seed(1, 179);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let source = qoa_fuzz::generate_source(seed, &qoa_fuzz::GenConfig::default());
+        let mut rt = RuntimeConfig::new(RuntimeKind::CPython);
+        rt.max_steps = qoa_fuzz::oracle::ORACLE_FUEL;
+        let baseline = capture(&source, &rt).expect("fault-free run completes");
+        let horizon = baseline.vm.bytecodes;
+        let plan = FaultPlan::seeded(seed, horizon, 6, fault_kinds_for(rt.kind));
+        let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
+        let (run, out) = capture_chaos(&source, &rt, &opts).expect("recovers");
+        let verdict = oracle_check(&baseline, &run, &UarchConfig::skylake());
+        let _ = tx.send((horizon, opts.checkpoint_every, out, verdict));
+    });
+    let got = rx.recv_timeout(std::time::Duration::from_secs(120));
+    assert!(
+        !matches!(got, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "chaos recovery restores forever"
+    );
+    worker.join().expect("the chaos run completes without panicking");
+    let (horizon, every, out, verdict) = got.expect("the chaos run reports its result");
+    assert_eq!((horizon, every), (1415, 353), "the reproducer drifted");
+    assert!(out.injected.get(FaultKind::AllocFault.name()).is_some_and(|&n| n >= 1), "{out:?}");
+    assert_eq!(out.restores, 3, "{out:?}");
+    assert_eq!(verdict, None, "oracle violated");
 }
 
 #[test]

@@ -5,11 +5,17 @@
 //! (safety by construction at any seed), oracle → shrinker (a planted
 //! semantics bug is caught and minimized to a small, locally 1-minimal
 //! repro), and sweep → executor → journal (byte-identical journals at
-//! different `--jobs`).
+//! different `--jobs`). A fourth pins the premise that lets four of the
+//! oracle's six tiers skip trace recording: a run into a `NullSink`
+//! reaches the same guest-visible outcome as a recorded capture.
 
 use proptest::prelude::*;
+use qoa::core::{capture, run_isolated, run_with_sink, RuntimeConfig};
+use qoa::model::{NullSink, RuntimeKind};
 use qoa_fuzz::gen::{generate_source, GenConfig};
-use qoa_fuzz::oracle::{differential, plant_bug, valid_program, BugPlant, FuzzVerdict};
+use qoa_fuzz::oracle::{
+    differential, plant_bug, valid_program, BugPlant, FuzzVerdict, ORACLE_FUEL,
+};
 use qoa_fuzz::shrink::shrink;
 use qoa_fuzz::sweep::{run_sweep, SweepOptions};
 use std::path::{Path, PathBuf};
@@ -161,5 +167,69 @@ fn corpus_workloads_agree_across_tiers() {
             }
             other => panic!("{}: {other:?}", w.name),
         }
+    }
+}
+
+/// What the oracle compares of a tier, plus its executed bytecodes (or
+/// the error kind and message when the run fails).
+type Seen = Result<(Option<String>, Vec<String>, u64), (String, String)>;
+
+/// Runs `source` under `rt` into a `NullSink` and as a recorded capture.
+fn null_and_captured(source: &str, rt: &RuntimeConfig) -> (Seen, Seen) {
+    let failed = |f: qoa::core::RunFailure| (f.error.kind().to_string(), f.error.to_string());
+    let live = run_isolated(|| run_with_sink(source, rt, NullSink))
+        .map(|(_, vm, _, output, result)| (result, output, vm.bytecodes))
+        .map_err(failed);
+    let captured = run_isolated(|| capture(source, rt))
+        .map(|run| (run.result, run.output, run.vm.bytecodes))
+        .map_err(failed);
+    (live, captured)
+}
+
+/// The four tiers the oracle runs for their outcome only.
+fn outcome_only_tiers() -> [(&'static str, RuntimeConfig); 4] {
+    let mut elided = RuntimeConfig::new(RuntimeKind::CPython);
+    elided.max_steps = ORACLE_FUEL;
+    let mut jit = RuntimeConfig::new(RuntimeKind::PyPyJit);
+    jit.max_steps = ORACLE_FUEL;
+    [
+        ("interp-checked", elided.with_check_elision(false)),
+        ("opt1", elided.with_opt_level(1)),
+        ("opt2", elided.with_opt_level(2)),
+        ("jit", jit),
+    ]
+}
+
+/// Each outcome-only tier gives the same result, output, bytecode count
+/// and typed error through a `NullSink` as through a recorded capture:
+/// over the first 40 programs of sweep seed 1, and for a fuel cutoff, a
+/// guest error and a simulated OOM.
+#[test]
+fn outcome_only_tiers_match_their_captures() {
+    // Asserts agreement and returns the failure kind, if any.
+    let check = |label: &str, source: &str, rt: &RuntimeConfig| {
+        let (live, captured) = null_and_captured(source, rt);
+        assert_eq!(live, captured, "{label}\n{source}");
+        live.err().map(|(kind, _)| kind)
+    };
+    let cfg = GenConfig::default();
+    for i in 0..40 {
+        let src = generate_source(qoa_fuzz::program_seed(1, i), &cfg);
+        for (tier, rt) in outcome_only_tiers() {
+            let failed = check(&format!("program {i}, tier {tier}"), &src, &rt);
+            assert_eq!(failed, None, "program {i} must run to completion under {tier}");
+        }
+    }
+
+    let loop_src = "t = 0\nfor i in range(3000):\n    t = t + i\nresult = t\n";
+    let guest_src = "x = 1\nresult = x // 0\n";
+    let oom_src = "xs = []\nfor i in range(20000):\n    xs.append((i, i))\nresult = len(xs)\n";
+    for (tier, rt) in outcome_only_tiers() {
+        let mut starved = rt;
+        starved.max_steps = 100;
+        let capped = rt.with_heap_cap(64 << 10);
+        assert_eq!(check(&format!("fuel, {tier}"), loop_src, &starved).as_deref(), Some("fuel"));
+        assert_eq!(check(&format!("guest, {tier}"), guest_src, &rt).as_deref(), Some("guest"));
+        assert_eq!(check(&format!("oom, {tier}"), oom_src, &capped).as_deref(), Some("oom"));
     }
 }
