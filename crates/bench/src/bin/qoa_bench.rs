@@ -16,6 +16,7 @@
 use qoa_core::benchsnap::{
     diff_snapshots, parse_bench_json, render_bench_json, BenchEntry, BenchSnapshot,
 };
+use qoa_core::cli::{CliError, Flags};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_model::RuntimeKind;
 use qoa_uarch::UarchConfig;
@@ -54,42 +55,23 @@ impl Default for BenchCli {
     }
 }
 
-fn parse_cli() -> BenchCli {
+const USAGE: &str = "flags: --scale tiny|small|full  --baseline FILE  --write-baseline  \
+     --out FILE  --wall-band PCT  --seed N";
+
+fn parse_cli(f: &mut Flags) -> Result<BenchCli, CliError> {
     let mut out = BenchCli::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                out.scale = match v.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => panic!("unknown scale '{other}' (tiny|small|full)"),
-                };
-            }
-            "--baseline" => out.baseline = PathBuf::from(args.next().unwrap_or_default()),
+    while let Some(flag) = f.next_flag()? {
+        match flag.as_str() {
+            "--scale" => out.scale = f.value()?,
+            "--baseline" => out.baseline = f.value()?,
             "--write-baseline" => out.write_baseline = true,
-            "--out" => out.out = Some(PathBuf::from(args.next().unwrap_or_default())),
-            "--wall-band" => {
-                let v = args.next().unwrap_or_default();
-                out.wall_band_pct = v.parse().expect("--wall-band takes a percentage");
-            }
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                out.seed = v.parse().expect("--seed takes an integer");
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --scale tiny|small|full  --baseline FILE  --write-baseline  \
-                     --out FILE  --wall-band PCT  --seed N"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag '{other}' (try --help)"),
+            "--out" => out.out = Some(f.value()?),
+            "--wall-band" => out.wall_band_pct = f.value()?,
+            "--seed" => out.seed = f.value()?,
+            _ => return Err(f.unknown()),
         }
     }
-    out
+    Ok(out)
 }
 
 /// Measures every cell of the panel, in fixed (workload, opt, tier)
@@ -141,7 +123,7 @@ fn load_baseline(path: &std::path::Path) -> BenchSnapshot {
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = qoa_core::cli::parse_args(USAGE, parse_cli);
     eprintln!(
         "measuring trajectory panel ({} workloads x opt {{0,{}}} x {} tiers) at {:?} scale...",
         PANEL.len(),

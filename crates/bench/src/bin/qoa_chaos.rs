@@ -27,6 +27,7 @@
 //! the counter families CI gates on. Any violation exits nonzero.
 
 use qoa_chaos::{FaultKind, FaultPlan};
+use qoa_core::cli::{CliError, Flags};
 use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric};
 use qoa_core::report::Table;
 use qoa_core::runtime::{capture, CapturedRun, RuntimeConfig};
@@ -79,70 +80,39 @@ impl Default for ChaosCli {
     }
 }
 
-fn parse_cli() -> ChaosCli {
+const USAGE: &str = "flags: --seeds N  --workloads smoke|all  --workload NAME  \
+     --runtime cpython|pypy-nojit|pypy-jit|v8|all  --scale tiny|small|full  \
+     --checkpoint-every N  --metrics FILE  --journal-dir DIR  --fresh  --jobs N";
+
+fn parse_cli(f: &mut Flags) -> Result<ChaosCli, CliError> {
     let mut out = ChaosCli::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seeds" => {
-                let v = args.next().unwrap_or_default();
-                out.seeds = v.parse().expect("--seeds takes a count");
-            }
+    while let Some(flag) = f.next_flag()? {
+        match flag.as_str() {
+            "--seeds" => out.seeds = f.value()?,
             "--workloads" => {
-                let v = args.next().unwrap_or_default();
-                out.all_workloads = match v.as_str() {
-                    "smoke" => false,
-                    "all" => true,
-                    other => panic!("unknown workload set '{other}' (smoke|all)"),
-                };
+                out.all_workloads = f.value_with(|v| match v {
+                    "smoke" => Ok(false),
+                    "all" => Ok(true),
+                    _ => Err("expected smoke|all"),
+                })?;
             }
-            "--workload" => out.only_workload = Some(args.next().unwrap_or_default()),
+            "--workload" => out.only_workload = Some(f.value()?),
             "--runtime" => {
-                let v = args.next().unwrap_or_default();
-                out.runtimes = match v.as_str() {
-                    "cpython" => vec![RuntimeKind::CPython],
-                    "pypy-nojit" => vec![RuntimeKind::PyPyNoJit],
-                    "pypy-jit" => vec![RuntimeKind::PyPyJit],
-                    "v8" => vec![RuntimeKind::V8],
-                    "all" => RuntimeKind::ALL.to_vec(),
-                    other => {
-                        panic!("unknown runtime '{other}' (cpython|pypy-nojit|pypy-jit|v8|all)")
-                    }
-                };
+                out.runtimes = f.value_with(|v| match v {
+                    "all" => Ok(RuntimeKind::ALL.to_vec()),
+                    one => one.parse().map(|kind| vec![kind]),
+                })?;
             }
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                out.scale = match v.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => panic!("unknown scale '{other}' (tiny|small|full)"),
-                };
-            }
-            "--checkpoint-every" => {
-                let v = args.next().unwrap_or_default();
-                out.checkpoint_every =
-                    Some(v.parse().expect("--checkpoint-every takes a bytecode count"));
-            }
-            "--metrics" => out.metrics = Some(PathBuf::from(args.next().unwrap_or_default())),
-            "--journal-dir" => out.journal_dir = PathBuf::from(args.next().unwrap_or_default()),
+            "--scale" => out.scale = f.value()?,
+            "--checkpoint-every" => out.checkpoint_every = Some(f.value()?),
+            "--metrics" => out.metrics = Some(f.value()?),
+            "--journal-dir" => out.journal_dir = f.value()?,
             "--fresh" => out.fresh = true,
-            "--jobs" => {
-                let v = args.next().unwrap_or_default();
-                out.jobs = v.parse().expect("--jobs takes a thread count");
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --seeds N  --workloads smoke|all  --workload NAME  \
-                     --runtime cpython|pypy-nojit|pypy-jit|v8|all  --scale tiny|small|full  \
-                     --checkpoint-every N  --metrics FILE  --journal-dir DIR  --fresh  --jobs N"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag '{other}' (try --help)"),
+            "--jobs" => out.jobs = f.value()?,
+            _ => return Err(f.unknown()),
         }
     }
-    out
+    Ok(out)
 }
 
 fn runtime_label(kind: RuntimeKind) -> &'static str {
@@ -327,7 +297,7 @@ fn run_pair(
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = qoa_core::cli::parse_args(USAGE, parse_cli);
     let uarch = UarchConfig::skylake();
     let suite = qoa_workloads::python_suite();
     let workloads: Vec<&'static Workload> = if let Some(name) = &cli.only_workload {

@@ -14,6 +14,7 @@
 //! * `--quiet` — suppress note-severity findings.
 
 use qoa_analysis::{lint, Severity};
+use qoa_core::cli::{CliError, Flags};
 use qoa_workloads::Scale;
 
 struct Opts {
@@ -22,41 +23,26 @@ struct Opts {
     quiet: bool,
 }
 
-fn parse_args() -> Opts {
+const USAGE: &str = "flags: --deny warnings  --scale tiny|small|full  --quiet";
+
+fn parse_args(f: &mut Flags) -> Result<Opts, CliError> {
     let mut opts = Opts { deny_warnings: false, scale: Scale::Tiny, quiet: false };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--deny" => match args.next().as_deref() {
-                Some("warnings") => opts.deny_warnings = true,
-                other => die(&format!("--deny takes `warnings`, got {other:?}")),
-            },
-            "--scale" => {
-                opts.scale = match args.next().as_deref() {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("full") => Scale::Full,
-                    other => die(&format!("unknown scale {other:?} (tiny|small|full)")),
-                };
+    while let Some(flag) = f.next_flag()? {
+        match flag.as_str() {
+            "--deny" => {
+                f.value_with(|v| if v == "warnings" { Ok(()) } else { Err("takes `warnings`") })?;
+                opts.deny_warnings = true;
             }
+            "--scale" => opts.scale = f.value()?,
             "--quiet" => opts.quiet = true,
-            "--help" | "-h" => {
-                eprintln!("flags: --deny warnings  --scale tiny|small|full  --quiet");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag '{other}' (try --help)")),
+            _ => return Err(f.unknown()),
         }
     }
-    opts
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("qoa-lint: {msg}");
-    std::process::exit(2);
+    Ok(opts)
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = qoa_core::cli::parse_args(USAGE, parse_args);
     let suites: [(&str, &[qoa_workloads::Workload]); 2] = [
         ("python", qoa_workloads::python_suite()),
         ("jetstream", qoa_workloads::jetstream_suite()),

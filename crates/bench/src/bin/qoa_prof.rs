@@ -20,6 +20,7 @@
 //! embedded as the v2 `"obs"` field) is recorded under `--journal-dir`.
 
 use qoa_analysis::StaticFacts;
+use qoa_core::cli::{CliError, Flags};
 use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric};
 use qoa_core::runtime::{capture_observed, RuntimeConfig};
 use qoa_model::{RuntimeKind, Tier};
@@ -68,62 +69,36 @@ impl Default for ProfCli {
     }
 }
 
-fn parse_cli() -> ProfCli {
+const USAGE: &str = "flags: --workload NAME  --runtime cpython|pypy-nojit|pypy-jit|v8  \
+     --scale tiny|small|full  --sample-every N  --trace FILE  \
+     --metrics FILE  --folded FILE  --folded-lines FILE  --annotate FILE  \
+     --jobs N  --check  --journal-dir DIR";
+
+fn parse_cli(f: &mut Flags) -> Result<ProfCli, CliError> {
     let mut out = ProfCli::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--workload" => out.workload = args.next().unwrap_or_default(),
-            "--runtime" => {
-                let v = args.next().unwrap_or_default();
-                out.runtime = match v.as_str() {
-                    "cpython" => RuntimeKind::CPython,
-                    "pypy-nojit" => RuntimeKind::PyPyNoJit,
-                    "pypy-jit" => RuntimeKind::PyPyJit,
-                    "v8" => RuntimeKind::V8,
-                    other => panic!("unknown runtime '{other}' (cpython|pypy-nojit|pypy-jit|v8)"),
-                };
-            }
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                out.scale = match v.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => panic!("unknown scale '{other}' (tiny|small|full)"),
-                };
-            }
-            "--sample-every" => {
-                let v = args.next().unwrap_or_default();
-                out.sample_every = v.parse().expect("--sample-every takes a cycle count");
-            }
-            "--trace" => out.trace = Some(PathBuf::from(args.next().unwrap_or_default())),
-            "--metrics" => out.metrics = Some(PathBuf::from(args.next().unwrap_or_default())),
-            "--folded" => out.folded = Some(PathBuf::from(args.next().unwrap_or_default())),
-            "--folded-lines" => {
-                out.folded_lines = Some(PathBuf::from(args.next().unwrap_or_default()));
-            }
-            "--annotate" => out.annotate = Some(PathBuf::from(args.next().unwrap_or_default())),
+    while let Some(flag) = f.next_flag()? {
+        match flag.as_str() {
+            "--workload" => out.workload = f.value()?,
+            "--runtime" => out.runtime = f.value()?,
+            "--scale" => out.scale = f.value()?,
+            "--sample-every" => out.sample_every = f.value()?,
+            "--trace" => out.trace = Some(f.value()?),
+            "--metrics" => out.metrics = Some(f.value()?),
+            "--folded" => out.folded = Some(f.value()?),
+            "--folded-lines" => out.folded_lines = Some(f.value()?),
+            "--annotate" => out.annotate = Some(f.value()?),
             "--jobs" => {
-                let v = args.next().unwrap_or_default();
-                out.jobs = v.parse().expect("--jobs takes a thread count");
-                assert!(out.jobs >= 1, "--jobs must be at least 1");
+                out.jobs = f.value()?;
+                if out.jobs == 0 {
+                    return Err(CliError::Misuse("--jobs must be at least 1".into()));
+                }
             }
             "--check" => out.check = true,
-            "--journal-dir" => out.journal_dir = PathBuf::from(args.next().unwrap_or_default()),
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --workload NAME  --runtime cpython|pypy-nojit|pypy-jit|v8  \
-                     --scale tiny|small|full  --sample-every N  --trace FILE  \
-                     --metrics FILE  --folded FILE  --folded-lines FILE  --annotate FILE  \
-                     --jobs N  --check  --journal-dir DIR"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag '{other}' (try --help)"),
+            "--journal-dir" => out.journal_dir = f.value()?,
+            _ => return Err(f.unknown()),
         }
     }
-    out
+    Ok(out)
 }
 
 /// Compiles the (unoptimized) guest and runs the lint pipeline; the
@@ -146,7 +121,7 @@ fn write_output(path: &PathBuf, what: &str, content: &str) {
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = qoa_core::cli::parse_args(USAGE, parse_cli);
     let workload = qoa_workloads::by_name(&cli.workload)
         .unwrap_or_else(|| panic!("unknown workload '{}'", cli.workload));
     let source = workload.source(cli.scale);

@@ -28,6 +28,7 @@
 //! * `--exec-metrics` — print the executor's scheduler counters to
 //!   stderr as Prometheus text exposition after the prewarm pass.
 
+use qoa_core::cli::{CliError, Flags};
 use qoa_core::harness::CellChaos;
 use qoa_core::report::Table;
 use qoa_core::{
@@ -122,78 +123,47 @@ pub fn harness(cli: &Cli, figure: &str) -> Harness {
 /// Cell text for a failed measurement in a report.
 pub const NA: &str = "n/a";
 
-/// Parses `std::env::args`.
+/// The flags every figure/table binary takes.
+const USAGE: &str = "flags: --scale tiny|small|full  --subset N  --all  --csv  --fresh  \
+     --deadline-secs N  --max-failure-rate F  --journal-dir DIR  --jobs N  \
+     --seed N  --budget N  --chaos-seed N  --exec-metrics  --opt  --opt-level N";
+
+/// Parses the process arguments.
 ///
 /// # Panics
 ///
-/// Panics with a usage message on unknown flags.
+/// Panics with a usage message on an unknown flag or a missing or
+/// unparsable value; `--help` prints the usage and exits 0.
 pub fn cli() -> Cli {
+    qoa_core::cli::parse_args(USAGE, parse)
+}
+
+fn parse(f: &mut Flags) -> Result<Cli, CliError> {
     let mut out = Cli::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = args.next().unwrap_or_default();
-                out.scale = match v.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => panic!("unknown scale '{other}' (tiny|small|full)"),
-                };
-            }
-            "--subset" => {
-                let v = args.next().unwrap_or_default();
-                out.subset = Some(v.parse().expect("--subset takes a count"));
-            }
+    while let Some(flag) = f.next_flag()? {
+        match flag.as_str() {
+            "--scale" => out.scale = f.value()?,
+            "--subset" => out.subset = Some(f.value()?),
             "--all" => out.all = true,
             "--csv" => out.csv = true,
             "--fresh" => out.fresh = true,
-            "--deadline-secs" => {
-                let v = args.next().unwrap_or_default();
-                out.deadline_secs = Some(v.parse().expect("--deadline-secs takes seconds"));
-            }
-            "--max-failure-rate" => {
-                let v = args.next().unwrap_or_default();
-                out.max_failure_rate = v.parse().expect("--max-failure-rate takes a fraction");
-            }
-            "--journal-dir" => {
-                out.journal_dir = PathBuf::from(args.next().unwrap_or_default());
-            }
-            "--jobs" => {
-                let v = args.next().unwrap_or_default();
-                out.jobs = v.parse().expect("--jobs takes a thread count");
-            }
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                out.seed = v.parse().expect("--seed takes an integer");
-            }
-            "--budget" => {
-                let v = args.next().unwrap_or_default();
-                out.budget = Some(v.parse().expect("--budget takes a cost total"));
-            }
-            "--chaos-seed" => {
-                let v = args.next().unwrap_or_default();
-                out.chaos_seed = Some(v.parse().expect("--chaos-seed takes an integer"));
-            }
+            "--deadline-secs" => out.deadline_secs = Some(f.value()?),
+            "--max-failure-rate" => out.max_failure_rate = f.value()?,
+            "--journal-dir" => out.journal_dir = f.value()?,
+            "--jobs" => out.jobs = f.value()?,
+            "--seed" => out.seed = f.value()?,
+            "--budget" => out.budget = Some(f.value()?),
+            "--chaos-seed" => out.chaos_seed = Some(f.value()?),
             "--exec-metrics" => out.exec_metrics = true,
             "--opt" => out.opt = true,
             "--opt-level" => {
-                let v = args.next().unwrap_or_default();
-                out.opt_level = v.parse().expect("--opt-level takes 0..=2");
+                out.opt_level = f.value()?;
                 out.opt = true;
             }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --scale tiny|small|full  --subset N  --all  --csv  --fresh  \
-                     --deadline-secs N  --max-failure-rate F  --journal-dir DIR  --jobs N  \
-                     --seed N  --budget N  --chaos-seed N  --exec-metrics  --opt  --opt-level N"
-                );
-                std::process::exit(0);
-            }
-            other => panic!("unknown flag '{other}' (try --help)"),
+            _ => return Err(f.unknown()),
         }
     }
-    out
+    Ok(out)
 }
 
 /// The executor configuration implied by the CLI: thread count, seed,

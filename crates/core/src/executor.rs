@@ -168,8 +168,6 @@ pub struct ExecutorOptions {
     /// Watchdog slack past the cell deadline before a worker is declared
     /// hung.
     pub watchdog_grace: Duration,
-    /// Bounded work-queue capacity (0 = `4 × jobs`).
-    pub queue_capacity: usize,
 }
 
 impl ExecutorOptions {
@@ -183,7 +181,6 @@ impl ExecutorOptions {
             budget: None,
             cell_deadline: None,
             watchdog_grace: Duration::from_secs(2),
-            queue_capacity: 0,
         }
     }
 }
@@ -749,8 +746,8 @@ fn commit_loop<T: Send>(
     stats: &mut ExecutorStats,
 ) -> Vec<CommittedCell<T>> {
     let n = shared.meta.len();
-    let capacity =
-        if opts.queue_capacity == 0 { opts.jobs.max(1) * 4 } else { opts.queue_capacity }.max(1);
+    // The bounded work queue holds four cells per worker.
+    let capacity = opts.jobs.max(1) * 4;
     let mut breakers = BreakerBank::new(shared.breaker_open.len(), &opts.breaker);
     let mut committed: Vec<Option<CommittedCell<T>>> = (0..n).map(|_| None).collect();
     let mut ready: BTreeMap<usize, WorkerVerdict<T>> = BTreeMap::new();

@@ -39,6 +39,7 @@ pub mod annotate;
 pub mod benchsnap;
 pub mod breaker;
 pub mod chaos;
+pub mod cli;
 pub mod error;
 pub mod executor;
 pub mod harness;
@@ -64,7 +65,7 @@ pub use executor::{
     available_jobs, cell_seed, run_supervised, CellVerdict, CommittedCell, ExecutorOptions,
     ExecutorStats, RetryPolicy, ShedReason, SupervisedCell,
 };
-pub use transport::{Delivery, NodeId, Transport, VirtualRetryPolicy};
+pub use transport::VirtualRetryPolicy;
 pub use harness::{
     best_nursery_cell, breakdown_cell, breakdown_spec, nursery_cell, nursery_cells,
     nursery_cells_tagged, nursery_spec, shared_trace_cache, sweep_param_cell, sweep_param_spec,

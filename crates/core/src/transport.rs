@@ -1,76 +1,13 @@
-//! The cluster transport contract: virtual-time message passing plus
-//! the integer retry/backoff discipline the cluster client runs on.
+//! The integer retry/backoff discipline the cluster client runs on.
 //!
-//! The serving layer (PR 6) proved that a *virtual-time* simulation —
-//! every admission, queueing, and journaling decision driven by a
-//! simulated clock, wall time reporting-only — is what makes a whole
-//! serving run byte-deterministic across hosts and `--jobs`. This
-//! module extends that contract to a *network*: a [`Transport`] carries
-//! envelopes between numbered endpoints with delivery times chosen
-//! deterministically (typically by a seeded fault plan), and a
 //! [`VirtualRetryPolicy`] gives clients capped exponential backoff with
-//! seeded jitter as a pure function of `(seed, key, attempt)` — the
-//! same discipline as the executor's wall-clock
-//! [`RetryPolicy`](crate::executor::RetryPolicy), but in integer
-//! virtual cycles so schedules are exactly reproducible and diffable.
-//!
-//! The concrete simulated network (fault injection, partitions, node
-//! crashes) lives in `qoa_serve::net`; this module is deliberately thin
-//! so future transports (real sockets, shared-memory rings) can slot in
-//! behind the same trait without dragging serve-layer types into core.
+//! seeded jitter as a pure function of `(seed, key, attempt)` — the same
+//! discipline as the executor's wall-clock
+//! [`RetryPolicy`](crate::executor::RetryPolicy), but in integer virtual
+//! cycles so schedules are exactly reproducible and diffable. The
+//! simulated network it drives lives in `qoa_serve::net`.
 
 use qoa_chaos::{fnv1a, SplitMix64};
-
-/// A numbered endpoint on a transport. Server nodes are `0..n`; by
-/// convention the driving client takes the next id after the last node.
-pub type NodeId = usize;
-
-/// One message queued on or delivered by a transport.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delivery<P> {
-    /// Virtual time at which the message arrives at `dst`.
-    pub at: u64,
-    /// The transport-assigned send sequence number (unique per send;
-    /// duplicated deliveries share it).
-    pub seq: u64,
-    /// Sending endpoint.
-    pub src: NodeId,
-    /// Receiving endpoint.
-    pub dst: NodeId,
-    /// The payload.
-    pub payload: P,
-}
-
-/// A virtual-time message transport.
-///
-/// Sends are non-blocking and may be dropped, duplicated, delayed, or
-/// reordered by the implementation — the only contract is determinism:
-/// for a fixed construction seed and send sequence, delivery times and
-/// fates are identical on every host. Time never advances inside the
-/// transport; the caller owns the clock, asks [`next_wake`] where the
-/// earliest pending delivery sits, and drains with [`poll`].
-///
-/// [`next_wake`]: Transport::next_wake
-/// [`poll`]: Transport::poll
-pub trait Transport {
-    /// Message payload type.
-    type Payload;
-
-    /// Queues a message at virtual time `now` and returns its send
-    /// sequence number. The implementation decides its fate (delivery
-    /// time, loss, duplication) deterministically.
-    fn send(&mut self, now: u64, src: NodeId, dst: NodeId, payload: Self::Payload) -> u64;
-
-    /// Virtual time of the earliest pending delivery, if any.
-    fn next_wake(&self) -> Option<u64>;
-
-    /// Pops the earliest pending delivery with `at <= now`, in
-    /// deterministic `(at, seq)` order. Returns `None` when nothing is
-    /// due yet.
-    fn poll(&mut self, now: u64) -> Option<Delivery<Self::Payload>>;
-}
-
-// ---- seeded virtual-time retry ---------------------------------------------
 
 /// Capped exponential backoff with seeded jitter over **virtual
 /// cycles** — the integer twin of the executor's wall-clock

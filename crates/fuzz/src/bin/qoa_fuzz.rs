@@ -17,9 +17,8 @@
 //! qoa-fuzz --seed 7 --count 100 --plant-bug swap-sub   # oracle self-test
 //! ```
 
-use std::path::PathBuf;
-
 use qoa_core::available_jobs;
+use qoa_core::cli::{CliError, Flags};
 use qoa_fuzz::gen::{generate_source, GenConfig};
 use qoa_fuzz::oracle::BugPlant;
 use qoa_fuzz::sweep::{run_sweep, SweepOptions};
@@ -32,71 +31,48 @@ struct FuzzCli {
     emit: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: qoa-fuzz [--seed N] [--count N] [--jobs N] [--max-stmts N]\n\
-         \x20               [--journal-dir DIR] [--artifacts-dir DIR] [--fresh]\n\
-         \x20               [--plant-bug swap-sub] [--corpus] [--only NAME]\n\
-         \x20               [--emit] [--deny-divergence]"
-    );
-    std::process::exit(2)
+const USAGE: &str = "usage: qoa-fuzz [--seed N] [--count N] [--jobs N] [--max-stmts N]\n\
+     \x20               [--journal-dir DIR] [--artifacts-dir DIR] [--fresh]\n\
+     \x20               [--plant-bug swap-sub] [--corpus] [--only NAME]\n\
+     \x20               [--emit] [--deny-divergence]";
+
+/// A count or seed, decimal or `0x`-prefixed hex (as repro commands
+/// print seeds).
+fn number(v: &str) -> Result<u64, std::num::ParseIntError> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    }
 }
 
-fn parse_u64(v: Option<String>, flag: &str) -> u64 {
-    let v = v.unwrap_or_default();
-    let parsed = if let Some(hex) = v.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        v.parse().ok()
-    };
-    parsed.unwrap_or_else(|| {
-        eprintln!("{flag} takes a number, got '{v}'");
-        usage()
-    })
-}
-
-fn parse_cli() -> FuzzCli {
+fn parse_cli(f: &mut Flags) -> Result<FuzzCli, CliError> {
     let mut cli = FuzzCli {
         opts: SweepOptions::new(0),
         deny_divergence: false,
         emit: false,
     };
     cli.opts.jobs = available_jobs();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => cli.opts.seed = parse_u64(args.next(), "--seed"),
-            "--count" => cli.opts.count = parse_u64(args.next(), "--count"),
-            "--jobs" => cli.opts.jobs = parse_u64(args.next(), "--jobs") as usize,
-            "--max-stmts" => {
-                cli.opts.max_stmts = parse_u64(args.next(), "--max-stmts") as usize;
-            }
-            "--journal-dir" => {
-                cli.opts.journal_dir = PathBuf::from(args.next().unwrap_or_default());
-            }
-            "--artifacts-dir" => {
-                cli.opts.artifacts_dir = PathBuf::from(args.next().unwrap_or_default());
-            }
+    while let Some(flag) = f.next_flag()? {
+        match flag.as_str() {
+            "--seed" => cli.opts.seed = f.value_with(number)?,
+            "--count" => cli.opts.count = f.value_with(number)?,
+            "--jobs" => cli.opts.jobs = f.value_with(number)? as usize,
+            "--max-stmts" => cli.opts.max_stmts = f.value_with(number)? as usize,
+            "--journal-dir" => cli.opts.journal_dir = f.value()?,
+            "--artifacts-dir" => cli.opts.artifacts_dir = f.value()?,
             "--fresh" => cli.opts.fresh = true,
             "--corpus" => cli.opts.corpus = true,
-            "--only" => cli.opts.only = Some(args.next().unwrap_or_default()),
+            "--only" => cli.opts.only = Some(f.value()?),
             "--plant-bug" => {
-                let v = args.next().unwrap_or_default();
-                cli.opts.plant = Some(BugPlant::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown --plant-bug '{v}' (swap-sub)");
-                    usage()
-                }));
+                cli.opts.plant =
+                    Some(f.value_with(|v| BugPlant::parse(v).ok_or("expected swap-sub"))?);
             }
             "--emit" => cli.emit = true,
             "--deny-divergence" => cli.deny_divergence = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag '{other}'");
-                usage()
-            }
+            _ => return Err(f.unknown()),
         }
     }
-    cli
+    Ok(cli)
 }
 
 /// Prints the generated program(s) selected by `--only` (or the whole
@@ -117,7 +93,7 @@ fn emit(cli: &FuzzCli) {
 }
 
 fn main() {
-    let cli = parse_cli();
+    let cli = qoa_core::cli::parse_args(USAGE, parse_cli);
     if cli.emit {
         emit(&cli);
         return;

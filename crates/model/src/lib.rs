@@ -92,6 +92,22 @@ impl RuntimeKind {
     }
 }
 
+impl std::str::FromStr for RuntimeKind {
+    type Err = String;
+
+    /// Parses the command-line spelling: `cpython`, `pypy-nojit`,
+    /// `pypy-jit` or `v8`.
+    fn from_str(s: &str) -> Result<RuntimeKind, String> {
+        match s {
+            "cpython" => Ok(RuntimeKind::CPython),
+            "pypy-nojit" => Ok(RuntimeKind::PyPyNoJit),
+            "pypy-jit" => Ok(RuntimeKind::PyPyJit),
+            "v8" => Ok(RuntimeKind::V8),
+            other => Err(format!("unknown runtime '{other}' (cpython|pypy-nojit|pypy-jit|v8)")),
+        }
+    }
+}
+
 impl std::fmt::Display for RuntimeKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -110,6 +126,18 @@ mod tests {
         assert!(RuntimeKind::V8.has_jit());
         assert!(!RuntimeKind::CPython.has_generational_gc());
         assert!(RuntimeKind::PyPyNoJit.has_generational_gc());
+    }
+
+    #[test]
+    fn runtime_kind_parses_its_flag_names() {
+        let names = ["cpython", "pypy-nojit", "pypy-jit", "v8"];
+        for (name, kind) in names.into_iter().zip(RuntimeKind::ALL) {
+            assert_eq!(name.parse(), Ok(kind));
+        }
+        // Figure-legend labels are display text, not flag spellings.
+        for bad in ["", "pypy", "all", "CPython", "PyPy w/o JIT"] {
+            assert!(bad.parse::<RuntimeKind>().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

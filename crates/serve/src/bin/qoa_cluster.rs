@@ -10,6 +10,7 @@
 //! the exactly-once ledger; `--deny-failures` turns a violation (or any
 //! hard-failed request) into exit 3.
 
+use qoa_core::cli::{CliError, Flags};
 use qoa_core::{
     run_supervised, write_bench_json, BenchEntry, CellKey, CellOutcome, CellVerdict, Journal,
     Metric, QoaError, SupervisedCell,
@@ -64,11 +65,7 @@ const USAGE: &str = "usage: qoa-cluster [flags]\n\
   --deny-failures       exit 3 on any hard failure, oracle breach, or duplicate commit\n\
   --quiet               suppress per-seed summaries\n";
 
-fn num(s: &str) -> Result<u64, String> {
-    s.parse::<u64>().map_err(|_| format!("not a number: '{s}'"))
-}
-
-fn parse() -> Result<Cli, String> {
+fn parse(f: &mut Flags) -> Result<Cli, CliError> {
     let mut cli = Cli {
         seeds: 3,
         seed_base: 1,
@@ -88,52 +85,38 @@ fn parse() -> Result<Cli, String> {
         deny_failures: false,
         quiet: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut val =
-            |name: &str| args.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"));
+    while let Some(flag) = f.next_flag()? {
         match flag.as_str() {
-            "--seeds" => cli.seeds = num(&val("--seeds")?)?,
-            "--seed-base" => cli.seed_base = num(&val("--seed-base")?)?,
-            "--requests" => cli.requests = num(&val("--requests")?)? as usize,
-            "--nodes" => cli.nodes = num(&val("--nodes")?)? as usize,
+            "--seeds" => cli.seeds = f.value()?,
+            "--seed-base" => cli.seed_base = f.value()?,
+            "--requests" => cli.requests = f.value()?,
+            "--nodes" => cli.nodes = f.value()?,
             "--workloads" => {
-                cli.workloads = val("--workloads")?.split(',').map(str::to_string).collect();
+                cli.workloads = f.value::<String>()?.split(',').map(str::to_string).collect();
             }
-            "--scale" => {
-                cli.scale = match val("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
-            }
-            "--load-pct" => cli.load_pct = num(&val("--load-pct")?)?,
-            "--per-mille" => cli.per_mille = num(&val("--per-mille")?)? as u32,
+            "--scale" => cli.scale = f.value()?,
+            "--load-pct" => cli.load_pct = f.value()?,
+            "--per-mille" => cli.per_mille = f.value()?,
             "--faults" => {
-                cli.faults = val("--faults")?
-                    .split('+')
-                    .map(|s| {
-                        NetFaultKind::from_name(s).ok_or_else(|| format!("unknown fault '{s}'"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                cli.faults = f.value_with(|v| {
+                    v.split('+')
+                        .map(|s| NetFaultKind::from_name(s).ok_or(format!("unknown fault '{s}'")))
+                        .collect()
+                })?;
             }
-            "--hedge-after" => cli.hedge_after = Some(num(&val("--hedge-after")?)?),
-            "--jobs" => cli.jobs = num(&val("--jobs")?)? as usize,
-            "--journal-dir" => cli.journal_dir = Some(PathBuf::from(val("--journal-dir")?)),
-            "--cluster-journal" => {
-                cli.cluster_journal = Some(PathBuf::from(val("--cluster-journal")?));
-            }
-            "--metrics" => cli.metrics = Some(PathBuf::from(val("--metrics")?)),
-            "--bench-out" => cli.bench_out = Some(PathBuf::from(val("--bench-out")?)),
+            "--hedge-after" => cli.hedge_after = Some(f.value()?),
+            "--jobs" => cli.jobs = f.value()?,
+            "--journal-dir" => cli.journal_dir = Some(f.value()?),
+            "--cluster-journal" => cli.cluster_journal = Some(f.value()?),
+            "--metrics" => cli.metrics = Some(f.value()?),
+            "--bench-out" => cli.bench_out = Some(f.value()?),
             "--deny-failures" => cli.deny_failures = true,
             "--quiet" => cli.quiet = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
+            _ => return Err(f.unknown()),
         }
     }
     if cli.seeds == 0 {
-        return Err(format!("--seeds must be at least 1\n{USAGE}"));
+        return Err(CliError::Misuse("--seeds must be at least 1".into()));
     }
     Ok(cli)
 }
@@ -350,13 +333,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse() {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(1);
-        }
-    };
+    let cli = qoa_core::cli::parse_args(USAGE, parse);
     match run(&cli) {
         Ok(code) => code,
         Err(msg) => {

@@ -8,6 +8,7 @@
 //! (and `--chaos-seed`): rerunning writes a byte-identical journal.
 
 use qoa_core::benchsnap::{write_bench_json, BenchEntry};
+use qoa_core::cli::{CliError, Flags};
 use qoa_obs::Registry;
 use qoa_serve::net::{NetConfig, NetFaultKind, NetFaultPlan};
 use qoa_serve::{
@@ -66,7 +67,7 @@ const USAGE: &str = "usage: qoa-loadgen [flags]\n\
   --deny-failures     exit 3 if any request hard-fails (CI gate)\n\
   --quiet             suppress the run summary\n";
 
-fn parse() -> Result<Cli, String> {
+fn parse(f: &mut Flags) -> Result<Cli, CliError> {
     let mut cli = Cli {
         workloads: vec!["go".into(), "float".into(), "richards".into()],
         scale: Scale::Tiny,
@@ -90,51 +91,35 @@ fn parse() -> Result<Cli, String> {
         deny_failures: false,
         quiet: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut val = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
+    while let Some(flag) = f.next_flag()? {
         match flag.as_str() {
             "--workloads" => {
-                cli.workloads = val("--workloads")?.split(',').map(str::to_string).collect();
+                cli.workloads = f.value::<String>()?.split(',').map(str::to_string).collect();
             }
-            "--scale" => {
-                cli.scale = match val("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
-            }
-            "--requests" => cli.requests = num(&val("--requests")?)? as usize,
-            "--load-pct" => cli.load_pct = num(&val("--load-pct")?)?,
-            "--rate-per-m" => cli.rate_per_m = Some(num(&val("--rate-per-m")?)?),
-            "--seed" => cli.seed = num(&val("--seed")?)?,
-            "--chaos-seed" => cli.chaos_seed = Some(num(&val("--chaos-seed")?)?),
-            "--chaos-points" => cli.chaos_points = num(&val("--chaos-points")?)? as usize,
-            "--net-seed" => cli.net_seed = Some(num(&val("--net-seed")?)?),
-            "--net-nodes" => cli.net_nodes = num(&val("--net-nodes")?)? as usize,
-            "--hedge-after" => cli.hedge_after = Some(num(&val("--hedge-after")?)?),
-            "--jobs" => cli.jobs = num(&val("--jobs")?)? as usize,
-            "--virtual-workers" => cli.virtual_workers = num(&val("--virtual-workers")?)? as usize,
-            "--window" => cli.window = num(&val("--window")?)? as usize,
-            "--max-queue" => cli.max_queue = num(&val("--max-queue")?)?,
-            "--journal" => cli.journal = Some(PathBuf::from(val("--journal")?)),
-            "--metrics" => cli.metrics = Some(PathBuf::from(val("--metrics")?)),
-            "--plan-out" => cli.plan_out = Some(PathBuf::from(val("--plan-out")?)),
-            "--bench-out" => cli.bench_out = Some(PathBuf::from(val("--bench-out")?)),
+            "--scale" => cli.scale = f.value()?,
+            "--requests" => cli.requests = f.value()?,
+            "--load-pct" => cli.load_pct = f.value()?,
+            "--rate-per-m" => cli.rate_per_m = Some(f.value()?),
+            "--seed" => cli.seed = f.value()?,
+            "--chaos-seed" => cli.chaos_seed = Some(f.value()?),
+            "--chaos-points" => cli.chaos_points = f.value()?,
+            "--net-seed" => cli.net_seed = Some(f.value()?),
+            "--net-nodes" => cli.net_nodes = f.value()?,
+            "--hedge-after" => cli.hedge_after = Some(f.value()?),
+            "--jobs" => cli.jobs = f.value()?,
+            "--virtual-workers" => cli.virtual_workers = f.value()?,
+            "--window" => cli.window = f.value()?,
+            "--max-queue" => cli.max_queue = f.value()?,
+            "--journal" => cli.journal = Some(f.value()?),
+            "--metrics" => cli.metrics = Some(f.value()?),
+            "--plan-out" => cli.plan_out = Some(f.value()?),
+            "--bench-out" => cli.bench_out = Some(f.value()?),
             "--deny-failures" => cli.deny_failures = true,
             "--quiet" => cli.quiet = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
+            _ => return Err(f.unknown()),
         }
     }
     Ok(cli)
-}
-
-fn num(s: &str) -> Result<u64, String> {
-    s.parse::<u64>().map_err(|_| format!("not a number: '{s}'"))
 }
 
 fn run(cli: &Cli) -> Result<ExitCode, String> {
@@ -267,13 +252,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse() {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(1);
-        }
-    };
+    let cli = qoa_core::cli::parse_args(USAGE, parse);
     match run(&cli) {
         Ok(code) => code,
         Err(msg) => {

@@ -7,6 +7,7 @@
 //! and Prometheus metrics. `--demo N` generates a small 1x burst
 //! in-process instead of reading a plan.
 
+use qoa_core::cli::{CliError, Flags};
 use qoa_obs::Registry;
 use qoa_serve::{
     calibrate, generate, parse_plan, render_journal, serve, standard_tenants, ArrivalSpec,
@@ -53,7 +54,7 @@ const USAGE: &str = "usage: qoa-serve (--plan PATH | --demo N) [flags]\n\
   --deny-failures     exit 3 if any request hard-fails\n\
   --quiet             suppress the run summary\n";
 
-fn parse() -> Result<Cli, String> {
+fn parse(f: &mut Flags) -> Result<Cli, CliError> {
     let mut cli = Cli {
         plan: None,
         demo: None,
@@ -72,49 +73,33 @@ fn parse() -> Result<Cli, String> {
         deny_failures: false,
         quiet: false,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut val = |name: &str| {
-            args.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
+    while let Some(flag) = f.next_flag()? {
         match flag.as_str() {
-            "--plan" => cli.plan = Some(PathBuf::from(val("--plan")?)),
-            "--demo" => cli.demo = Some(num(&val("--demo")?)? as usize),
+            "--plan" => cli.plan = Some(f.value()?),
+            "--demo" => cli.demo = Some(f.value()?),
             "--workloads" => {
-                cli.workloads = val("--workloads")?.split(',').map(str::to_string).collect();
+                cli.workloads = f.value::<String>()?.split(',').map(str::to_string).collect();
             }
-            "--scale" => {
-                cli.scale = match val("--scale")?.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
-            }
-            "--rate-per-m" => cli.rate_per_m = Some(num(&val("--rate-per-m")?)?),
-            "--seed" => cli.seed = num(&val("--seed")?)?,
-            "--chaos-seed" => cli.chaos_seed = Some(num(&val("--chaos-seed")?)?),
-            "--chaos-points" => cli.chaos_points = num(&val("--chaos-points")?)? as usize,
-            "--jobs" => cli.jobs = num(&val("--jobs")?)? as usize,
-            "--virtual-workers" => cli.virtual_workers = num(&val("--virtual-workers")?)? as usize,
-            "--window" => cli.window = num(&val("--window")?)? as usize,
-            "--max-queue" => cli.max_queue = num(&val("--max-queue")?)?,
-            "--journal" => cli.journal = Some(PathBuf::from(val("--journal")?)),
-            "--metrics" => cli.metrics = Some(PathBuf::from(val("--metrics")?)),
+            "--scale" => cli.scale = f.value()?,
+            "--rate-per-m" => cli.rate_per_m = Some(f.value()?),
+            "--seed" => cli.seed = f.value()?,
+            "--chaos-seed" => cli.chaos_seed = Some(f.value()?),
+            "--chaos-points" => cli.chaos_points = f.value()?,
+            "--jobs" => cli.jobs = f.value()?,
+            "--virtual-workers" => cli.virtual_workers = f.value()?,
+            "--window" => cli.window = f.value()?,
+            "--max-queue" => cli.max_queue = f.value()?,
+            "--journal" => cli.journal = Some(f.value()?),
+            "--metrics" => cli.metrics = Some(f.value()?),
             "--deny-failures" => cli.deny_failures = true,
             "--quiet" => cli.quiet = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
+            _ => return Err(f.unknown()),
         }
     }
     if cli.plan.is_none() && cli.demo.is_none() {
-        return Err(format!("one of --plan or --demo is required\n{USAGE}"));
+        return Err(CliError::Misuse("one of --plan or --demo is required".into()));
     }
     Ok(cli)
-}
-
-fn num(s: &str) -> Result<u64, String> {
-    s.parse::<u64>().map_err(|_| format!("not a number: '{s}'"))
 }
 
 fn run(cli: &Cli) -> Result<ExitCode, String> {
@@ -209,13 +194,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse() {
-        Ok(cli) => cli,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(1);
-        }
-    };
+    let cli = qoa_core::cli::parse_args(USAGE, parse);
     match run(&cli) {
         Ok(code) => code,
         Err(msg) => {

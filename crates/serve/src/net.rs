@@ -13,9 +13,9 @@
 //!   pure function of `(plan seed, send sequence)`; crash and partition
 //!   windows derive from [`qoa_chaos::seeded_schedule`], the same
 //!   generator behind the VM fault plans.
-//! * [`VirtualNet`] — a [`qoa_core::Transport`] implementation that
-//!   applies the plan at send time and delivers in deterministic
-//!   `(time, sequence)` order.
+//! * [`VirtualNet`] — applies the plan at send time, turning each send
+//!   into zero, one or two timed [`Delivery`]s for the simulation's
+//!   event queue.
 //! * [`run_cluster`] — the protocol that makes this at-least-once
 //!   transport behave exactly-once: client timeouts with capped
 //!   exponential backoff + seeded jitter
@@ -30,7 +30,7 @@
 //!   an executed request is answered from the window, never re-run.
 //!
 //! The whole simulation is single-threaded over one event queue keyed
-//! by `(virtual time, sequence)`: byte-determinism is by construction,
+//! by `(virtual time, class, sequence)`: byte-determinism is by construction,
 //! and `qoa-cluster` gets `--jobs` parallelism by fanning *seeds*
 //! through the supervised executor, whose ordered commit keeps the
 //! batch journal identical at any job count. See DESIGN §17 for the
@@ -43,13 +43,25 @@ use crate::server::{
     fuel_cap, json_str, opt_str, Calibration, Outcome, ServeConfig, ShedCause,
 };
 use qoa_chaos::{seeded_schedule, Snapshot};
-use qoa_core::{
-    BreakerBank, BreakerOptions, CellMetrics, Delivery, Metric, NodeId, QoaError, Transport,
-    VirtualRetryPolicy,
-};
+use qoa_core::{BreakerBank, BreakerOptions, CellMetrics, Metric, QoaError, VirtualRetryPolicy};
 use qoa_obs::Registry;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
+
+/// A numbered endpoint. Server nodes are `0..n`; the driving client
+/// takes the next id after the last node.
+pub type NodeId = usize;
+
+/// One message on its way through the network.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delivery<P> {
+    /// Virtual time at which the message arrives at `dst`.
+    pub at: u64,
+    /// Receiving endpoint.
+    pub dst: NodeId,
+    /// The payload.
+    pub payload: P,
+}
 
 // ---- fault kinds and plan ---------------------------------------------------
 
@@ -310,14 +322,12 @@ pub struct NetStats {
 }
 
 /// The seeded virtual-time network: applies a [`NetFaultPlan`] at send
-/// time, delivers in `(time, sequence)` order.
+/// time. It keeps no queue; the caller schedules the deliveries.
 #[derive(Debug)]
-pub struct VirtualNet<P> {
+pub struct VirtualNet {
     plan: NetFaultPlan,
     base_delay: u64,
-    queue: BTreeMap<(u64, u64), Delivery<P>>,
     next_seq: u64,
-    next_entry: u64,
     /// Fault kind applied to each faulted send, for per-request latency
     /// attribution.
     faulted: BTreeMap<u64, NetFaultKind>,
@@ -325,64 +335,64 @@ pub struct VirtualNet<P> {
     pub stats: NetStats,
 }
 
-impl<P: Clone> VirtualNet<P> {
+impl VirtualNet {
     /// A network with one-way latency `base_delay` vcycles under `plan`.
-    pub fn new(plan: NetFaultPlan, base_delay: u64) -> VirtualNet<P> {
+    pub fn new(plan: NetFaultPlan, base_delay: u64) -> VirtualNet {
         VirtualNet {
             plan,
             base_delay: base_delay.max(1),
-            queue: BTreeMap::new(),
             next_seq: 0,
-            next_entry: 0,
             faulted: BTreeMap::new(),
             stats: NetStats::default(),
         }
-    }
-
-    fn enqueue(&mut self, at: u64, seq: u64, src: NodeId, dst: NodeId, payload: P) {
-        let entry = self.next_entry;
-        self.next_entry += 1;
-        self.queue.insert((at, entry), Delivery { at, seq, src, dst, payload });
     }
 
     /// The fault kind the plan applied to send `seq`, if any.
     pub fn fate_kind(&self, seq: u64) -> Option<NetFaultKind> {
         self.faulted.get(&seq).copied()
     }
-}
 
-impl<P: Clone> Transport for VirtualNet<P> {
-    type Payload = P;
-
-    fn send(&mut self, now: u64, src: NodeId, dst: NodeId, payload: P) -> u64 {
+    /// Offers a message at virtual time `now`. Returns its send sequence
+    /// number and the zero, one or two deliveries the plan makes of it,
+    /// in the order they must be queued. Fates are a pure function of
+    /// the plan seed and the send sequence.
+    pub fn send<P: Clone>(
+        &mut self,
+        now: u64,
+        src: NodeId,
+        dst: NodeId,
+        payload: P,
+    ) -> (u64, Vec<Delivery<P>>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.sent += 1;
+        let deliver = |at: u64, payload: P| Delivery { at, dst, payload };
 
         if self.plan.blocked(src, dst, now) {
             self.stats.partition_blocked += 1;
             self.faulted.insert(seq, NetFaultKind::Partition);
-            return seq;
+            return (seq, Vec::new());
         }
 
         // A dedicated RNG per sequence keeps every derived quantity a
         // pure function of (plan seed, seq).
         let mut rng =
             SplitMix64::new(self.plan.seed ^ MSG_SALT ^ seq.wrapping_mul(0x85eb_ca6b) ^ 0xfee1);
-        match self.plan.message_fate(seq) {
-            MsgFate::Clean => {
-                self.enqueue(now + self.base_delay, seq, src, dst, payload);
-            }
+        let deliveries = match self.plan.message_fate(seq) {
+            MsgFate::Clean => vec![deliver(now + self.base_delay, payload)],
             MsgFate::Fault(NetFaultKind::Drop) => {
                 self.stats.dropped += 1;
                 self.faulted.insert(seq, NetFaultKind::Drop);
+                Vec::new()
             }
             MsgFate::Fault(NetFaultKind::Duplicate) => {
                 self.stats.duplicated += 1;
                 self.faulted.insert(seq, NetFaultKind::Duplicate);
                 let extra = self.base_delay * (1 + rng.next_u64() % 3);
-                self.enqueue(now + self.base_delay, seq, src, dst, payload.clone());
-                self.enqueue(now + self.base_delay + extra, seq, src, dst, payload);
+                vec![
+                    deliver(now + self.base_delay, payload.clone()),
+                    deliver(now + self.base_delay + extra, payload),
+                ]
             }
             MsgFate::Fault(NetFaultKind::Reorder) => {
                 self.stats.reordered += 1;
@@ -390,37 +400,21 @@ impl<P: Clone> Transport for VirtualNet<P> {
                 // Redraw the delay in [0, 4·base): the message can now
                 // overtake earlier sends or fall behind later ones.
                 let delay = rng.next_u64() % (self.base_delay * 4);
-                self.enqueue(now + delay, seq, src, dst, payload);
+                vec![deliver(now + delay, payload)]
             }
             MsgFate::Fault(NetFaultKind::Delay) => {
                 self.stats.delayed += 1;
                 self.faulted.insert(seq, NetFaultKind::Delay);
                 let delay = self.base_delay * (2 + rng.next_u64() % 6);
-                self.enqueue(now + delay, seq, src, dst, payload);
+                vec![deliver(now + delay, payload)]
             }
             // Partition is handled by the link check above; crash is a
             // node-level schedule, not a message fate.
             MsgFate::Fault(NetFaultKind::Partition | NetFaultKind::Crash) => {
-                self.enqueue(now + self.base_delay, seq, src, dst, payload);
+                vec![deliver(now + self.base_delay, payload)]
             }
-        }
-        seq
-    }
-
-    fn next_wake(&self) -> Option<u64> {
-        self.queue.keys().next().map(|&(at, _)| at)
-    }
-
-    fn poll(&mut self, now: u64) -> Option<Delivery<P>> {
-        let key = *self.queue.keys().next()?;
-        if key.0 > now {
-            return None;
-        }
-        let d = self.queue.remove(&key);
-        if d.is_some() {
-            self.stats.delivered += 1;
-        }
-        d
+        };
+        (seq, deliveries)
     }
 }
 
@@ -753,9 +747,10 @@ struct ClientReq {
     done: Option<NetOutcome>,
 }
 
-/// Simulation events, processed in `(time, sequence)` order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Simulation events, processed in [`EventQueue`] order.
+#[derive(Debug)]
 enum Event {
+    Deliver(Delivery<Msg>),
     Arrive { idx: usize },
     Send { idx: usize, node: NodeId, attempt: u32 },
     Timeout { idx: usize, attempt: u32 },
@@ -766,13 +761,35 @@ enum Event {
     Restart { node: NodeId },
 }
 
+/// The simulation's one event queue, keyed `(time, class, n)`. A
+/// delivery has class 0 and every other event class 1, so deliveries
+/// due at `t` drain before other events at `t`: an ack and its timeout
+/// racing at `t` resolve to the ack, on every host. `n` counts pushes,
+/// so ties within a class go in enqueue order.
+#[derive(Debug, Default)]
+struct EventQueue {
+    events: BTreeMap<(u64, u8, u64), Event>,
+    pushed: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, at: u64, ev: Event) {
+        let class = u8::from(!matches!(ev, Event::Deliver(_)));
+        self.events.insert((at, class, self.pushed), ev);
+        self.pushed += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, Event)> {
+        self.events.pop_first().map(|((at, ..), ev)| (at, ev))
+    }
+}
+
 struct Sim<'a> {
     cfg: &'a ServeConfig,
     net_cfg: &'a NetConfig,
     calib: &'a Calibration,
-    net: VirtualNet<Msg>,
-    events: BTreeMap<(u64, u64), Event>,
-    next_event: u64,
+    net: VirtualNet,
+    events: EventQueue,
     nodes: Vec<Node>,
     reqs: Vec<ClientReq>,
     breakers: BreakerBank,
@@ -786,10 +803,13 @@ impl Sim<'_> {
         self.net_cfg.nodes
     }
 
-    fn schedule(&mut self, at: u64, ev: Event) {
-        let seq = self.next_event;
-        self.next_event += 1;
-        self.events.insert((at, seq), ev);
+    /// Offers `msg` to the network and queues whatever it delivers.
+    fn send(&mut self, t: u64, src: NodeId, dst: NodeId, msg: Msg) -> u64 {
+        let (seq, deliveries) = self.net.send(t, src, dst, msg);
+        for d in deliveries {
+            self.events.push(d.at, Event::Deliver(d));
+        }
+        seq
     }
 
     /// First healthy node at or after `start` (client breaker board);
@@ -805,7 +825,7 @@ impl Sim<'_> {
             let r = &self.reqs[idx];
             (idx as u64, r.tenant, r.workload, r.deadline)
         };
-        let seq = self.net.send(
+        let seq = self.send(
             t,
             self.client_id(),
             node,
@@ -819,12 +839,12 @@ impl Sim<'_> {
         if !r.sent_to.contains(&node) {
             r.sent_to.push(node);
         }
-        self.schedule(t + self.net_cfg.rto, Event::Timeout { idx, attempt });
+        self.events.push(t + self.net_cfg.rto, Event::Timeout { idx, attempt });
     }
 
     /// Node `node` answers `key` to the client.
     fn respond(&mut self, t: u64, node: NodeId, key: u64, reply: Reply) {
-        let seq = self.net.send(t, node, self.client_id(), Msg::Response { key, node, reply });
+        let seq = self.send(t, node, self.client_id(), Msg::Response { key, node, reply });
         if let Some(kind) = self.net.fate_kind(seq) {
             if let Some(r) = self.reqs.get_mut(key as usize) {
                 r.fault_mask |= kind.bit();
@@ -873,7 +893,7 @@ impl Sim<'_> {
                         dedup: false,
                     };
                     self.nodes[node].executing = Some(Executing { key: pending.key, reply });
-                    self.schedule(t + run.cost, Event::NodeComplete { node, epoch });
+                    self.events.push(t + run.cost, Event::NodeComplete { node, epoch });
                     return;
                 }
                 Err(err) => {
@@ -1002,7 +1022,7 @@ impl Sim<'_> {
         let others: Vec<NodeId> =
             self.reqs[idx].sent_to.iter().copied().filter(|&n| n != node).collect();
         for other in others {
-            self.net.send(t, self.client_id(), other, Msg::Cancel { key });
+            self.send(t, self.client_id(), other, Msg::Cancel { key });
             self.client.cancels += 1;
         }
         self.reqs[idx].done = Some(outcome);
@@ -1010,6 +1030,10 @@ impl Sim<'_> {
 
     fn on_event(&mut self, t: u64, ev: Event) {
         match ev {
+            Event::Deliver(d) => {
+                self.net.stats.delivered += 1;
+                self.on_deliver(t, d);
+            }
             Event::Arrive { idx } => {
                 let node = self.pick_node(idx % self.net_cfg.nodes);
                 self.reqs[idx].first_node = node;
@@ -1017,7 +1041,7 @@ impl Sim<'_> {
                 self.send_attempt(t, idx, node, 1);
                 if let Some(after) = self.net_cfg.hedge_after {
                     if self.net_cfg.nodes > 1 {
-                        self.schedule(t + after, Event::Hedge { idx });
+                        self.events.push(t + after, Event::Hedge { idx });
                     }
                 }
             }
@@ -1045,7 +1069,7 @@ impl Sim<'_> {
                 self.client.retries += 1;
                 let backoff = self.net_cfg.retry.backoff(self.cfg.seed, idx as u64, attempt);
                 let node = self.pick_node(self.reqs[idx].last_node + 1);
-                self.schedule(t + backoff, Event::Send { idx, node, attempt: next_attempt });
+                self.events.push(t + backoff, Event::Send { idx, node, attempt: next_attempt });
             }
             Event::Hedge { idx } => {
                 let r = &self.reqs[idx];
@@ -1061,7 +1085,7 @@ impl Sim<'_> {
                 let key = idx as u64;
                 let (tenant, workload, deadline) =
                     (self.reqs[idx].tenant, self.reqs[idx].workload, self.reqs[idx].deadline);
-                let seq = self.net.send(
+                let seq = self.send(
                     t,
                     self.client_id(),
                     node,
@@ -1092,39 +1116,18 @@ impl Sim<'_> {
                     n.core = core;
                 }
                 n.stats.crashes += 1;
-                self.schedule(t + self.net_cfg.downtime, Event::Restart { node });
+                self.events.push(t + self.net_cfg.downtime, Event::Restart { node });
             }
             Event::Restart { node } => {
                 self.nodes[node].down = false;
-                self.schedule(t, Event::NodeStart { node });
+                self.events.push(t, Event::NodeStart { node });
             }
         }
     }
 
     fn run(&mut self) {
-        loop {
-            let ev_at = self.events.keys().next().map(|&(at, _)| at);
-            let net_at = self.net.next_wake();
-            let t = match (ev_at, net_at) {
-                (None, None) => break,
-                (Some(e), None) => e,
-                (None, Some(n)) => n,
-                (Some(e), Some(n)) => e.min(n),
-            };
-            // Deliveries drain before same-instant events: an ack and
-            // its timeout racing at t resolve to the ack, on every host.
-            if net_at == Some(t) {
-                if let Some(d) = self.net.poll(t) {
-                    self.on_deliver(t, d);
-                    continue;
-                }
-            }
-            let Some((&key, _)) = self.events.iter().next() else { continue };
-            if key.0 > t {
-                continue;
-            }
-            let Some(ev) = self.events.remove(&key) else { continue };
-            self.on_event(key.0, ev);
+        while let Some((t, ev)) = self.events.pop() {
+            self.on_event(t, ev);
         }
     }
 }
@@ -1202,8 +1205,7 @@ pub fn run_cluster(
         net_cfg,
         calib,
         net: VirtualNet::new(plan.clone(), net_cfg.base_delay),
-        events: BTreeMap::new(),
-        next_event: 0,
+        events: EventQueue::default(),
         nodes,
         reqs,
         breakers: BreakerBank::new(net_cfg.nodes, &net_cfg.breaker),
@@ -1211,11 +1213,11 @@ pub fn run_cluster(
         exec_counts: BTreeMap::new(),
     };
     for (idx, req) in requests.iter().enumerate() {
-        sim.schedule(req.arrival, Event::Arrive { idx });
+        sim.events.push(req.arrival, Event::Arrive { idx });
     }
     for &(at, node) in &plan.crashes {
         if node < net_cfg.nodes {
-            sim.schedule(at, Event::Crash { node });
+            sim.events.push(at, Event::Crash { node });
         }
     }
     sim.run();
@@ -1691,19 +1693,24 @@ mod tests {
     }
 
     #[test]
-    fn virtual_net_delivers_in_time_then_entry_order() {
-        let mut net: VirtualNet<u32> = VirtualNet::new(NetFaultPlan::none(), 10);
-        net.send(0, 0, 1, 1);
-        net.send(0, 0, 1, 2);
-        net.send(5, 0, 1, 3);
-        assert_eq!(net.next_wake(), Some(10));
-        assert_eq!(net.poll(9), None, "nothing due before base delay");
-        let a = net.poll(20).expect("first");
-        let b = net.poll(20).expect("second");
-        let c = net.poll(20).expect("third");
-        assert_eq!((a.payload, b.payload, c.payload), (1, 2, 3));
+    fn deliveries_run_in_time_then_entry_order_before_same_instant_events() {
+        let mut net = VirtualNet::new(NetFaultPlan::none(), 10);
+        let mut queue = EventQueue::default();
+        queue.push(10, Event::NodeStart { node: 0 });
+        for (now, key) in [(5, 3), (0, 1), (0, 2)] {
+            for d in net.send(now, 0, 1, Msg::Cancel { key }).1 {
+                queue.push(d.at, Event::Deliver(d));
+            }
+        }
+        let mut order = Vec::new();
+        while let Some((t, ev)) = queue.pop() {
+            order.push(match ev {
+                Event::Deliver(Delivery { payload: Msg::Cancel { key }, .. }) => (t, key),
+                _ => (t, 0),
+            });
+        }
+        assert_eq!(order, vec![(10, 1), (10, 2), (10, 0), (15, 3)]);
         assert_eq!(net.stats.sent, 3);
-        assert_eq!(net.stats.delivered, 3);
     }
 
     #[test]
@@ -1719,10 +1726,11 @@ mod tests {
         assert!(plan.blocked(3, 0, 150));
         assert!(!plan.blocked(0, 3, 200), "end is exclusive");
         assert!(!plan.blocked(1, 3, 150), "other links unaffected");
-        let mut net: VirtualNet<u32> = VirtualNet::new(plan, 10);
-        net.send(150, 0, 3, 9);
-        assert_eq!(net.stats.partition_blocked, 1);
-        assert_eq!(net.next_wake(), None, "blocked message never queued");
+        let mut net = VirtualNet::new(plan, 10);
+        assert!(net.send(150, 0, 3, 9).1.is_empty(), "blocked message never delivered");
+        assert!(net.send(150, 3, 0, 9).1.is_empty(), "blocked the other way too");
+        assert_eq!(net.stats.partition_blocked, 2);
+        assert_eq!(net.send(200, 0, 3, 9).1.len(), 1, "delivered after the window");
     }
 
     #[test]

@@ -70,6 +70,20 @@ impl Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses the command-line spelling: `tiny`, `small` or `full`.
+    fn from_str(s: &str) -> Result<Scale, String> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            other => Err(format!("unknown scale '{other}' (tiny|small|full)")),
+        }
+    }
+}
+
 /// One benchmark program.
 pub struct Workload {
     /// Name, matching the paper's figure x-axes.
@@ -158,6 +172,16 @@ pub const FIG14_BENCHMARKS: [&str; 8] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_parses_its_lowercase_name_only() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(format!("{scale:?}").to_lowercase().parse(), Ok(scale));
+        }
+        for bad in ["", "Tiny", "medium", "tiny "] {
+            assert!(bad.parse::<Scale>().is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn suite_sizes_match_the_paper() {
