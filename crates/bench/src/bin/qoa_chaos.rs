@@ -100,7 +100,9 @@ fn parse_cli(f: &mut Flags) -> Result<ChaosCli, CliError> {
             "--runtime" => {
                 out.runtimes = f.value_with(|v| match v {
                     "all" => Ok(RuntimeKind::ALL.to_vec()),
-                    one => one.parse().map(|kind| vec![kind]),
+                    one => one.parse().map(|kind| vec![kind]).map_err(|_: String| {
+                        format!("unknown runtime '{one}' (cpython|pypy-nojit|pypy-jit|v8|all)")
+                    }),
                 })?;
             }
             "--scale" => out.scale = f.value()?,

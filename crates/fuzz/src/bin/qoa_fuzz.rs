@@ -37,12 +37,14 @@ const USAGE: &str = "usage: qoa-fuzz [--seed N] [--count N] [--jobs N] [--max-st
      \x20               [--emit] [--deny-divergence]";
 
 /// A count or seed, decimal or `0x`-prefixed hex (as repro commands
-/// print seeds).
-fn number(v: &str) -> Result<u64, std::num::ParseIntError> {
-    match v.strip_prefix("0x") {
+/// print seeds), that must fit the target type.
+fn number<T: TryFrom<u64>>(v: &str) -> Result<T, String> {
+    let n = match v.strip_prefix("0x") {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => v.parse(),
     }
+    .map_err(|e| e.to_string())?;
+    T::try_from(n).map_err(|_| format!("{n} is out of range"))
 }
 
 fn parse_cli(f: &mut Flags) -> Result<FuzzCli, CliError> {
@@ -56,8 +58,8 @@ fn parse_cli(f: &mut Flags) -> Result<FuzzCli, CliError> {
         match flag.as_str() {
             "--seed" => cli.opts.seed = f.value_with(number)?,
             "--count" => cli.opts.count = f.value_with(number)?,
-            "--jobs" => cli.opts.jobs = f.value_with(number)? as usize,
-            "--max-stmts" => cli.opts.max_stmts = f.value_with(number)? as usize,
+            "--jobs" => cli.opts.jobs = f.value_with(number)?,
+            "--max-stmts" => cli.opts.max_stmts = f.value_with(number)?,
             "--journal-dir" => cli.opts.journal_dir = f.value()?,
             "--artifacts-dir" => cli.opts.artifacts_dir = f.value()?,
             "--fresh" => cli.opts.fresh = true,

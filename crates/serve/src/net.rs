@@ -354,24 +354,24 @@ impl VirtualNet {
 
     /// Offers a message at virtual time `now`. Returns its send sequence
     /// number and the zero, one or two deliveries the plan makes of it,
-    /// in the order they must be queued. Fates are a pure function of
-    /// the plan seed and the send sequence.
+    /// in the order they must be queued (`None` slots carry nothing).
+    /// Fates are a pure function of the plan seed and the send sequence.
     pub fn send<P: Clone>(
         &mut self,
         now: u64,
         src: NodeId,
         dst: NodeId,
         payload: P,
-    ) -> (u64, Vec<Delivery<P>>) {
+    ) -> (u64, [Option<Delivery<P>>; 2]) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.sent += 1;
-        let deliver = |at: u64, payload: P| Delivery { at, dst, payload };
+        let deliver = |at: u64, payload: P| Some(Delivery { at, dst, payload });
 
         if self.plan.blocked(src, dst, now) {
             self.stats.partition_blocked += 1;
             self.faulted.insert(seq, NetFaultKind::Partition);
-            return (seq, Vec::new());
+            return (seq, [None, None]);
         }
 
         // A dedicated RNG per sequence keeps every derived quantity a
@@ -379,17 +379,17 @@ impl VirtualNet {
         let mut rng =
             SplitMix64::new(self.plan.seed ^ MSG_SALT ^ seq.wrapping_mul(0x85eb_ca6b) ^ 0xfee1);
         let deliveries = match self.plan.message_fate(seq) {
-            MsgFate::Clean => vec![deliver(now + self.base_delay, payload)],
+            MsgFate::Clean => [deliver(now + self.base_delay, payload), None],
             MsgFate::Fault(NetFaultKind::Drop) => {
                 self.stats.dropped += 1;
                 self.faulted.insert(seq, NetFaultKind::Drop);
-                Vec::new()
+                [None, None]
             }
             MsgFate::Fault(NetFaultKind::Duplicate) => {
                 self.stats.duplicated += 1;
                 self.faulted.insert(seq, NetFaultKind::Duplicate);
                 let extra = self.base_delay * (1 + rng.next_u64() % 3);
-                vec![
+                [
                     deliver(now + self.base_delay, payload.clone()),
                     deliver(now + self.base_delay + extra, payload),
                 ]
@@ -400,18 +400,18 @@ impl VirtualNet {
                 // Redraw the delay in [0, 4·base): the message can now
                 // overtake earlier sends or fall behind later ones.
                 let delay = rng.next_u64() % (self.base_delay * 4);
-                vec![deliver(now + delay, payload)]
+                [deliver(now + delay, payload), None]
             }
             MsgFate::Fault(NetFaultKind::Delay) => {
                 self.stats.delayed += 1;
                 self.faulted.insert(seq, NetFaultKind::Delay);
                 let delay = self.base_delay * (2 + rng.next_u64() % 6);
-                vec![deliver(now + delay, payload)]
+                [deliver(now + delay, payload), None]
             }
             // Partition is handled by the link check above; crash is a
             // node-level schedule, not a message fate.
             MsgFate::Fault(NetFaultKind::Partition | NetFaultKind::Crash) => {
-                vec![deliver(now + self.base_delay, payload)]
+                [deliver(now + self.base_delay, payload), None]
             }
         };
         (seq, deliveries)
@@ -806,7 +806,7 @@ impl Sim<'_> {
     /// Offers `msg` to the network and queues whatever it delivers.
     fn send(&mut self, t: u64, src: NodeId, dst: NodeId, msg: Msg) -> u64 {
         let (seq, deliveries) = self.net.send(t, src, dst, msg);
-        for d in deliveries {
+        for d in deliveries.into_iter().flatten() {
             self.events.push(d.at, Event::Deliver(d));
         }
         seq
@@ -1698,7 +1698,7 @@ mod tests {
         let mut queue = EventQueue::default();
         queue.push(10, Event::NodeStart { node: 0 });
         for (now, key) in [(5, 3), (0, 1), (0, 2)] {
-            for d in net.send(now, 0, 1, Msg::Cancel { key }).1 {
+            for d in net.send(now, 0, 1, Msg::Cancel { key }).1.into_iter().flatten() {
                 queue.push(d.at, Event::Deliver(d));
             }
         }
@@ -1727,10 +1727,13 @@ mod tests {
         assert!(!plan.blocked(0, 3, 200), "end is exclusive");
         assert!(!plan.blocked(1, 3, 150), "other links unaffected");
         let mut net = VirtualNet::new(plan, 10);
-        assert!(net.send(150, 0, 3, 9).1.is_empty(), "blocked message never delivered");
-        assert!(net.send(150, 3, 0, 9).1.is_empty(), "blocked the other way too");
+        let delivered = |net: &mut VirtualNet, now, src, dst| {
+            net.send(now, src, dst, 9).1.iter().flatten().count()
+        };
+        assert_eq!(delivered(&mut net, 150, 0, 3), 0, "blocked message never delivered");
+        assert_eq!(delivered(&mut net, 150, 3, 0), 0, "blocked the other way too");
         assert_eq!(net.stats.partition_blocked, 2);
-        assert_eq!(net.send(200, 0, 3, 9).1.len(), 1, "delivered after the window");
+        assert_eq!(delivered(&mut net, 200, 0, 3), 1, "delivered after the window");
     }
 
     #[test]

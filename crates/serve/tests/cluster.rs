@@ -83,6 +83,16 @@ fn differential_oracle_across_twenty_fault_plans() {
             requests.len() as u64,
             "seed {seed}: every request resolves to exactly one ack or shed"
         );
+        // The run drains every queued event: a clean, reordered or
+        // delayed send is delivered once, a duplicated one twice, a
+        // dropped or partition-blocked one never.
+        let net = &report.net;
+        assert_eq!(
+            net.delivered,
+            net.sent - net.dropped - net.partition_blocked + net.duplicated,
+            "seed {seed}: every scheduled delivery is processed and counted once"
+        );
+        assert!(net.delivered > 0, "seed {seed}: deliveries are counted");
         total_retries += report.client.retries;
     }
     assert_eq!(faulted_plans, 20, "every seeded plan should carry faults at 90 per mille");
@@ -108,6 +118,7 @@ fn cluster_journal_is_deterministic_and_clean_plan_acks_all() {
     assert_eq!(a.failed(), 0);
     assert_eq!(a.acked_ok(), requests.len() as u64, "clean plan, light load: all acked");
     assert_eq!(a.client, ClientStats::default(), "no faults => no retries/hedges/timeouts");
+    assert_eq!(a.net.delivered, a.net.sent, "clean plan: every send delivered once");
     assert_eq!(a.duplicate_executions, 0);
 }
 
