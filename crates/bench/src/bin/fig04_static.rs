@@ -10,12 +10,12 @@
 
 use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm, NA};
 use qoa_core::benchsnap::{write_bench_json, BenchEntry};
-use qoa_core::harness::{capture_cell, CellChaos};
+use qoa_core::harness::{capture_cell, run_cell_into, CellChaos};
 use qoa_core::report::Table;
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::{Breakdown, CellKey, CellMetrics, Harness, Metric, QoaError, SupervisedCell};
 use qoa_model::{Category, CategoryMap, RuntimeKind};
-use qoa_uarch::UarchConfig;
+use qoa_uarch::{SimpleCore, UarchConfig};
 use qoa_workloads::{Scale, Workload};
 
 /// Static and dynamic shares plus the guard-elision cycle pair for one
@@ -44,12 +44,13 @@ fn measure_static(
     let src = w.source(scale);
     let code = qoa_frontend::compile(&src)?;
     let stat = qoa_analysis::annotate::static_shares(&code);
-    let elided = capture_cell(&src, &rt.with_deadline(deadline), chaos, key)?;
-    let dyn_stats = elided.trace.simulate_simple(uarch);
+    let simple = |rt: RuntimeConfig| {
+        run_cell_into(&src, &rt.with_deadline(deadline), chaos, key, SimpleCore::new(uarch))
+            .map(|(core, _)| core.finish())
+    };
+    let dyn_stats = simple(rt)?;
     let b = Breakdown::from_stats(w.name, &dyn_stats);
-    let guarded =
-        capture_cell(&src, &rt.with_check_elision(false).with_deadline(deadline), chaos, key)?;
-    let g_stats = guarded.trace.simulate_simple(uarch);
+    let g_stats = simple(rt.with_check_elision(false))?;
     let mut m = CellMetrics::new();
     m.insert("cycles.elided".into(), Metric::Int(dyn_stats.cycles as i64));
     m.insert("cycles.guarded".into(), Metric::Int(g_stats.cycles as i64));

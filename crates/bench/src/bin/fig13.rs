@@ -3,16 +3,39 @@
 //! grows ~4.6x — from 3% to 14% — when the JIT removes mutator work).
 
 use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm, NA};
-use qoa_core::harness::capture_cell;
+use qoa_core::harness::{run_cell_into, CellChaos};
 use qoa_core::journal::{CellKey, CellMetrics, Metric};
 use qoa_core::report::{pct, Table};
-use qoa_core::runtime::{capture, RuntimeConfig};
+use qoa_core::runtime::RuntimeConfig;
 use qoa_core::SupervisedCell;
+use qoa_model::RuntimeKind;
+use qoa_uarch::{OooCore, UarchConfig};
+use qoa_workloads::{Scale, Workload};
+
 // Fig. 13 uses a smaller scaled nursery so collections are frequent
 // enough to measure on laptop-scale workload instances.
 const FIG13_NURSERY: u64 = 256 << 10;
-use qoa_model::RuntimeKind;
-use qoa_uarch::UarchConfig;
+
+/// The GC-share cell of `w` under `kind`: one run streamed into the
+/// out-of-order core. Both the prewarm and the render loop build it here.
+fn gc_share_spec(
+    w: &'static Workload,
+    kind: RuntimeKind,
+    scale: Scale,
+    uarch: &UarchConfig,
+    chaos: Option<CellChaos>,
+) -> SupervisedCell<CellMetrics> {
+    let key = CellKey::new(w.name, format!("{kind:?}"), "nursery", FIG13_NURSERY.to_string());
+    let mkey = key.clone();
+    let uarch = uarch.clone();
+    SupervisedCell::new(key, move |deadline| {
+        let rt = RuntimeConfig::new(kind).with_nursery(FIG13_NURSERY).with_deadline(deadline);
+        let (core, _) = run_cell_into(&w.source(scale), &rt, chaos, &mkey, OooCore::new(&uarch))?;
+        let mut m = CellMetrics::new();
+        m.insert("gc_share".into(), Metric::Num(core.finish().gc_share()));
+        Ok(m)
+    })
+}
 
 fn main() {
     let cli = cli();
@@ -20,30 +43,11 @@ fn main() {
     let suite = limit(&cli, qoa_workloads::python_suite());
     let uarch = UarchConfig::skylake();
     let chaos = cell_chaos(&cli);
-    let mut specs = Vec::new();
-    for &w in &suite {
-        for kind in [RuntimeKind::PyPyNoJit, RuntimeKind::PyPyJit] {
-            let key = CellKey::new(
-                w.name,
-                format!("{kind:?}"),
-                "nursery",
-                FIG13_NURSERY.to_string(),
-            );
-            let mkey = key.clone();
-            let uarch = uarch.clone();
-            let scale = cli.scale;
-            specs.push(SupervisedCell::new(key, move |deadline| {
-                let rt = RuntimeConfig::new(kind)
-                    .with_nursery(FIG13_NURSERY)
-                    .with_deadline(deadline);
-                let run = capture_cell(&w.source(scale), &rt, chaos, &mkey)?;
-                let stats = run.trace.simulate_ooo(&uarch);
-                let mut m = CellMetrics::new();
-                m.insert("gc_share".into(), Metric::Num(stats.gc_share()));
-                Ok(m)
-            }));
-        }
-    }
+    let kinds = [RuntimeKind::PyPyNoJit, RuntimeKind::PyPyJit];
+    let specs = suite
+        .iter()
+        .flat_map(|&w| kinds.map(|kind| gc_share_spec(w, kind, cli.scale, &uarch, chaos)))
+        .collect();
     prewarm(&cli, &mut h, specs);
     let mut t = Table::new(
         "Fig. 13: GC time as % of execution time (PyPy)",
@@ -51,26 +55,12 @@ fn main() {
     );
     let mut sums = [0.0f64; 2];
     let mut counts = [0usize; 2];
-    for w in &suite {
+    for &w in &suite {
         eprintln!("running {}...", w.name);
         let mut shares: [Option<f64>; 2] = [None, None];
-        for (i, kind) in [RuntimeKind::PyPyNoJit, RuntimeKind::PyPyJit].iter().enumerate() {
-            let key = CellKey::new(
-                w.name,
-                format!("{kind:?}"),
-                "nursery",
-                FIG13_NURSERY.to_string(),
-            );
-            let metrics = h.cell(key, |deadline| {
-                let rt = RuntimeConfig::new(*kind)
-                    .with_nursery(FIG13_NURSERY)
-                    .with_deadline(deadline);
-                let run = capture(&w.source(cli.scale), &rt)?;
-                let stats = run.trace.simulate_ooo(&uarch);
-                let mut m = CellMetrics::new();
-                m.insert("gc_share".into(), Metric::Num(stats.gc_share()));
-                Ok(m)
-            });
+        for (i, kind) in kinds.into_iter().enumerate() {
+            let SupervisedCell { key, job, .. } = gc_share_spec(w, kind, cli.scale, &uarch, chaos);
+            let metrics = h.cell(key, job);
             shares[i] = metrics.and_then(|m| m.get("gc_share")?.as_f64());
             if let Some(s) = shares[i] {
                 sums[i] += s;

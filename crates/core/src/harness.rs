@@ -378,7 +378,14 @@ pub fn capture_cell(
 /// recorded and the cell deadline bounds the core model too. Under chaos
 /// the run is captured and then replayed: a checkpoint must rewind its
 /// sink with the machine, which a core model cannot do.
-fn run_cell_into<S: OpSink>(
+///
+/// The nursery and breakdown cells use it, and so do binaries with
+/// bespoke cells that replay their run once.
+///
+/// # Errors
+///
+/// Returns the typed [`QoaError`] of the run, as [`capture_cell`] does.
+pub fn run_cell_into<S: OpSink>(
     source: &str,
     rt: &RuntimeConfig,
     chaos: Option<CellChaos>,

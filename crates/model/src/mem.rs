@@ -28,6 +28,13 @@ pub const JIT_CODE_BASE: u64 = 0x2000_0000;
 /// Size reserved for JIT code.
 pub const JIT_CODE_SIZE: u64 = 0x1000_0000; // 256 MiB
 
+/// End of the highest code segment. The interpreter, native and JIT code
+/// segments — and so every [`Pc`](crate::Pc) a run-time emits — lie below
+/// it. A recorded trace stores the pc in 32 bits, so this bound must stay
+/// at or below 4 GiB; the assertion below checks it at compile time.
+pub const CODE_END: u64 = JIT_CODE_BASE + JIT_CODE_SIZE;
+const _: () = assert!(CODE_END <= 1 << 32);
+
 /// Base (top) of the simulated C stack; the stack grows down from here.
 pub const C_STACK_TOP: u64 = 0x7fff_ffff_f000;
 /// Size reserved for the C stack.
@@ -179,6 +186,15 @@ mod tests {
             assert_eq!(Segment::of(s.end() - 1), Some(s));
         }
         assert_eq!(Segment::of(0), None);
+    }
+
+    #[test]
+    fn code_segments_end_below_the_32_bit_pc_bound() {
+        for s in [Segment::InterpCode, Segment::NativeCode, Segment::JitCode] {
+            assert!(s.end() <= CODE_END, "{s} ends above CODE_END");
+        }
+        assert_eq!(CODE_END, 0x3000_0000);
+        assert!(CODE_END - 1 <= u64::from(u32::MAX));
     }
 
     #[test]

@@ -101,6 +101,7 @@ impl OooCore {
 }
 
 impl OpSink for OooCore {
+    #[inline]
     fn op(&mut self, op: MicroOp) {
         let n = self.ops;
         self.ops += 1;

@@ -55,6 +55,7 @@ impl SimpleCore {
 }
 
 impl OpSink for SimpleCore {
+    #[inline]
     fn op(&mut self, op: MicroOp) {
         let mut cycles = 1u64;
         // Instruction fetch: charged once per new line, matching a simple

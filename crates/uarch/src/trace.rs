@@ -6,10 +6,46 @@
 //! the micro-op stream can be captured once per (benchmark, run-time) pair
 //! and replayed through each configuration — the standard trace-driven
 //! simulation methodology.
+//!
+//! # Record layout
+//!
+//! A trace stores each op as a 16-byte record, half the size of a
+//! [`MicroOp`]: a `u32` pc, a kind tag, the [`Category`], the [`Phase`], one
+//! flags/size byte (the access size of a load or store; the taken and
+//! indirect bits of a branch or call) and one `u64` payload (the data
+//! address, or the branch/call target). Replay decodes each record back to
+//! the identical `MicroOp`. The cores' `op` methods are `#[inline]`, so on
+//! the replay path the decode's match on the tag folds into the core's own
+//! dispatch on the op kind.
+//!
+//! The pc fits in 32 bits because every code segment of the simulated
+//! address space ends at or below [`mem::CODE_END`], which is pinned at
+//! compile time to 4 GiB. Recording a pc beyond 32 bits panics instead of
+//! truncating. Branch and call targets sit in the `u64` payload, so they
+//! carry no bound.
+//!
+//! # Recycled storage
+//!
+//! Each thread keeps at most one spare record buffer. A new trace takes it;
+//! a dropped trace gives its buffer back, and the thread keeps whichever of
+//! the two has the larger capacity. Back-to-back captures on a thread then
+//! write into pages that are already faulted in, rather than faulting in a
+//! fresh buffer for every capture. The spare outlives the trace that grew
+//! it, so a `--jobs N` run can hold N of them, one per worker thread, each
+//! the size of the largest trace that thread dropped.
+//!
+//! [`mem::CODE_END`]: qoa_model::mem::CODE_END
 
 use crate::stats::ExecutionStats;
 use crate::{OooCore, SimpleCore, UarchConfig};
-use qoa_model::{FrameEvent, MicroOp, OpSink, Phase};
+use qoa_model::{Category, FrameEvent, MicroOp, OpKind, OpSink, Pc, Phase};
+use std::cell::Cell;
+
+thread_local! {
+    /// This thread's spare record buffer: empty, and the largest one
+    /// dropped since the last trace took it.
+    static SPARE: Cell<Vec<Record>> = const { Cell::new(Vec::new()) };
+}
 
 /// An in-memory micro-op trace.
 ///
@@ -18,13 +54,36 @@ use qoa_model::{FrameEvent, MicroOp, OpSink, Phase};
 /// exact op positions where they were observed, so a replay sink sees the
 /// same call-stack evolution the live run produced. Frame capture is off
 /// by default: the figure paths never pay for it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceBuffer {
-    ops: Vec<MicroOp>,
+    ops: Vec<Record>,
     /// `(op_index, event)`: the event fired just before `ops[op_index]`
     /// (or after the last op when `op_index == ops.len()`).
     frames: Vec<(u64, FrameEvent)>,
     capture_frames: bool,
+}
+
+impl Default for TraceBuffer {
+    fn default() -> Self {
+        TraceBuffer {
+            ops: SPARE.try_with(Cell::take).unwrap_or_default(),
+            frames: Vec::new(),
+            capture_frames: false,
+        }
+    }
+}
+
+impl Drop for TraceBuffer {
+    fn drop(&mut self) {
+        let mut ops = std::mem::take(&mut self.ops);
+        ops.clear();
+        // Fails only while the thread's locals are being torn down; the
+        // buffer is then simply freed.
+        let _ = SPARE.try_with(|spare| {
+            let kept = spare.take();
+            spare.set(if ops.capacity() > kept.capacity() { ops } else { kept });
+        });
+    }
 }
 
 impl TraceBuffer {
@@ -35,12 +94,16 @@ impl TraceBuffer {
 
     /// Creates an empty trace with pre-reserved capacity.
     pub fn with_capacity(ops: usize) -> Self {
-        TraceBuffer { ops: Vec::with_capacity(ops), ..Self::default() }
+        let mut t = Self::default();
+        t.ops.reserve(ops);
+        t
     }
 
     /// Creates an empty trace that also records guest frame events.
     pub fn with_frame_capture() -> Self {
-        TraceBuffer { capture_frames: true, ..Self::default() }
+        let mut t = Self::default();
+        t.capture_frames = true;
+        t
     }
 
     /// Number of captured micro-ops.
@@ -53,9 +116,9 @@ impl TraceBuffer {
         self.ops.is_empty()
     }
 
-    /// The captured ops.
-    pub fn ops(&self) -> &[MicroOp] {
-        &self.ops
+    /// The captured ops, decoded in order.
+    pub fn ops(&self) -> impl ExactSizeIterator<Item = MicroOp> + '_ {
+        self.ops.iter().map(Record::decode)
     }
 
     /// The captured guest frame events, as `(op_index, event)` pairs.
@@ -68,22 +131,14 @@ impl TraceBuffer {
     /// op positions where they were captured.
     pub fn replay<S: OpSink>(&self, sink: &mut S) {
         let mut phase = None;
-        let mut frames = self.frames.iter().peekable();
-        for (i, op) in self.ops.iter().enumerate() {
-            while frames.peek().is_some_and(|(at, _)| *at as usize <= i) {
-                if let Some((_, event)) = frames.next() {
-                    sink.frame_event(event);
-                }
-            }
-            if phase != Some(op.phase) {
-                phase = Some(op.phase);
-                sink.phase_change(op.phase);
-            }
-            sink.op(*op);
-        }
-        for (_, event) in frames {
+        let mut from = 0;
+        for (at, event) in &self.frames {
+            let at = *at as usize;
+            replay_records(&self.ops[from..at], &mut phase, sink);
             sink.frame_event(event);
+            from = at;
         }
+        replay_records(&self.ops[from..], &mut phase, sink);
     }
 
     /// Replays through a fresh [`SimpleCore`] built from `cfg`.
@@ -101,9 +156,23 @@ impl TraceBuffer {
     }
 }
 
+/// Delivers `records` to `sink`, announcing each change of phase first.
+#[inline]
+fn replay_records<S: OpSink>(records: &[Record], phase: &mut Option<Phase>, sink: &mut S) {
+    for r in records {
+        let op = r.decode();
+        if *phase != Some(op.phase) {
+            *phase = Some(op.phase);
+            sink.phase_change(op.phase);
+        }
+        sink.op(op);
+    }
+}
+
 impl OpSink for TraceBuffer {
+    #[inline]
     fn op(&mut self, op: MicroOp) {
-        self.ops.push(op);
+        self.ops.push(Record::encode(op));
     }
 
     fn phase_change(&mut self, _phase: Phase) {}
@@ -112,6 +181,88 @@ impl OpSink for TraceBuffer {
         if self.capture_frames {
             self.frames.push((self.ops.len() as u64, event.clone()));
         }
+    }
+}
+
+/// The operational class of a [`Record`]: [`OpKind`] without its fields.
+#[derive(Debug, Clone, Copy)]
+#[repr(u8)]
+enum Tag {
+    Alu,
+    FpAlu,
+    Mul,
+    Div,
+    Load,
+    Store,
+    Branch,
+    Call,
+    Ret,
+}
+
+/// `Record::flags` bit of a taken branch.
+const TAKEN: u8 = 1;
+/// `Record::flags` bit of an indirect branch or call.
+const INDIRECT: u8 = 2;
+
+/// One [`MicroOp`] in 16 bytes; see the module docs for the layout.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// Data address of a load or store; target of a branch or call.
+    payload: u64,
+    pc: u32,
+    tag: Tag,
+    category: Category,
+    phase: Phase,
+    /// Access size of a load or store; `TAKEN | INDIRECT` bits of a branch
+    /// or call.
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 16);
+
+impl Record {
+    #[inline]
+    fn encode(op: MicroOp) -> Record {
+        let Ok(pc) = u32::try_from(op.pc.0) else {
+            panic!("pc {} lies beyond the 32-bit code segments (mem::CODE_END)", op.pc)
+        };
+        let bit = |on: bool, flag: u8| if on { flag } else { 0 };
+        let (tag, flags, payload) = match op.kind {
+            OpKind::Alu => (Tag::Alu, 0, 0),
+            OpKind::FpAlu => (Tag::FpAlu, 0, 0),
+            OpKind::Mul => (Tag::Mul, 0, 0),
+            OpKind::Div => (Tag::Div, 0, 0),
+            OpKind::Load { addr, size } => (Tag::Load, size, addr),
+            OpKind::Store { addr, size } => (Tag::Store, size, addr),
+            OpKind::Branch { taken, target, indirect } => {
+                (Tag::Branch, bit(taken, TAKEN) | bit(indirect, INDIRECT), target.0)
+            }
+            OpKind::Call { target, indirect } => (Tag::Call, bit(indirect, INDIRECT), target.0),
+            OpKind::Ret => (Tag::Ret, 0, 0),
+        };
+        Record { payload, pc, tag, category: op.category, phase: op.phase, flags }
+    }
+
+    #[inline(always)]
+    fn decode(&self) -> MicroOp {
+        let kind = match self.tag {
+            Tag::Alu => OpKind::Alu,
+            Tag::FpAlu => OpKind::FpAlu,
+            Tag::Mul => OpKind::Mul,
+            Tag::Div => OpKind::Div,
+            Tag::Load => OpKind::Load { addr: self.payload, size: self.flags },
+            Tag::Store => OpKind::Store { addr: self.payload, size: self.flags },
+            Tag::Branch => OpKind::Branch {
+                taken: self.flags & TAKEN != 0,
+                target: Pc(self.payload),
+                indirect: self.flags & INDIRECT != 0,
+            },
+            Tag::Call => {
+                OpKind::Call { target: Pc(self.payload), indirect: self.flags & INDIRECT != 0 }
+            }
+            Tag::Ret => OpKind::Ret,
+        };
+        MicroOp { pc: Pc(u64::from(self.pc)), kind, category: self.category, phase: self.phase }
     }
 }
 
@@ -201,6 +352,116 @@ mod tests {
         let mut plain = TraceBuffer::new();
         plain.frame_event(&FrameEvent::Pop);
         assert!(plain.frame_events().is_empty());
+    }
+
+    /// Every `OpKind` shape: both values of each bool, the access sizes,
+    /// and addresses and targets at both ends of the `u64` range.
+    fn every_kind() -> Vec<OpKind> {
+        let mut kinds = vec![OpKind::Alu, OpKind::FpAlu, OpKind::Mul, OpKind::Div, OpKind::Ret];
+        for addr in [0, 0x5_0000_0040, u64::MAX] {
+            for size in [0, 1, 2, 4, 8, 16, u8::MAX] {
+                kinds.push(OpKind::Load { addr, size });
+                kinds.push(OpKind::Store { addr, size });
+            }
+        }
+        for target in [Pc(0), Pc(0x2000_0040), Pc(u64::MAX)] {
+            for indirect in [false, true] {
+                kinds.push(OpKind::Call { target, indirect });
+                for taken in [false, true] {
+                    kinds.push(OpKind::Branch { taken, target, indirect });
+                }
+            }
+        }
+        kinds
+    }
+
+    #[test]
+    fn records_round_trip_every_op_shape() {
+        let pcs =
+            [0, qoa_model::mem::INTERP_CODE_BASE, qoa_model::mem::CODE_END - 4, u32::MAX as u64];
+        let mut ops = Vec::new();
+        for (i, kind) in every_kind().into_iter().enumerate() {
+            for category in Category::ALL {
+                for phase in Phase::ALL {
+                    ops.push(MicroOp { pc: Pc(pcs[i % pcs.len()]), kind, category, phase });
+                }
+            }
+        }
+        let mut t = TraceBuffer::new();
+        for &op in &ops {
+            t.op(op);
+        }
+        assert_eq!(t.ops().len(), ops.len());
+        assert_eq!(t.ops().collect::<Vec<_>>(), ops);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 32-bit code segments")]
+    fn a_pc_beyond_32_bits_fails_loudly() {
+        let mut t = TraceBuffer::new();
+        t.op(MicroOp {
+            pc: Pc(1 << 32),
+            kind: OpKind::Alu,
+            category: Category::Execute,
+            phase: Phase::Interpreter,
+        });
+    }
+
+    /// A frame-capturing trace of `sample_trace`'s ops with events
+    /// scattered through it.
+    fn framed_trace() -> TraceBuffer {
+        let mut t = TraceBuffer::with_frame_capture();
+        t.frame_event(&FrameEvent::Push { name: "<module>".into() });
+        for (i, op) in sample_trace().ops().enumerate() {
+            if i % 17 == 5 {
+                t.frame_event(&FrameEvent::Line { line: i as u32 });
+            }
+            t.op(op);
+        }
+        t.frame_event(&FrameEvent::Pop);
+        t
+    }
+
+    fn assert_same_replay(a: &TraceBuffer, b: &TraceBuffer) {
+        assert_eq!(a.ops().collect::<Vec<_>>(), b.ops().collect::<Vec<_>>());
+        assert_eq!(a.frame_events(), b.frame_events());
+        let cfg = UarchConfig::skylake();
+        assert_eq!(a.simulate_simple(&cfg), b.simulate_simple(&cfg));
+        assert_eq!(a.simulate_ooo(&cfg), b.simulate_ooo(&cfg));
+    }
+
+    #[test]
+    fn a_trace_on_recycled_storage_replays_like_a_fresh_one() {
+        // A new thread starts without a spare, so this trace is fresh.
+        let fresh = std::thread::spawn(framed_trace).join().expect("fresh trace");
+
+        let sample = sample_trace();
+        let mut larger = TraceBuffer::new();
+        for _ in 0..50 {
+            for op in sample.ops() {
+                larger.op(MicroOp { kind: OpKind::Store { addr: u64::MAX, size: 1 }, ..op });
+            }
+        }
+        let grown = larger.ops.capacity();
+        drop(larger);
+
+        let recycled = framed_trace();
+        assert_eq!(recycled.ops.capacity(), grown, "the dropped buffer was not reused");
+        assert_same_replay(&recycled, &fresh);
+    }
+
+    #[test]
+    fn a_clone_replays_identically_after_the_original_is_dropped() {
+        let original = framed_trace();
+        let reference = std::thread::spawn(framed_trace).join().expect("reference trace");
+        let snapshot = original.clone();
+        drop(original);
+        // The next trace on this thread reuses the original's storage.
+        let mut reuse = TraceBuffer::new();
+        for op in sample_trace().ops() {
+            reuse.op(MicroOp { category: Category::CLibrary, ..op });
+        }
+        assert_same_replay(&snapshot, &reference);
     }
 
     #[test]

@@ -792,12 +792,13 @@ impl<S: OpSink> Vm<S> {
         if injected && matches!(self.heap, HeapImpl::Gen(_)) {
             self.minor_gc();
         }
-        match self.cfg.heap {
+        let needs_major = match self.cfg.heap {
             HeapMode::Rc => {
                 let Vm { heap, sink, phase, .. } = self;
                 let HeapImpl::Rc(h) = heap else { unreachable!() };
                 let mut e = Emitter::new(sink, *phase, GC_CODE_BASE);
                 h.alloc(r.obj_id(), size, Category::ObjectAllocation, &mut e);
+                false
             }
             HeapMode::Gen(_) => {
                 let needs_minor = {
@@ -807,22 +808,21 @@ impl<S: OpSink> Vm<S> {
                 if needs_minor {
                     self.minor_gc();
                 }
-                {
-                    let Vm { heap, sink, phase, .. } = self;
-                    let HeapImpl::Gen(h) = heap else { unreachable!() };
-                    let mut e = Emitter::new(sink, *phase, GC_CODE_BASE);
-                    h.alloc(r.obj_id(), size, &mut e);
-                }
-                let needs_major = {
-                    let HeapImpl::Gen(h) = &self.heap else { unreachable!() };
-                    h.needs_major()
-                };
-                if needs_major {
-                    self.major_gc();
-                }
+                let Vm { heap, sink, phase, .. } = self;
+                let HeapImpl::Gen(h) = heap else { unreachable!() };
+                let mut e = Emitter::new(sink, *phase, GC_CODE_BASE);
+                h.alloc(r.obj_id(), size, &mut e);
+                h.needs_major()
             }
+        };
+        // `r` sits on no root yet (stack, locals or `scratch`), so root it
+        // while an old-space collection — threshold or emergency — sweeps.
+        self.scratch.push(r);
+        if needs_major {
+            self.major_gc();
         }
         self.check_heap_cap();
+        self.scratch.pop();
         if injected && self.pending_fault.is_none() {
             let live = self.live_heap_bytes();
             self.pending_fault = Some(VmError::OutOfMemory {

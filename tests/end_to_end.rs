@@ -3,9 +3,9 @@
 //! the analysis layer.
 
 use qoa::core::attribution::{attribute_workload, average_shares};
-use qoa::core::runtime::{capture, RuntimeConfig};
+use qoa::core::runtime::{capture, run_with_sink, RuntimeConfig};
 use qoa::core::sweeps::{nursery_sweep, sweep_trace, SweepParam};
-use qoa::model::{Category, Phase, RuntimeKind};
+use qoa::model::{Category, NullSink, Phase, RuntimeKind};
 use qoa::uarch::UarchConfig;
 use qoa::workloads::{by_name, Scale};
 
@@ -191,5 +191,24 @@ fn all_four_runtimes_agree_on_results() {
         }
         results.dedup();
         assert_eq!(results.len(), 1, "{name}: runtimes disagree: {results:?}");
+    }
+}
+
+#[test]
+fn old_space_collection_keeps_the_object_being_allocated() {
+    // Doubling a string soon crosses the generational heap's major
+    // threshold. The collection runs inside the allocation of the new
+    // string, before any root holds it; unrooted, the sweep freed it and
+    // `v1` read back as a dead or `None` value.
+    for (doublings, len) in [(21, "10485760"), (22, "20971520")] {
+        let src = format!(
+            "v1 = \"omega\"\nn = 0\nwhile n < {doublings}:\n    v1 = v1 + v1\n    n += 1\nresult = len(v1)\n"
+        );
+        for kind in [RuntimeKind::PyPyNoJit, RuntimeKind::PyPyJit] {
+            let (_, vm, _, _, result) = run_with_sink(&src, &RuntimeConfig::new(kind), NullSink)
+                .unwrap_or_else(|e| panic!("{doublings} doublings on {kind}: {e}"));
+            assert!(vm.gc.major_collections > 0, "{kind}: no major collection ran");
+            assert_eq!(result.as_deref(), Some(len), "{doublings} doublings on {kind}");
+        }
     }
 }
