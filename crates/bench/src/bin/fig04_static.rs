@@ -140,8 +140,6 @@ struct OptCell {
     dyn_after: CategoryMap<f64>,
     /// Simulated cycles per opt level (index = level).
     cycles: Vec<u64>,
-    /// Wall nanos per opt level (BENCH snapshot only — never printed).
-    wall: Vec<u64>,
     folded: u64,
     dce: u64,
     promoted: u64,
@@ -154,7 +152,7 @@ fn opt_key(w: &Workload) -> CellKey {
 
 /// Measures one benchmark across opt levels `0..=opt_level`: per-pass
 /// rewrite counts, predicted (static) and measured (dynamic) category
-/// shares before/after, simulated cycles and wall time per level — and
+/// shares before/after, and simulated cycles per level — and
 /// enforces the semantics-preservation oracle (identical `result` and
 /// output at every level) inside the cell, so a violation is a failed
 /// cell, not a silently wrong row.
@@ -188,12 +186,9 @@ fn measure_opt(
     let mut baseline: Option<(Option<String>, Vec<String>)> = None;
     for level in 0..=opt_level {
         let rtl = rt.with_opt_level(level).with_deadline(deadline);
-        let t = std::time::Instant::now();
         let run = capture_cell(&src, &rtl, chaos, key)?;
-        let wall = t.elapsed().as_nanos() as u64;
         let stats = run.trace.simulate_simple(uarch);
         m.insert(format!("cycles.opt{level}"), Metric::Int(stats.cycles as i64));
-        m.insert(format!("wall.opt{level}"), Metric::Int(wall as i64));
         m.insert(format!("bytecodes.opt{level}"), Metric::Int(run.vm.bytecodes as i64));
         if level == 0 || level == opt_level {
             let tag = if level == 0 { "before" } else { "after" };
@@ -274,7 +269,6 @@ fn opt_cell(
         dyn_before: share("dynamic.before"),
         dyn_after: share("dynamic.after"),
         cycles: per_level("cycles"),
-        wall: per_level("wall"),
         folded: count("opt.folded"),
         dce: count("opt.dce"),
         promoted: count("opt.promoted"),
@@ -366,9 +360,7 @@ fn opt_mode(cli: &qoa_bench::Cli) -> ! {
         ),
     );
 
-    // Simulated-cycle deltas with the per-pass rewrite counts. Wall time
-    // is deliberately absent from stdout (host-dependent); it lands in
-    // the BENCH snapshot below.
+    // Simulated-cycle deltas with the per-pass rewrite counts.
     let mut t = Table::new(
         format!("Fig. 4-static --opt (c): simulated cycles by opt level (0..={opt_level})"),
         &["benchmark", "cycles@0", &format!("cycles@{opt_level}"), "speedup", "folded", "dce", "promoted", "fused"],
@@ -420,13 +412,12 @@ fn opt_mode(cli: &qoa_bench::Cli) -> ! {
         println!("  {:<22} {:.0} -> {:.0} cycles ({:+.1}%)", c.label(), b, a, (a - b) / b * 100.0);
     }
 
-    // BENCH snapshot: wall + simulated cycles per workload per opt level.
+    // BENCH snapshot: simulated cycles per workload per opt level.
     let mut entries = Vec::new();
     for r in &rows {
         for level in 0..=opt_level {
             entries.push(BenchEntry {
                 class: format!("{}/opt{level}", r.name),
-                wall_nanos: r.wall[level as usize],
                 cycles: r.cycles[level as usize],
             });
         }

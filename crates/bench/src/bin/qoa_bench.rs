@@ -5,8 +5,9 @@
 //! interpreter (CPython) and the JIT run-time (PyPy-JIT) — and emits a
 //! versioned `BENCH_trajectory.json` snapshot through
 //! [`qoa_core::benchsnap`]. Simulated cycles are deterministic replay
-//! counts and compare *exactly* against the committed baseline; wall
-//! times are host noise and only ever produce report-only drift lines.
+//! counts and compare *exactly* against the committed baseline, so the
+//! snapshot is a host-independent golden. Host wall time is measured by
+//! the layered benchmark (`benchmark/`), not here.
 //!
 //! Exit status: nonzero when any class's simulated cycles regressed (or
 //! a baseline class disappeared from the panel), zero otherwise —
@@ -38,8 +39,6 @@ struct BenchCli {
     baseline: PathBuf,
     write_baseline: bool,
     out: Option<PathBuf>,
-    wall_band_pct: f64,
-    seed: u64,
 }
 
 impl Default for BenchCli {
@@ -49,14 +48,16 @@ impl Default for BenchCli {
             baseline: PathBuf::from("results/BENCH_trajectory.json"),
             write_baseline: false,
             out: None,
-            wall_band_pct: 25.0,
-            seed: 0,
         }
     }
 }
 
-const USAGE: &str = "flags: --scale tiny|small|full  --baseline FILE  --write-baseline  \
-     --out FILE  --wall-band PCT  --seed N";
+const USAGE: &str =
+    "flags: --scale tiny|small|full  --baseline FILE  --write-baseline  --out FILE";
+
+/// The snapshot's `seed` field. The panel draws nothing at random, so
+/// it is a constant.
+const SEED: u64 = 0;
 
 fn parse_cli(f: &mut Flags) -> Result<BenchCli, CliError> {
     let mut out = BenchCli::default();
@@ -66,8 +67,6 @@ fn parse_cli(f: &mut Flags) -> Result<BenchCli, CliError> {
             "--baseline" => out.baseline = f.value()?,
             "--write-baseline" => out.write_baseline = true,
             "--out" => out.out = Some(f.value()?),
-            "--wall-band" => out.wall_band_pct = f.value()?,
-            "--seed" => out.seed = f.value()?,
             _ => return Err(f.unknown()),
         }
     }
@@ -87,13 +86,11 @@ fn measure_panel(scale: Scale) -> Vec<BenchEntry> {
             for (tier, kind) in TIERS {
                 let class = format!("{wl}/opt{opt_level}/{tier}");
                 let rt = RuntimeConfig::new(kind).with_opt_level(opt_level);
-                let t = std::time::Instant::now();
                 let run = qoa_core::capture(&source, &rt)
                     .unwrap_or_else(|e| panic!("panel cell {class} failed: {e}"));
-                let wall_nanos = t.elapsed().as_nanos() as u64;
                 let stats = run.trace.simulate_simple(&uarch);
                 eprintln!("  {class}: {} cycles", stats.cycles);
-                entries.push(BenchEntry { class, wall_nanos, cycles: stats.cycles });
+                entries.push(BenchEntry { class, cycles: stats.cycles });
             }
         }
     }
@@ -132,7 +129,7 @@ fn main() {
         cli.scale
     );
     let entries = measure_panel(cli.scale);
-    let body = render_bench_json("trajectory", "qoa-bench", cli.seed, &entries);
+    let body = render_bench_json("trajectory", "qoa-bench", SEED, &entries);
 
     if let Some(out) = &cli.out {
         write_snapshot(out, &body);
@@ -144,7 +141,7 @@ fn main() {
 
     let baseline = load_baseline(&cli.baseline);
     let current = parse_bench_json(&body).expect("own snapshot parses");
-    let diff = diff_snapshots(&baseline, &current, cli.wall_band_pct);
+    let diff = diff_snapshots(&baseline, &current);
     print!("{}", diff.render());
     if diff.gate_failed() {
         eprintln!(

@@ -3,8 +3,9 @@
 //! The ROADMAP tracks a perf trajectory across PRs; every tool that can
 //! measure something writes one small JSON file per run through this
 //! module so the files stay diffable and uniformly shaped. Each entry
-//! pairs a *wall* measurement (host-dependent, trend only) with a
-//! *simulated-cycle* measurement (deterministic, regression-gateable).
+//! is a *simulated-cycle* count: deterministic and host-independent, so
+//! a rerun reproduces a snapshot byte for byte. Host wall time is the
+//! layered benchmark's to measure (`benchmark/`), not this module's.
 //!
 //! # Schema version
 //!
@@ -13,9 +14,7 @@
 //! snapshot is a regenerable measurement, so a file without the field or
 //! with another version is rejected and gets rebuilt by rerunning the
 //! tool that wrote it. The regression gate ([`diff_snapshots`]) compares
-//! *cycles* exactly — they are deterministic replay counts — and only
-//! flags *wall* moves outside a tolerance band, since wall time is host
-//! noise.
+//! cycles exactly: they are deterministic replay counts.
 
 use crate::error::QoaError;
 use std::collections::BTreeMap;
@@ -26,17 +25,15 @@ use std::path::{Path, PathBuf};
 pub struct BenchEntry {
     /// Class label, e.g. `richards/full`.
     pub class: String,
-    /// Wall nanoseconds (host-dependent; trend only).
-    pub wall_nanos: u64,
     /// Simulated cycles (micro-ops) — deterministic.
     pub cycles: u64,
 }
 
 /// The schema version [`render_bench_json`] writes.
-pub const BENCH_SCHEMA_VERSION: u64 = 2;
+pub const BENCH_SCHEMA_VERSION: u64 = 3;
 
-/// Renders the snapshot body. Entry order is preserved; only the
-/// `wall_nanos` values vary across hosts.
+/// Renders the snapshot body. Entry order is preserved, and the bytes
+/// depend only on the arguments.
 pub fn render_bench_json(bench: &str, tool: &str, seed: u64, entries: &[BenchEntry]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -48,16 +45,13 @@ pub fn render_bench_json(bench: &str, tool: &str, seed: u64, entries: &[BenchEnt
     for (i, e) in entries.iter().enumerate() {
         let sep = if i + 1 == entries.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"class\": \"{}\", \"wall_nanos\": {}, \"cycles\": {}}}{}\n",
-            e.class, e.wall_nanos, e.cycles, sep
+            "    {{\"class\": \"{}\", \"cycles\": {}}}{}\n",
+            e.class, e.cycles, sep
         ));
     }
     out.push_str("  ],\n");
-    let wall: u64 = entries.iter().map(|e| e.wall_nanos).sum();
     let cycles: u64 = entries.iter().map(|e| e.cycles).sum();
-    out.push_str(&format!(
-        "  \"totals\": {{\"wall_nanos\": {wall}, \"cycles\": {cycles}}}\n"
-    ));
+    out.push_str(&format!("  \"totals\": {{\"cycles\": {cycles}}}\n"));
     out.push_str("}\n");
     out
 }
@@ -156,10 +150,6 @@ pub fn parse_bench_json(text: &str) -> Result<BenchSnapshot, String> {
                 .and_then(Value::as_str)
                 .ok_or(format!("classes[{i}] missing \"class\""))?
                 .to_owned(),
-            wall_nanos: u64_of(
-                e.get("wall_nanos").ok_or(format!("classes[{i}] missing \"wall_nanos\""))?,
-                "wall_nanos",
-            )?,
             cycles: u64_of(
                 e.get("cycles").ok_or(format!("classes[{i}] missing \"cycles\""))?,
                 "cycles",
@@ -188,10 +178,6 @@ pub struct ClassDelta {
     pub baseline_cycles: u64,
     /// Simulated cycles in the current snapshot.
     pub current_cycles: u64,
-    /// Baseline wall nanoseconds (host-dependent).
-    pub baseline_wall_nanos: u64,
-    /// Current wall nanoseconds (host-dependent).
-    pub current_wall_nanos: u64,
 }
 
 /// The outcome of diffing a current snapshot against a baseline.
@@ -201,9 +187,6 @@ pub struct BenchDiff {
     pub regressions: Vec<ClassDelta>,
     /// Classes whose simulated cycles decreased (refresh the baseline).
     pub improvements: Vec<ClassDelta>,
-    /// Classes whose wall time moved outside the tolerance band.
-    /// Report-only: wall time is host noise, never a gate.
-    pub wall_outliers: Vec<ClassDelta>,
     /// Classes measured now but absent from the baseline.
     pub added: Vec<String>,
     /// Classes in the baseline that the current run no longer measures.
@@ -247,13 +230,6 @@ impl BenchDiff {
                 d.baseline_cycles - d.current_cycles
             );
         }
-        for d in &self.wall_outliers {
-            let _ = writeln!(
-                out,
-                "wall-drift  {}: {} -> {} ns (report only)",
-                d.class, d.baseline_wall_nanos, d.current_wall_nanos
-            );
-        }
         for class in &self.added {
             let _ = writeln!(out, "new class   {class}: no baseline yet");
         }
@@ -264,15 +240,9 @@ impl BenchDiff {
 
 /// Diffs `current` against `baseline`.
 ///
-/// Cycles compare exactly (deterministic). Wall times compare within
-/// `wall_band_pct` percent of the baseline value; moves beyond the band
-/// are reported but never gate. All finding lists come out sorted by
-/// class label so the report bytes are stable.
-pub fn diff_snapshots(
-    baseline: &BenchSnapshot,
-    current: &BenchSnapshot,
-    wall_band_pct: f64,
-) -> BenchDiff {
+/// Cycles compare exactly (deterministic). All finding lists come out
+/// sorted by class label so the report bytes are stable.
+pub fn diff_snapshots(baseline: &BenchSnapshot, current: &BenchSnapshot) -> BenchDiff {
     let base: BTreeMap<&str, &BenchEntry> =
         baseline.entries.iter().map(|e| (e.class.as_str(), e)).collect();
     let cur: BTreeMap<&str, &BenchEntry> =
@@ -287,17 +257,11 @@ pub fn diff_snapshots(
             class: (*class).to_owned(),
             baseline_cycles: b.cycles,
             current_cycles: c.cycles,
-            baseline_wall_nanos: b.wall_nanos,
-            current_wall_nanos: c.wall_nanos,
         };
         match c.cycles.cmp(&b.cycles) {
-            std::cmp::Ordering::Greater => diff.regressions.push(delta.clone()),
-            std::cmp::Ordering::Less => diff.improvements.push(delta.clone()),
+            std::cmp::Ordering::Greater => diff.regressions.push(delta),
+            std::cmp::Ordering::Less => diff.improvements.push(delta),
             std::cmp::Ordering::Equal => {}
-        }
-        let band = (b.wall_nanos as f64) * wall_band_pct / 100.0;
-        if (c.wall_nanos as f64 - b.wall_nanos as f64).abs() > band {
-            diff.wall_outliers.push(delta);
         }
     }
     diff.removed =
@@ -312,21 +276,21 @@ mod tests {
     #[test]
     fn snapshot_shape_is_stable() {
         let entries = vec![
-            BenchEntry { class: "go/full".into(), wall_nanos: 10, cycles: 100 },
-            BenchEntry { class: "go/checked".into(), wall_nanos: 20, cycles: 300 },
+            BenchEntry { class: "go/full".into(), cycles: 100 },
+            BenchEntry { class: "go/checked".into(), cycles: 300 },
         ];
         let body = render_bench_json("serve", "qoa-loadgen", 7, &entries);
-        assert!(body.contains("\"schema_version\": 2"));
+        assert!(body.contains("\"schema_version\": 3"));
         assert!(body.contains("\"bench\": \"serve\""));
-        assert!(body.contains("\"class\": \"go/full\""));
-        assert!(body.contains("\"totals\": {\"wall_nanos\": 30, \"cycles\": 400}"));
+        assert!(body.contains("    {\"class\": \"go/full\", \"cycles\": 100},\n"));
+        assert!(body.contains("\"totals\": {\"cycles\": 400}"));
     }
 
     #[test]
-    fn v2_snapshots_round_trip_through_the_parser() {
+    fn snapshots_round_trip_through_the_parser() {
         let entries = vec![
-            BenchEntry { class: "go/opt0/interp".into(), wall_nanos: 11, cycles: 500 },
-            BenchEntry { class: "go/opt2/jit".into(), wall_nanos: 7, cycles: 200 },
+            BenchEntry { class: "go/opt0/interp".into(), cycles: 500 },
+            BenchEntry { class: "go/opt2/jit".into(), cycles: 200 },
         ];
         let snap =
             parse_bench_json(&render_bench_json("trajectory", "qoa-bench", 42, &entries))
@@ -339,44 +303,49 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_future_versions_and_corrupt_totals() {
-        let future = "{\"schema_version\": 99, \"bench\": \"x\", \"tool\": \"t\", \
-                      \"seed\": 0, \"classes\": []}";
-        assert!(parse_bench_json(future).expect_err("future version").contains("99"));
-        let corrupt = "{\"schema_version\": 2, \"bench\": \"x\", \"tool\": \"t\", \"seed\": 0, \
-                       \"classes\": [{\"class\": \"a\", \"wall_nanos\": 1, \"cycles\": 10}], \
-                       \"totals\": {\"wall_nanos\": 1, \"cycles\": 11}}";
+    fn parser_rejects_other_versions_and_corrupt_totals() {
+        // Version 2 is the shape with the host wall column.
+        for version in [2, 99] {
+            let other = format!(
+                "{{\"schema_version\": {version}, \"bench\": \"x\", \"tool\": \"t\", \
+                 \"seed\": 0, \"classes\": []}}"
+            );
+            let err = parse_bench_json(&other).expect_err("other version");
+            assert!(err.contains(&format!("schema_version is {version}, not 3")), "{err}");
+            assert!(err.contains("regenerate"), "{err}");
+        }
+        let corrupt = "{\"schema_version\": 3, \"bench\": \"x\", \"tool\": \"t\", \"seed\": 0, \
+                       \"classes\": [{\"class\": \"a\", \"cycles\": 10}], \
+                       \"totals\": {\"cycles\": 11}}";
         assert!(parse_bench_json(corrupt).expect_err("bad totals").contains("totals.cycles"));
     }
 
     #[test]
     fn diff_gates_on_cycle_regressions_and_dropped_classes() {
-        let snap = |cycles_a: u64, wall_a: u64, extra: bool| BenchSnapshot {
+        let snap = |cycles_a: u64, extra: bool| BenchSnapshot {
             bench: "t".into(),
             tool: "t".into(),
             seed: 0,
             entries: {
                 let mut v = vec![
-                    BenchEntry { class: "a".into(), wall_nanos: wall_a, cycles: cycles_a },
-                    BenchEntry { class: "b".into(), wall_nanos: 100, cycles: 50 },
+                    BenchEntry { class: "a".into(), cycles: cycles_a },
+                    BenchEntry { class: "b".into(), cycles: 50 },
                 ];
                 if extra {
-                    v.push(BenchEntry { class: "c".into(), wall_nanos: 1, cycles: 1 });
+                    v.push(BenchEntry { class: "c".into(), cycles: 1 });
                 }
                 v
             },
         };
-        // Identical snapshots: clean gate even with a huge wall band.
-        let clean = diff_snapshots(&snap(100, 100, false), &snap(100, 100, false), 25.0);
+        let clean = diff_snapshots(&snap(100, false), &snap(100, false));
         assert!(!clean.gate_failed());
-        assert!(clean.render().contains("gate: ok"));
+        assert_eq!(clean.render(), "gate: ok\n");
 
-        // Cycles up on `a`: regression. Wall halved: outlier, not a gate.
-        let d = diff_snapshots(&snap(100, 100, true), &snap(120, 50, false), 25.0);
+        // Cycles up on `a` and `c` dropped: both gate.
+        let d = diff_snapshots(&snap(100, true), &snap(120, false));
         assert_eq!(d.regressions.len(), 1);
         assert_eq!(d.regressions[0].class, "a");
         assert_eq!(d.removed, vec!["c".to_owned()]);
-        assert_eq!(d.wall_outliers.len(), 1);
         assert!(d.gate_failed());
         let report = d.render();
         assert!(report.contains("REGRESSION  a: 100 -> 120 cycles (+20)"), "{report}");
@@ -384,10 +353,11 @@ mod tests {
         assert!(report.contains("gate: FAIL"), "{report}");
 
         // Cycles down: improvement only; new class is informational.
-        let d = diff_snapshots(&snap(100, 100, false), &snap(80, 100, true), 25.0);
+        let d = diff_snapshots(&snap(100, false), &snap(80, true));
         assert_eq!(d.improvements.len(), 1);
         assert_eq!(d.added, vec!["c".to_owned()]);
         assert!(!d.gate_failed());
+        assert!(d.render().contains("refresh the baseline"));
     }
 
     #[test]

@@ -311,11 +311,7 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
                         _ => None,
                     })
                     .sum();
-                BenchEntry {
-                    class: format!("net/seed{}", run.seed),
-                    wall_nanos: run.report.wall.as_nanos() as u64,
-                    cycles,
-                }
+                BenchEntry { class: format!("net/seed{}", run.seed), cycles }
             })
             .collect();
         write_bench_json(dir, "net", "qoa-cluster", cli.seed_base, &entries)

@@ -227,7 +227,6 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
                 if let Some(e) = calib.entry(wi, tier) {
                     entries.push(BenchEntry {
                         class: format!("{}/{}", w.name, tier.name()),
-                        wall_nanos: e.wall_nanos,
                         cycles: e.cost,
                     });
                 }

@@ -214,8 +214,6 @@ pub struct CalibEntry {
     pub result: Option<String>,
     /// Expected stdout hash.
     pub out_hash: u64,
-    /// Wall time of the calibration fork (reporting only).
-    pub wall_nanos: u64,
 }
 
 /// Calibration table for every registered `(workload, tier)` pair.
@@ -254,9 +252,7 @@ pub fn calibrate(cfg: &ServeConfig) -> Result<Calibration, QoaError> {
     for (wi, w) in cfg.workloads.iter().enumerate() {
         let mut baseline: Option<(Option<String>, u64)> = None;
         for tier in Tier::ALL {
-            let t0 = Instant::now();
             let run = serve_one(&w.source, tier, 0, None)?;
-            let wall_nanos = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
             match &baseline {
                 None => baseline = Some((run.result.clone(), run.out_hash)),
                 Some((result, out_hash)) => {
@@ -284,7 +280,6 @@ pub fn calibrate(cfg: &ServeConfig) -> Result<Calibration, QoaError> {
                     steps: run.steps,
                     result: run.result,
                     out_hash: run.out_hash,
-                    wall_nanos,
                 },
             );
         }
