@@ -8,7 +8,7 @@
 //! [`Passes::for_level`](crate::Passes::for_level)) or by JIT
 //! specialization, or is resident — paid in every configuration.
 
-use crate::lint::{lint_module, Lint, LintKind};
+use crate::lint::{lint_module, InstrProfile, Lint, LintKind};
 use crate::verify::VerifyError;
 use qoa_frontend::CodeObject;
 use std::collections::BTreeMap;
@@ -96,16 +96,16 @@ pub struct StaticFacts {
 
 impl StaticFacts {
     /// Runs the lint pipeline over `root` and every nested code object
-    /// and folds the findings into a per-line table. Findings without a
-    /// line (line 0: the compiler's synthetic tail) are dropped — they
-    /// have no source row to annotate.
+    /// (pricing fusible runs with `profile`) and folds the findings into
+    /// a per-line table. Findings without a line (line 0: the compiler's
+    /// synthetic tail) are dropped — they have no source row to annotate.
     ///
     /// # Errors
     ///
     /// [`VerifyError`] when the module fails verification (the lints
     /// only exist on verified dataflow facts).
-    pub fn collect(root: &Rc<CodeObject>) -> Result<StaticFacts, VerifyError> {
-        Ok(StaticFacts::from_lints(&lint_module(root)?))
+    pub fn collect(root: &Rc<CodeObject>, profile: InstrProfile) -> Result<StaticFacts, VerifyError> {
+        Ok(StaticFacts::from_lints(&lint_module(root, profile)?))
     }
 
     /// Builds the table from already-computed lints.
@@ -203,7 +203,7 @@ mod tests {
     fn collect_runs_on_a_real_module() {
         let source = "x = 1 + 2\nfor i in range(10):\n    y = x + i\nprint(y)\n";
         let code = qoa_frontend::compile(source).expect("compiles");
-        let facts = StaticFacts::collect(&code).expect("verifies");
+        let facts = StaticFacts::collect(&code, |_| Default::default()).expect("verifies");
         // The constant fold on line 1 must be visible as an opt-1 verdict.
         assert_eq!(facts.verdict(1), Verdict::ElidableAtOpt(1));
     }

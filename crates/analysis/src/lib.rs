@@ -1,5 +1,5 @@
-//! Static analysis over guest bytecode: verification, overhead-category
-//! annotation, and lints.
+//! Static analysis over guest bytecode: verification, lints, and the
+//! optimizer.
 //!
 //! This crate is the static counterpart of the dynamic attribution in
 //! `qoa-core`. Three passes share one CFG + abstract-interpretation
@@ -11,21 +11,18 @@
 //!    [`VerifyError`] (span + opcode + reason). Success mints a
 //!    [`Verified`] token, which is the VM's license to elide its dynamic
 //!    per-dispatch guard checks (`Vm::load_verified`).
-//! 2. **Annotator** ([`annotate`]) — maps each static instruction to the
-//!    Table II category profile its interpreter handler would emit,
-//!    yielding a predicted Fig. 4-style share table (`fig04-static`).
-//! 3. **Lints** ([`lint`]) — dead code, constant-foldable operations,
+//! 2. **Lints** ([`lint`]) — dead code, constant-foldable operations,
 //!    `LOAD_NAME`→`LOAD_FAST` promotion candidates, type-stable ops
 //!    that a JIT would specialize, and fusible superinstruction runs
-//!    (`qoa-lint`).
-//! 4. **Optimizer** ([`opt`]) — an analysis-driven pass manager that
+//!    (`qoa-lint`), which prices fusible runs with the [`InstrProfile`]
+//!    its caller passes in (`qoa_vm::annotate`, above this crate).
+//! 3. **Optimizer** ([`opt`]) — an analysis-driven pass manager that
 //!    *acts* on those facts: constant folding, dead-code elimination,
 //!    global→fast promotion, and superinstruction fusion, with every
 //!    pass output re-verified ([`optimize`]).
 
 #![warn(missing_docs)]
 
-pub mod annotate;
 pub mod cfg;
 pub mod facts;
 pub mod lint;
@@ -34,7 +31,7 @@ pub mod verify;
 
 pub use cfg::{BasicBlock, Cfg};
 pub use facts::{LineFacts, StaticFacts, Verdict};
-pub use lint::{Lint, LintKind, Severity};
+pub use lint::{InstrProfile, Lint, LintKind, Severity};
 pub use opt::{
     fusion_candidates, optimize, optimize_with, FusionCandidate, OptError, OptReport, Passes,
     MAX_OPT_LEVEL,
@@ -190,18 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn static_shares_cover_dispatch_and_sum_to_one() {
-        let code = compile("t = 1 + 2\nresult = t\n").expect("compiles");
-        let shares = annotate::static_shares(&code);
-        assert!((shares.total() - 1.0).abs() < 1e-9);
-        assert!(shares[qoa_model::Category::Dispatch] > 0.0);
-    }
-
-    #[test]
     fn lints_flag_seeded_patterns() {
         let src = "def f(x):\n    return x\n    y = x + 1\nn = 2 * 3\nresult = f(n)\n";
         let code = compile(src).expect("compiles");
-        let lints = lint::lint_module(&code).expect("verifies");
+        let lints = lint::lint_module(&code, |_| Default::default()).expect("verifies");
         let has = |kind: LintKind, sev: Severity| {
             lints.iter().any(|l| l.kind == kind && l.severity == sev)
         };
@@ -218,7 +207,7 @@ mod tests {
         // type-stable without being foldable.
         let src = "def f():\n    t = 0.0\n    for i in range(3):\n        t = t + 1.5\n    return t\nresult = f()\n";
         let code = compile(src).expect("compiles");
-        let lints = lint::lint_module(&code).expect("verifies");
+        let lints = lint::lint_module(&code, |_| Default::default()).expect("verifies");
         assert!(lints.iter().any(|l| l.kind == LintKind::TypeStable), "{lints:?}");
     }
 }

@@ -12,7 +12,8 @@
 //!   own unreachable implicit-return tail.
 
 use crate::verify::{CodeAnalysis, Origin, VerifyError};
-use qoa_frontend::{CodeKind, CodeObject, Const, Opcode};
+use qoa_frontend::{CodeKind, CodeObject, Const, Instr, Opcode};
+use qoa_model::{Category, CategoryMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -47,7 +48,7 @@ pub enum LintKind {
     /// a JIT specialization candidate.
     TypeStable,
     /// An instruction run the optimizer's peephole pass would fuse into
-    /// one superinstruction, with its predicted cycle savings.
+    /// one superinstruction, with its predicted micro-op savings.
     FusibleSequence,
 }
 
@@ -278,24 +279,28 @@ fn promotable_loads(code: &CodeObject, analysis: &CodeAnalysis, out: &mut Vec<Li
     }
 }
 
-fn fusible_sequences(code: &CodeObject, analysis: &CodeAnalysis, out: &mut Vec<Lint>) {
-    use qoa_model::Category;
+/// The micro-op category profile one instruction costs; the VM derives
+/// it from its handlers (`qoa_vm::annotate::instr_profile`).
+pub type InstrProfile = fn(Instr) -> CategoryMap<u64>;
+
+fn fusible_sequences(
+    code: &CodeObject,
+    analysis: &CodeAnalysis,
+    profile: InstrProfile,
+    out: &mut Vec<Lint>,
+) {
     for cand in crate::opt::fusion_candidates(code) {
         if !analysis.reachable(cand.at) {
             continue; // covered by the dead-code lint
         }
         // Predicted savings: the modeled cost of the unfused run minus
-        // the fused superinstruction's profile (annotate::instr_profile).
+        // the fused superinstruction's profile.
         let line = code.code[cand.at].line;
-        let mut before = qoa_model::CategoryMap::<u64>::default();
+        let mut before = CategoryMap::<u64>::default();
         for k in 0..cand.len {
-            before.merge(&crate::annotate::instr_profile(code.code[cand.at + k]));
+            before.merge(&profile(code.code[cand.at + k]));
         }
-        let after = crate::annotate::instr_profile(qoa_frontend::Instr {
-            op: cand.fused,
-            arg: cand.arg,
-            line,
-        });
+        let after = profile(Instr { op: cand.fused, arg: cand.arg, line });
         let saved = before.total().saturating_sub(after.total());
         let dispatch_saved =
             before[Category::Dispatch].saturating_sub(after[Category::Dispatch]);
@@ -309,7 +314,7 @@ fn fusible_sequences(code: &CodeObject, analysis: &CodeAnalysis, out: &mut Vec<L
             Severity::Note,
             LintKind::FusibleSequence,
             format!(
-                "{} fuses to {:?}, saving ~{saved} modeled cycles ({dispatch_saved} dispatch) per execution",
+                "{} fuses to {:?}, saving ~{saved} modeled micro-ops ({dispatch_saved} dispatch) per execution",
                 ops.join("+"),
                 cand.fused
             ),
@@ -317,26 +322,28 @@ fn fusible_sequences(code: &CodeObject, analysis: &CodeAnalysis, out: &mut Vec<L
     }
 }
 
-/// Runs every lint over one verified code object.
-pub fn lint_code(code: &CodeObject, analysis: &CodeAnalysis) -> Vec<Lint> {
+/// Runs every lint over one verified code object, pricing fusible runs
+/// with `profile`.
+pub fn lint_code(code: &CodeObject, analysis: &CodeAnalysis, profile: InstrProfile) -> Vec<Lint> {
     let mut out = Vec::new();
     dead_code(code, analysis, &mut out);
     value_lints(code, analysis, &mut out);
     promotable_loads(code, analysis, &mut out);
-    fusible_sequences(code, analysis, &mut out);
+    fusible_sequences(code, analysis, profile, &mut out);
     out
 }
 
-/// Verifies `root` (and nested code) and lints everything.
+/// Verifies `root` (and nested code) and lints everything, pricing
+/// fusible runs with `profile`.
 ///
 /// # Errors
 ///
 /// The first [`VerifyError`] if verification fails — unverifiable code
 /// cannot be linted.
-pub fn lint_module(root: &Rc<CodeObject>) -> Result<Vec<Lint>, VerifyError> {
+pub fn lint_module(root: &Rc<CodeObject>, profile: InstrProfile) -> Result<Vec<Lint>, VerifyError> {
     let mut out = Vec::new();
     for (code, analysis) in crate::verify::analyze(root)? {
-        out.extend(lint_code(&code, &analysis));
+        out.extend(lint_code(&code, &analysis, profile));
     }
     Ok(out)
 }

@@ -1,12 +1,12 @@
 //! Fig. 4-static: static vs dynamic CPython overhead attribution.
 //!
-//! The static half weighs every *instruction* equally (the annotator's
-//! per-opcode handler profiles, no execution frequencies); the dynamic
-//! half is the usual cycle attribution on the simple core. Printing both
-//! side by side shows how much of Fig. 4 is loop weighting rather than
-//! opcode mix. The same cells also record the check-elision delta: the
-//! cycles the verifier's `Verified` token saves over the guarded
-//! dispatch path.
+//! The static half weighs every *instruction* equally (the micro-op
+//! profiles `qoa_vm::annotate` derives from the handlers, no execution
+//! frequencies); the dynamic half is the usual cycle attribution on the
+//! simple core. Printing both side by side shows how much of Fig. 4 is
+//! loop weighting rather than opcode mix. The same cells also record the
+//! check-elision delta: the cycles the verifier's `Verified` token saves
+//! over the guarded dispatch path.
 
 use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm, NA};
 use qoa_core::benchsnap::{write_bench_json, BenchEntry};
@@ -43,7 +43,7 @@ fn measure_static(
 ) -> Result<CellMetrics, QoaError> {
     let src = w.source(scale);
     let code = qoa_frontend::compile(&src)?;
-    let stat = qoa_analysis::annotate::static_shares(&code);
+    let stat = qoa_vm::annotate::static_shares(&code);
     let simple = |rt: RuntimeConfig| {
         run_cell_into(&src, &rt.with_deadline(deadline), chaos, key, SimpleCore::new(uarch))
             .map(|(core, _)| core.finish())
@@ -169,9 +169,9 @@ fn measure_opt(
 ) -> Result<CellMetrics, QoaError> {
     let src = w.source(scale);
     let code = qoa_frontend::compile(&src)?;
-    let stat_before = qoa_analysis::annotate::static_shares(&code);
+    let stat_before = qoa_vm::annotate::static_shares(&code);
     let (opt_code, report) = qoa_analysis::optimize(&code, opt_level)?;
-    let stat_after = qoa_analysis::annotate::static_shares(opt_code.get());
+    let stat_after = qoa_vm::annotate::static_shares(opt_code.get());
 
     let mut m = CellMetrics::new();
     m.insert("opt.folded".into(), Metric::Int(report.folded as i64));
@@ -462,7 +462,7 @@ fn main() {
     emit(
         &cli,
         &panel(
-            "Fig. 4-static (a): language features (static/dynamic % of cycles, CPython)",
+            "Fig. 4-static (a): language features (static % of modeled micro-ops / dynamic % of cycles, CPython)",
             &Category::LANGUAGE_FEATURES,
             &rows,
         ),
@@ -470,7 +470,7 @@ fn main() {
     emit(
         &cli,
         &panel(
-            "Fig. 4-static (b): interpreter operations (static/dynamic % of cycles, CPython)",
+            "Fig. 4-static (b): interpreter operations (static % of modeled micro-ops / dynamic % of cycles, CPython)",
             &Category::INTERPRETER_OPERATIONS,
             &rows,
         ),

@@ -61,7 +61,7 @@ fn main() {
                     continue;
                 }
             };
-            let lints = match lint::lint_module(&code) {
+            let lints = match lint::lint_module(&code, qoa_vm::annotate::instr_profile) {
                 Ok(l) => l,
                 Err(e) => {
                     eprintln!("error[verify] {suite_name}/{}: {e}", w.name);

@@ -106,7 +106,8 @@ fn parse_cli(f: &mut Flags) -> Result<ProfCli, CliError> {
 fn collect_facts(source: &str) -> StaticFacts {
     let code = qoa_frontend::compile(source)
         .unwrap_or_else(|e| panic!("recompiling for static facts: {e}"));
-    StaticFacts::collect(&code).unwrap_or_else(|e| panic!("linting for static facts: {e}"))
+    StaticFacts::collect(&code, qoa_vm::annotate::instr_profile)
+        .unwrap_or_else(|e| panic!("linting for static facts: {e}"))
 }
 
 fn write_output(path: &PathBuf, what: &str, content: &str) {

@@ -148,8 +148,8 @@ mod tests {
         let mut core = ObsCore::new(&UarchConfig::skylake(), 64, 4096)
             .with_base_tier(Tier::base(rt.elide_checks));
         run.trace.replay(&mut core);
-        let facts =
-            StaticFacts::collect(&qoa_frontend::compile(SRC).expect("compiles")).expect("verifies");
+        let code = qoa_frontend::compile(SRC).expect("compiles");
+        let facts = StaticFacts::collect(&code, qoa_vm::annotate::instr_profile).expect("verifies");
         (core.finish().profile, facts)
     }
 

@@ -679,8 +679,12 @@ impl<S: OpSink> Vm<S> {
                         )))
                     }
                 };
-                // Ownership of `obj` (for Seq/Str) moved into the state.
+                // Ownership of `obj` (for Seq/Str) moved into the state,
+                // which no root reaches until `iter` is pushed, so root
+                // `obj` while the allocation may run a minor collection.
+                self.scratch.push(obj);
                 let iter = self.alloc_obj(ObjKind::Iter(state));
+                self.scratch.pop();
                 self.c_return(18);
                 self.push_s(20, iter)?;
             }

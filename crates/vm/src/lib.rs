@@ -31,6 +31,7 @@
 //! assert_eq!(vm.global_int("total"), Some(45));
 //! ```
 
+pub mod annotate;
 pub mod dict;
 pub mod interp;
 pub mod native;

@@ -486,6 +486,22 @@ for a, b in pairs:
     check_int(src, "total", 10 + 40 + 90);
 }
 
+#[test]
+fn iterating_a_temporary_list_survives_a_minor_collection() {
+    // `GetIter` pops the only reference to the list literal before it
+    // allocates the iterator; a minor collection during that allocation
+    // must not free the list.
+    let src = "
+t = 0
+n = 0
+while n < 3000:
+    for x in [n + 1000, n + 2000, n + 3000]:
+        t = t + x
+    n += 1
+";
+    check_int(src, "t", 31_495_500);
+}
+
 // ---- native library --------------------------------------------------------------------------------
 
 #[test]

@@ -137,8 +137,8 @@ fn annotate_report_is_byte_identical_across_runs() {
         let run = capture(&source, &rt_on()).expect("runs");
         let mut core = ObsCore::new(&uarch, 512, 4096).with_base_tier(Tier::Interp);
         run.trace.replay(&mut core);
-        let facts = StaticFacts::collect(&qoa::frontend::compile(&source).expect("compiles"))
-            .expect("verifies");
+        let code = qoa::frontend::compile(&source).expect("compiles");
+        let facts = StaticFacts::collect(&code, qoa::vm::annotate::instr_profile).expect("verifies");
         render_annotated("go.py", &source, &core.finish().profile, &facts)
     };
     let first = render();
