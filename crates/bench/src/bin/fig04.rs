@@ -4,9 +4,9 @@
 //! interpreter-operation categories, both as % of total execution cycles
 //! on the simple core, plus the AVG row and the paper's headline scalars.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm};
+use qoa_bench::{cell_chaos, cli, emit, harness, limit, run};
 use qoa_core::attribution::{average_shares, Breakdown};
-use qoa_core::harness::{breakdown_cell, breakdown_spec};
+use qoa_core::harness::breakdown_spec;
 use qoa_core::report::{pct, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_model::{Category, CategoryMap, RuntimeKind};
@@ -35,18 +35,16 @@ fn main() {
     let rt = RuntimeConfig::new(RuntimeKind::CPython);
     let uarch = UarchConfig::skylake();
     let chaos = cell_chaos(&cli);
-    prewarm(
+    let results = run(
         &cli,
         &mut h,
         suite.iter().map(|&w| breakdown_spec(w, cli.scale, &rt, &uarch, chaos)).collect(),
     );
-    let mut breakdowns: Vec<Breakdown> = Vec::new();
-    for w in &suite {
-        eprintln!("running {}...", w.name);
-        if let Some(b) = breakdown_cell(&mut h, w, cli.scale, &rt, &uarch) {
-            breakdowns.push(b);
-        }
-    }
+    let breakdowns: Vec<Breakdown> = suite
+        .iter()
+        .zip(results)
+        .filter_map(|(w, m)| Breakdown::from_metrics(w.name, &m?))
+        .collect();
     if breakdowns.is_empty() {
         eprintln!("no benchmark produced a breakdown");
         std::process::exit(h.finish().max(1));

@@ -8,12 +8,12 @@
 //! check-elision delta: the cycles the verifier's `Verified` token saves
 //! over the guarded dispatch path.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm, NA};
+use qoa_bench::{cell_chaos, cli, emit, harness, limit, run, NA};
 use qoa_core::benchsnap::{write_bench_json, BenchEntry};
 use qoa_core::harness::{capture_cell, run_cell_into, CellChaos};
 use qoa_core::report::Table;
 use qoa_core::runtime::RuntimeConfig;
-use qoa_core::{Breakdown, CellKey, CellMetrics, Harness, Metric, QoaError, SupervisedCell};
+use qoa_core::{Breakdown, CellKey, CellMetrics, Metric, QoaError, SupervisedCell};
 use qoa_model::{Category, CategoryMap, RuntimeKind};
 use qoa_uarch::{SimpleCore, UarchConfig};
 use qoa_workloads::{Scale, Workload};
@@ -28,40 +28,6 @@ struct StaticCell {
     cycles_guarded: u64,
 }
 
-fn static_key(w: &Workload, rt: &RuntimeConfig) -> CellKey {
-    CellKey::new(w.name, format!("{:?}", rt.kind), "static-attribution", "simple-core")
-}
-
-fn measure_static(
-    w: &Workload,
-    scale: Scale,
-    rt: RuntimeConfig,
-    uarch: &UarchConfig,
-    deadline: Option<std::time::Instant>,
-    chaos: Option<CellChaos>,
-    key: &CellKey,
-) -> Result<CellMetrics, QoaError> {
-    let src = w.source(scale);
-    let code = qoa_frontend::compile(&src)?;
-    let stat = qoa_vm::annotate::static_shares(&code);
-    let simple = |rt: RuntimeConfig| {
-        run_cell_into(&src, &rt.with_deadline(deadline), chaos, key, SimpleCore::new(uarch))
-            .map(|(core, _)| core.finish())
-    };
-    let dyn_stats = simple(rt)?;
-    let b = Breakdown::from_stats(w.name, &dyn_stats);
-    let g_stats = simple(rt.with_check_elision(false))?;
-    let mut m = CellMetrics::new();
-    m.insert("cycles.elided".into(), Metric::Int(dyn_stats.cycles as i64));
-    m.insert("cycles.guarded".into(), Metric::Int(g_stats.cycles as i64));
-    for c in Category::ALL {
-        m.insert(format!("static.{c:?}"), Metric::Num(stat[c]));
-        m.insert(format!("dynamic.{c:?}"), Metric::Num(b.shares[c]));
-        m.insert(format!("delta.{c:?}"), Metric::Num(b.shares[c] - stat[c]));
-    }
-    Ok(m)
-}
-
 fn static_spec(
     w: &'static Workload,
     scale: Scale,
@@ -69,38 +35,51 @@ fn static_spec(
     uarch: &UarchConfig,
     chaos: Option<CellChaos>,
 ) -> SupervisedCell<CellMetrics> {
-    let key = static_key(w, rt);
+    let key = CellKey::new(w.name, format!("{:?}", rt.kind), "static-attribution", "simple-core");
     let rt = *rt;
     let uarch = uarch.clone();
     let mkey = key.clone();
     SupervisedCell::new(key, move |deadline| {
-        measure_static(w, scale, rt, &uarch, deadline, chaos, &mkey)
+        let src = w.source(scale);
+        let code = qoa_frontend::compile(&src)?;
+        let stat = qoa_vm::annotate::static_shares(&code);
+        let simple = |rt: RuntimeConfig| {
+            run_cell_into(&src, &rt.with_deadline(deadline), chaos, &mkey, SimpleCore::new(&uarch))
+                .map(|(core, _)| core.finish())
+        };
+        let dyn_stats = simple(rt)?;
+        let b = Breakdown::from_stats(w.name, &dyn_stats);
+        let g_stats = simple(rt.with_check_elision(false))?;
+        let mut m = CellMetrics::new();
+        m.insert("cycles.elided".into(), Metric::Int(dyn_stats.cycles as i64));
+        m.insert("cycles.guarded".into(), Metric::Int(g_stats.cycles as i64));
+        for c in Category::ALL {
+            m.insert(format!("static.{c:?}"), Metric::Num(stat[c]));
+            m.insert(format!("dynamic.{c:?}"), Metric::Num(b.shares[c]));
+            m.insert(format!("delta.{c:?}"), Metric::Num(b.shares[c] - stat[c]));
+        }
+        Ok(m)
     })
 }
 
-fn static_cell(
-    h: &mut Harness,
-    w: &Workload,
-    scale: Scale,
-    rt: &RuntimeConfig,
-    uarch: &UarchConfig,
-) -> Option<StaticCell> {
-    let key = static_key(w, rt);
-    let mkey = key.clone();
-    let metrics =
-        h.cell(key, |deadline| measure_static(w, scale, *rt, uarch, deadline, None, &mkey))?;
-    let share = |prefix: &str| {
-        CategoryMap::from_fn(|c| {
-            metrics.get(&format!("{prefix}.{c:?}")).and_then(Metric::as_f64).unwrap_or(0.0)
-        })
-    };
-    Some(StaticCell {
-        name: w.name.to_string(),
-        stat: share("static"),
-        dynamic: share("dynamic"),
-        cycles_elided: metrics.get("cycles.elided")?.as_i64()? as u64,
-        cycles_guarded: metrics.get("cycles.guarded")?.as_i64()? as u64,
+/// Category shares stored under `{prefix}.{category}` in a cell's metrics.
+fn shares(m: &CellMetrics, prefix: &str) -> CategoryMap<f64> {
+    CategoryMap::from_fn(|c| {
+        m.get(&format!("{prefix}.{c:?}")).and_then(Metric::as_f64).unwrap_or(0.0)
     })
+}
+
+impl StaticCell {
+    /// Decodes a [`static_spec`] cell of workload `name`.
+    fn from_metrics(name: &str, m: &CellMetrics) -> Option<StaticCell> {
+        Some(StaticCell {
+            name: name.to_string(),
+            stat: shares(m, "static"),
+            dynamic: shares(m, "dynamic"),
+            cycles_elided: m.get("cycles.elided")?.as_i64()? as u64,
+            cycles_guarded: m.get("cycles.guarded")?.as_i64()? as u64,
+        })
+    }
 }
 
 /// `12.3/14.1` — static share / dynamic share, in percent.
@@ -146,76 +125,12 @@ struct OptCell {
     fused: u64,
 }
 
-fn opt_key(w: &Workload) -> CellKey {
-    CellKey::new(w.name, "CPython", "opt-pipeline", "simple-core")
-}
-
-/// Measures one benchmark across opt levels `0..=opt_level`: per-pass
+/// One benchmark measured across opt levels `0..=opt_level`: per-pass
 /// rewrite counts, predicted (static) and measured (dynamic) category
-/// shares before/after, and simulated cycles per level — and
-/// enforces the semantics-preservation oracle (identical `result` and
-/// output at every level) inside the cell, so a violation is a failed
-/// cell, not a silently wrong row.
-#[allow(clippy::too_many_arguments)]
-fn measure_opt(
-    w: &Workload,
-    scale: Scale,
-    rt: RuntimeConfig,
-    opt_level: u8,
-    uarch: &UarchConfig,
-    deadline: Option<std::time::Instant>,
-    chaos: Option<CellChaos>,
-    key: &CellKey,
-) -> Result<CellMetrics, QoaError> {
-    let src = w.source(scale);
-    let code = qoa_frontend::compile(&src)?;
-    let stat_before = qoa_vm::annotate::static_shares(&code);
-    let (opt_code, report) = qoa_analysis::optimize(&code, opt_level)?;
-    let stat_after = qoa_vm::annotate::static_shares(opt_code.get());
-
-    let mut m = CellMetrics::new();
-    m.insert("opt.folded".into(), Metric::Int(report.folded as i64));
-    m.insert("opt.dce".into(), Metric::Int(report.dce_removed as i64));
-    m.insert("opt.promoted".into(), Metric::Int(report.promoted as i64));
-    m.insert("opt.fused".into(), Metric::Int(report.fused as i64));
-    for c in Category::ALL {
-        m.insert(format!("static.before.{c:?}"), Metric::Num(stat_before[c]));
-        m.insert(format!("static.after.{c:?}"), Metric::Num(stat_after[c]));
-    }
-
-    let mut baseline: Option<(Option<String>, Vec<String>)> = None;
-    for level in 0..=opt_level {
-        let rtl = rt.with_opt_level(level).with_deadline(deadline);
-        let run = capture_cell(&src, &rtl, chaos, key)?;
-        let stats = run.trace.simulate_simple(uarch);
-        m.insert(format!("cycles.opt{level}"), Metric::Int(stats.cycles as i64));
-        m.insert(format!("bytecodes.opt{level}"), Metric::Int(run.vm.bytecodes as i64));
-        if level == 0 || level == opt_level {
-            let tag = if level == 0 { "before" } else { "after" };
-            let b = Breakdown::from_stats(w.name, &stats);
-            for c in Category::ALL {
-                m.insert(format!("dynamic.{tag}.{c:?}"), Metric::Num(b.shares[c]));
-            }
-        }
-        match &baseline {
-            None => baseline = Some((run.result.clone(), run.output.clone())),
-            Some((r0, o0)) => {
-                if run.result != *r0 || run.output != *o0 {
-                    return Err(QoaError::Guest {
-                        message: format!(
-                            "semantics-preservation oracle violated at opt level {level}: \
-                             result {:?} vs {:?}",
-                            run.result, r0
-                        ),
-                        line: 0,
-                    });
-                }
-            }
-        }
-    }
-    Ok(m)
-}
-
+/// shares before/after, and simulated cycles per level. The cell enforces
+/// the semantics-preservation oracle (identical `result` and output at
+/// every level), so a violation is a failed cell, not a silently wrong
+/// row.
 fn opt_spec(
     w: &'static Workload,
     scale: Scale,
@@ -224,56 +139,78 @@ fn opt_spec(
     uarch: &UarchConfig,
     chaos: Option<CellChaos>,
 ) -> SupervisedCell<CellMetrics> {
-    let key = opt_key(w);
+    let key = CellKey::new(w.name, "CPython", "opt-pipeline", "simple-core");
     let rt = *rt;
     let uarch = uarch.clone();
     let mkey = key.clone();
     SupervisedCell::new(key, move |deadline| {
-        measure_opt(w, scale, rt, opt_level, &uarch, deadline, chaos, &mkey)
+        let src = w.source(scale);
+        let code = qoa_frontend::compile(&src)?;
+        let stat_before = qoa_vm::annotate::static_shares(&code);
+        let (opt_code, report) = qoa_analysis::optimize(&code, opt_level)?;
+        let stat_after = qoa_vm::annotate::static_shares(opt_code.get());
+
+        let mut m = CellMetrics::new();
+        m.insert("opt.folded".into(), Metric::Int(report.folded as i64));
+        m.insert("opt.dce".into(), Metric::Int(report.dce_removed as i64));
+        m.insert("opt.promoted".into(), Metric::Int(report.promoted as i64));
+        m.insert("opt.fused".into(), Metric::Int(report.fused as i64));
+        for c in Category::ALL {
+            m.insert(format!("static.before.{c:?}"), Metric::Num(stat_before[c]));
+            m.insert(format!("static.after.{c:?}"), Metric::Num(stat_after[c]));
+        }
+
+        let mut baseline: Option<(Option<String>, Vec<String>)> = None;
+        for level in 0..=opt_level {
+            let rtl = rt.with_opt_level(level).with_deadline(deadline);
+            let run = capture_cell(&src, &rtl, chaos, &mkey)?;
+            let stats = run.trace.simulate_simple(&uarch);
+            m.insert(format!("cycles.opt{level}"), Metric::Int(stats.cycles as i64));
+            m.insert(format!("bytecodes.opt{level}"), Metric::Int(run.vm.bytecodes as i64));
+            if level == 0 || level == opt_level {
+                let tag = if level == 0 { "before" } else { "after" };
+                let b = Breakdown::from_stats(w.name, &stats);
+                for c in Category::ALL {
+                    m.insert(format!("dynamic.{tag}.{c:?}"), Metric::Num(b.shares[c]));
+                }
+            }
+            match &baseline {
+                None => baseline = Some((run.result.clone(), run.output.clone())),
+                Some((r0, o0)) => {
+                    if run.result != *r0 || run.output != *o0 {
+                        return Err(QoaError::Guest {
+                            message: format!(
+                                "semantics-preservation oracle violated at opt level {level}: \
+                                 result {:?} vs {:?}",
+                                run.result, r0
+                            ),
+                            line: 0,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(m)
     })
 }
 
-fn opt_cell(
-    h: &mut Harness,
-    w: &Workload,
-    scale: Scale,
-    rt: &RuntimeConfig,
-    opt_level: u8,
-    uarch: &UarchConfig,
-) -> Option<OptCell> {
-    let key = opt_key(w);
-    let mkey = key.clone();
-    let metrics = h.cell(key, |deadline| {
-        measure_opt(w, scale, *rt, opt_level, uarch, deadline, None, &mkey)
-    })?;
-    let share = |prefix: &str| {
-        CategoryMap::from_fn(|c| {
-            metrics.get(&format!("{prefix}.{c:?}")).and_then(Metric::as_f64).unwrap_or(0.0)
-        })
-    };
-    let per_level = |prefix: &str| -> Vec<u64> {
-        (0..=opt_level)
-            .map(|l| {
-                metrics
-                    .get(&format!("{prefix}.opt{l}"))
-                    .and_then(Metric::as_i64)
-                    .unwrap_or(0) as u64
-            })
-            .collect()
-    };
-    let count = |k: &str| metrics.get(k).and_then(Metric::as_i64).unwrap_or(0) as u64;
-    Some(OptCell {
-        name: w.name.to_string(),
-        stat_before: share("static.before"),
-        stat_after: share("static.after"),
-        dyn_before: share("dynamic.before"),
-        dyn_after: share("dynamic.after"),
-        cycles: per_level("cycles"),
-        folded: count("opt.folded"),
-        dce: count("opt.dce"),
-        promoted: count("opt.promoted"),
-        fused: count("opt.fused"),
-    })
+impl OptCell {
+    /// Decodes an [`opt_spec`] cell of workload `name` run up to `opt_level`.
+    fn from_metrics(name: &str, opt_level: u8, m: &CellMetrics) -> OptCell {
+        let count = |k: &str| m.get(k).and_then(Metric::as_i64).unwrap_or(0) as u64;
+        OptCell {
+            name: name.to_string(),
+            stat_before: shares(m, "static.before"),
+            stat_after: shares(m, "static.after"),
+            dyn_before: shares(m, "dynamic.before"),
+            dyn_after: shares(m, "dynamic.after"),
+            cycles: (0..=opt_level).map(|l| count(&format!("cycles.opt{l}"))).collect(),
+            folded: count("opt.folded"),
+            dce: count("opt.dce"),
+            promoted: count("opt.promoted"),
+            fused: count("opt.fused"),
+        }
+    }
 }
 
 /// The categories the pipeline targets, for the before/after panels.
@@ -322,18 +259,16 @@ fn opt_mode(cli: &qoa_bench::Cli) -> ! {
     let rt = RuntimeConfig::new(RuntimeKind::CPython);
     let uarch = UarchConfig::skylake();
     let chaos = cell_chaos(cli);
-    prewarm(
+    let results = run(
         cli,
         &mut h,
         suite.iter().map(|&w| opt_spec(w, cli.scale, &rt, opt_level, &uarch, chaos)).collect(),
     );
-    let mut rows: Vec<OptCell> = Vec::new();
-    for w in &suite {
-        eprintln!("running {} (opt 0..={opt_level})...", w.name);
-        if let Some(r) = opt_cell(&mut h, w, cli.scale, &rt, opt_level, &uarch) {
-            rows.push(r);
-        }
-    }
+    let rows: Vec<OptCell> = suite
+        .iter()
+        .zip(results)
+        .filter_map(|(w, m)| Some(OptCell::from_metrics(w.name, opt_level, &m?)))
+        .collect();
     if rows.is_empty() {
         eprintln!("no benchmark produced an optimization report");
         std::process::exit(h.finish().max(1));
@@ -442,18 +377,16 @@ fn main() {
     let rt = RuntimeConfig::new(RuntimeKind::CPython);
     let uarch = UarchConfig::skylake();
     let chaos = cell_chaos(&cli);
-    prewarm(
+    let results = run(
         &cli,
         &mut h,
         suite.iter().map(|&w| static_spec(w, cli.scale, &rt, &uarch, chaos)).collect(),
     );
-    let mut rows: Vec<StaticCell> = Vec::new();
-    for w in &suite {
-        eprintln!("running {}...", w.name);
-        if let Some(r) = static_cell(&mut h, w, cli.scale, &rt, &uarch) {
-            rows.push(r);
-        }
-    }
+    let rows: Vec<StaticCell> = suite
+        .iter()
+        .zip(results)
+        .filter_map(|(w, m)| StaticCell::from_metrics(w.name, &m?))
+        .collect();
     if rows.is_empty() {
         eprintln!("no benchmark produced an attribution");
         std::process::exit(h.finish().max(1));

@@ -1,8 +1,9 @@
 //! Fig. 6: C function call overhead for the V8-preset run-time over the
 //! JetStream-analog suite (paper average: 5.6%).
 
-use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm, NA};
-use qoa_core::harness::{breakdown_cell, breakdown_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, limit, run, NA};
+use qoa_core::harness::breakdown_spec;
+use qoa_core::Breakdown;
 use qoa_core::report::{pct, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_model::{Category, RuntimeKind};
@@ -19,15 +20,14 @@ fn main() {
     let rt = RuntimeConfig::new(RuntimeKind::V8);
     let uarch = UarchConfig::skylake();
     let chaos = cell_chaos(&cli);
-    prewarm(
+    let results = run(
         &cli,
         &mut h,
         suite.iter().map(|&w| breakdown_spec(w, cli.scale, &rt, &uarch, chaos)).collect(),
     );
     let mut shares = Vec::new();
-    for w in &suite {
-        eprintln!("running {}...", w.name);
-        match breakdown_cell(&mut h, w, cli.scale, &rt, &uarch) {
+    for (w, m) in suite.iter().zip(results) {
+        match m.and_then(|m| Breakdown::from_metrics(w.name, &m)) {
             Some(b) => {
                 shares.push(b.shares[Category::CFunctionCall]);
                 t.row(vec![w.name.to_string(), pct(b.shares[Category::CFunctionCall])]);

@@ -6,8 +6,8 @@
 //! the OOO core at every sweep point. Defaults to the paper's Fig. 8
 //! benchmark subset; pass `--all` for the full 48.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, Cli, NA};
-use qoa_core::harness::{shared_trace_cache, sweep_param_cell, sweep_param_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, Cli, NA};
+use qoa_core::harness::{shared_trace_cache, sweep_param_spec, SweepCellPoint};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{SweepParam, SCALED_DEFAULT_NURSERY};
@@ -48,29 +48,26 @@ fn main() {
     for &kind in &runtimes {
         let rt = RuntimeConfig::new(kind).with_nursery(SCALED_DEFAULT_NURSERY);
         for &w in &suite {
+            // One capture per (benchmark, runtime), replayed by all six
+            // parameters.
             let cache = shared_trace_cache();
             for &param in SweepParam::ALL.iter() {
                 specs.push(sweep_param_spec(w, cli.scale, &rt, &base, param, &cache, chaos));
             }
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
 
-    // series[param][runtime]; the capture for a (benchmark, runtime) pair
-    // is shared across all six parameters via the trace cache.
+    // series[param][runtime], accumulated in spec order.
     let mut series: Vec<Vec<Series>> = SweepParam::ALL
         .iter()
         .map(|p| runtimes.iter().map(|_| Series::new(p.values().len())).collect())
         .collect();
-    for (ri, &kind) in runtimes.iter().enumerate() {
-        let rt = RuntimeConfig::new(kind).with_nursery(SCALED_DEFAULT_NURSERY);
-        for w in &suite {
-            eprintln!("sweeping {} on {kind}...", w.name);
-            let mut trace_cache = None;
+    for (ri, _) in runtimes.iter().enumerate() {
+        for _ in &suite {
             for (pi, &param) in SweepParam::ALL.iter().enumerate() {
-                let Some(pts) =
-                    sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut trace_cache)
-                else {
+                let m = results.next().flatten();
+                let Some(pts) = m.and_then(|m| SweepCellPoint::from_metrics(param, &m)) else {
                     continue;
                 };
                 let s = &mut series[pi][ri];

@@ -1,8 +1,8 @@
 //! Fig. 8: per-benchmark CPI bars under the microarchitecture sweeps,
 //! for PyPy with JIT on the paper's eight-benchmark subset.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{shared_trace_cache, sweep_param_cell, sweep_param_spec, SweepCellPoint};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, NA};
+use qoa_core::harness::{shared_trace_cache, sweep_param_spec, SweepCellPoint};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{SweepParam, SCALED_DEFAULT_NURSERY};
@@ -19,24 +19,20 @@ fn main() {
     let chaos = cell_chaos(&cli);
     let mut specs = Vec::new();
     for &w in &suite {
+        // One capture per benchmark, replayed by all six parameters.
         let cache = shared_trace_cache();
         for &param in SweepParam::ALL.iter() {
             specs.push(sweep_param_spec(w, cli.scale, &rt, &base, param, &cache, chaos));
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
 
-    // swept[workload][param] — the capture for a benchmark is shared
-    // across the six parameters via the trace cache.
+    // swept[workload][param], in spec order.
     let mut swept: Vec<(&str, Vec<Option<Vec<SweepCellPoint>>>)> = Vec::new();
     for w in &suite {
-        eprintln!("sweeping {}...", w.name);
-        let mut trace_cache = None;
         let per_param = SweepParam::ALL
             .iter()
-            .map(|&param| {
-                sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut trace_cache)
-            })
+            .map(|&param| SweepCellPoint::from_metrics(param, &results.next()??))
             .collect();
         swept.push((w.name, per_param));
     }

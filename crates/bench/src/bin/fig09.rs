@@ -1,8 +1,8 @@
 //! Fig. 9: microarchitecture sweeps for the V8 preset over the
 //! JetStream-analog suite (average CPI line per parameter).
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{shared_trace_cache, sweep_param_cell, sweep_param_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, NA};
+use qoa_core::harness::{shared_trace_cache, sweep_param_spec, SweepCellPoint};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{SweepParam, SCALED_DEFAULT_NURSERY};
@@ -30,25 +30,22 @@ fn main() {
     let chaos = cell_chaos(&cli);
     let mut specs = Vec::new();
     for &w in &suite {
+        // One capture per benchmark, replayed by all six parameters.
         let cache = shared_trace_cache();
         for &param in SweepParam::ALL.iter() {
             specs.push(sweep_param_spec(w, cli.scale, &rt, &base, param, &cache, chaos));
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
 
-    // sums[param][point]; each benchmark's capture is shared across the
-    // six parameters via the trace cache.
+    // sums[param][point], accumulated in spec order.
     let mut sums: Vec<Vec<f64>> =
         SweepParam::ALL.iter().map(|p| vec![0.0; p.values().len()]).collect();
     let mut counts = vec![0usize; SweepParam::ALL.len()];
-    for w in &suite {
-        eprintln!("sweeping {}...", w.name);
-        let mut trace_cache = None;
+    for _ in &suite {
         for (pi, &param) in SweepParam::ALL.iter().enumerate() {
-            let Some(pts) =
-                sweep_param_cell(&mut h, w, cli.scale, &rt, &base, param, &mut trace_cache)
-            else {
+            let m = results.next().flatten();
+            let Some(pts) = m.and_then(|m| SweepCellPoint::from_metrics(param, &m)) else {
                 continue;
             };
             for (i, p) in pts.iter().enumerate() {

@@ -2,8 +2,8 @@
 //! 2 MB last-level cache). The paper's cliff: once the nursery outgrows
 //! the cache, the miss rate jumps by roughly 2.4×.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{nursery_cells, nursery_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, NA};
+use qoa_core::harness::{nursery_spec, NurseryCell};
 use qoa_core::report::{pct, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED as NURSERY_SIZES};
@@ -24,7 +24,7 @@ fn main() {
             specs.push(nursery_spec(w, cli.scale, &rt, &uarch, n, "", chaos));
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
 
     let mut cols: Vec<String> = vec!["series".into()];
     cols.extend(NURSERY_SIZES.iter().map(|&b| format_bytes(b)));
@@ -36,9 +36,8 @@ fn main() {
 
     let mut sum = vec![0.0f64; NURSERY_SIZES.len()];
     let mut count = vec![0usize; NURSERY_SIZES.len()];
-    for w in &suite {
-        eprintln!("sweeping {}...", w.name);
-        let pts = nursery_cells(&mut h, w, cli.scale, &rt, &uarch, &NURSERY_SIZES);
+    for _ in &suite {
+        let pts = NurseryCell::take_row(&mut results, &NURSERY_SIZES);
         for (i, p) in pts.iter().enumerate() {
             if let Some(p) = p {
                 sum[i] += p.llc_miss_rate;

@@ -2,8 +2,8 @@
 //! nursery sizes, normalized to the half-of-LLC nursery run (1 MB nursery
 //! for the 2 MB cache), averaged over the benchmark subset.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{nursery_cells, nursery_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, NA};
+use qoa_core::harness::{nursery_spec, NurseryCell};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED as NURSERY_SIZES};
@@ -24,7 +24,7 @@ fn main() {
             specs.push(nursery_spec(w, cli.scale, &rt, &uarch, n, "", chaos));
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
 
     let baseline_idx = NURSERY_SIZES
         .iter()
@@ -35,9 +35,8 @@ fn main() {
     let mut non_gc = vec![0.0f64; NURSERY_SIZES.len()];
     let mut overall = vec![0.0f64; NURSERY_SIZES.len()];
     let mut count = vec![0usize; NURSERY_SIZES.len()];
-    for w in &suite {
-        eprintln!("sweeping {}...", w.name);
-        let pts = nursery_cells(&mut h, w, cli.scale, &rt, &uarch, &NURSERY_SIZES);
+    for _ in &suite {
+        let pts = NurseryCell::take_row(&mut results, &NURSERY_SIZES);
         // Normalization needs the workload's own baseline point.
         let Some(baseline) = &pts[baseline_idx] else { continue };
         let base = baseline.cycles.max(1) as f64;

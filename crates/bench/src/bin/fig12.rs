@@ -2,8 +2,8 @@
 //! four configurations — PyPy w/o JIT at a 2 MB LLC, and PyPy w/ JIT at
 //! 2/4/8 MB LLCs — each normalized to its own 1 MB-nursery run.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{nursery_cells_tagged, nursery_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, NA};
+use qoa_core::harness::{nursery_spec, NurseryCell};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED as NURSERY_SIZES};
@@ -31,6 +31,8 @@ fn main() {
     for (_, kind, llc) in configs {
         let rt = RuntimeConfig::new(kind);
         let uarch = UarchConfig::skylake().with_llc_size(llc);
+        // The same (workload, runtime, nursery) triple is measured under
+        // several LLC sizes; the tag keeps their journal cells distinct.
         let tag = format!("@llc={}", format_bytes(llc));
         for &w in &suite {
             for &n in NURSERY_SIZES.iter() {
@@ -38,7 +40,7 @@ fn main() {
             }
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
 
     let mut cols: Vec<String> = vec!["configuration".into()];
     cols.extend(NURSERY_SIZES.iter().map(|&b| format_bytes(b)));
@@ -48,17 +50,11 @@ fn main() {
         &col_refs,
     );
 
-    for (label, kind, llc) in configs {
-        eprintln!("config {label}...");
-        let rt = RuntimeConfig::new(kind);
-        let uarch = UarchConfig::skylake().with_llc_size(llc);
-        // The same (workload, runtime, nursery) triple is measured under
-        // several LLC sizes; the tag keeps their journal cells distinct.
-        let tag = format!("@llc={}", format_bytes(llc));
+    for (label, ..) in configs {
         let mut norm = vec![0.0f64; NURSERY_SIZES.len()];
         let mut count = vec![0usize; NURSERY_SIZES.len()];
-        for w in &suite {
-            let pts = nursery_cells_tagged(&mut h, w, cli.scale, &rt, &uarch, &NURSERY_SIZES, &tag);
+        for _ in &suite {
+            let pts = NurseryCell::take_row(&mut results, &NURSERY_SIZES);
             // Normalization needs the workload's own baseline point.
             let Some(baseline) = &pts[baseline_idx] else { continue };
             let base = baseline.cycles.max(1) as f64;

@@ -2,7 +2,7 @@
 //! per benchmark, PyPy without and with JIT (paper: the average GC share
 //! grows ~4.6x — from 3% to 14% — when the JIT removes mutator work).
 
-use qoa_bench::{cell_chaos, cli, emit, harness, limit, prewarm, NA};
+use qoa_bench::{cell_chaos, cli, emit, harness, limit, run, NA};
 use qoa_core::harness::{run_cell_into, CellChaos};
 use qoa_core::journal::{CellKey, CellMetrics, Metric};
 use qoa_core::report::{pct, Table};
@@ -17,7 +17,7 @@ use qoa_workloads::{Scale, Workload};
 const FIG13_NURSERY: u64 = 256 << 10;
 
 /// The GC-share cell of `w` under `kind`: one run streamed into the
-/// out-of-order core. Both the prewarm and the render loop build it here.
+/// out-of-order core.
 fn gc_share_spec(
     w: &'static Workload,
     kind: RuntimeKind,
@@ -48,7 +48,7 @@ fn main() {
         .iter()
         .flat_map(|&w| kinds.map(|kind| gc_share_spec(w, kind, cli.scale, &uarch, chaos)))
         .collect();
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
     let mut t = Table::new(
         "Fig. 13: GC time as % of execution time (PyPy)",
         &["benchmark", "w/o JIT", "w/ JIT"],
@@ -56,13 +56,10 @@ fn main() {
     let mut sums = [0.0f64; 2];
     let mut counts = [0usize; 2];
     for &w in &suite {
-        eprintln!("running {}...", w.name);
-        let mut shares: [Option<f64>; 2] = [None, None];
-        for (i, kind) in kinds.into_iter().enumerate() {
-            let SupervisedCell { key, job, .. } = gc_share_spec(w, kind, cli.scale, &uarch, chaos);
-            let metrics = h.cell(key, job);
-            shares[i] = metrics.and_then(|m| m.get("gc_share")?.as_f64());
-            if let Some(s) = shares[i] {
+        let shares: [Option<f64>; 2] =
+            [(); 2].map(|_| results.next().flatten().and_then(|m| m.get("gc_share")?.as_f64()));
+        for (i, share) in shares.iter().enumerate() {
+            if let Some(s) = share {
                 sums[i] += s;
                 counts[i] += 1;
             }

@@ -1,8 +1,8 @@
 //! Fig. 14: per-benchmark normalized execution time across nursery sizes,
 //! PyPy **with** JIT, on the paper's eight-benchmark subset.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{nursery_cells, nursery_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, sweep_subset, NA};
+use qoa_core::harness::{nursery_spec, NurseryCell};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED as NURSERY_SIZES};
@@ -31,7 +31,7 @@ pub fn run(kind: RuntimeKind, figure: &str, title: &str) {
             specs.push(nursery_spec(w, cli.scale, &rt, &uarch, n, "", chaos));
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = qoa_bench::run(&cli, &mut h, specs).into_iter();
     let baseline_idx = NURSERY_SIZES
         .iter()
         .position(|&b| b == (1 << 20))
@@ -42,8 +42,7 @@ pub fn run(kind: RuntimeKind, figure: &str, title: &str) {
     let col_refs: Vec<&str> = cols.iter().map(|s| s.as_str()).collect();
     let mut t = Table::new(title, &col_refs);
     for w in &suite {
-        eprintln!("sweeping {}...", w.name);
-        let pts = nursery_cells(&mut h, w, cli.scale, &rt, &uarch, &NURSERY_SIZES);
+        let pts = NurseryCell::take_row(&mut results, &NURSERY_SIZES);
         // Normalization needs the workload's own baseline point; without
         // it the whole row is unusable.
         let base = pts[baseline_idx].as_ref().map(|p| p.cycles.max(1) as f64);

@@ -1,8 +1,8 @@
 //! Fig. 15: per-benchmark normalized execution time across nursery sizes,
 //! PyPy **without** JIT, on the paper's eight-benchmark subset.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{nursery_cells, nursery_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, NA};
+use qoa_core::harness::{nursery_spec, NurseryCell};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED as NURSERY_SIZES};
@@ -23,7 +23,7 @@ fn main() {
             specs.push(nursery_spec(w, cli.scale, &rt, &uarch, n, "", chaos));
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
     let baseline_idx = NURSERY_SIZES
         .iter()
         .position(|&b| b == (1 << 20))
@@ -37,8 +37,7 @@ fn main() {
         &col_refs,
     );
     for w in &suite {
-        eprintln!("sweeping {}...", w.name);
-        let pts = nursery_cells(&mut h, w, cli.scale, &rt, &uarch, &NURSERY_SIZES);
+        let pts = NurseryCell::take_row(&mut results, &NURSERY_SIZES);
         let base = pts[baseline_idx].as_ref().map(|p| p.cycles.max(1) as f64);
         let mut row = vec![w.name.to_string()];
         row.extend(pts.iter().map(|p| match (p, base) {

@@ -2,8 +2,8 @@
 //! caches, averaged over a JetStream subset and normalized per-config to
 //! the 1 MB nursery run.
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{nursery_cells_tagged, nursery_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, NA};
+use qoa_core::harness::{nursery_spec, NurseryCell};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED as NURSERY_SIZES};
@@ -26,6 +26,8 @@ fn main() {
     let mut specs = Vec::new();
     for llc in [2u64 << 20, 4 << 20, 8 << 20] {
         let uarch = UarchConfig::skylake().with_llc_size(llc);
+        // Same (workload, runtime, nursery) at three LLC sizes: the tag
+        // keeps their journal cells distinct.
         let tag = format!("@llc={}", format_bytes(llc));
         for &w in &suite {
             for &n in NURSERY_SIZES.iter() {
@@ -33,7 +35,7 @@ fn main() {
             }
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
 
     let mut cols: Vec<String> = vec!["LLC size".into()];
     cols.extend(NURSERY_SIZES.iter().map(|&b| format_bytes(b)));
@@ -43,15 +45,10 @@ fn main() {
         &col_refs,
     );
     for llc in [2u64 << 20, 4 << 20, 8 << 20] {
-        eprintln!("LLC {}...", format_bytes(llc));
-        let uarch = UarchConfig::skylake().with_llc_size(llc);
-        // Same (workload, runtime, nursery) at three LLC sizes: the tag
-        // keeps their journal cells distinct.
-        let tag = format!("@llc={}", format_bytes(llc));
         let mut norm = vec![0.0f64; NURSERY_SIZES.len()];
         let mut count = vec![0usize; NURSERY_SIZES.len()];
-        for w in &suite {
-            let pts = nursery_cells_tagged(&mut h, w, cli.scale, &rt, &uarch, &NURSERY_SIZES, &tag);
+        for _ in &suite {
+            let pts = NurseryCell::take_row(&mut results, &NURSERY_SIZES);
             let Some(baseline) = &pts[baseline_idx] else { continue };
             let base = baseline.cycles.max(1) as f64;
             for (i, p) in pts.iter().enumerate() {

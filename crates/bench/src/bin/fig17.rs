@@ -3,8 +3,8 @@
 //! half-of-cache (1 MB) baseline — plus the paper's two headline
 //! averages: best-per-app (-21.4%) vs max-nursery-for-all (-9.8%).
 
-use qoa_bench::{cell_chaos, cli, emit, harness, prewarm, sweep_subset, NA};
-use qoa_core::harness::{best_nursery_cell, nursery_cells, nursery_spec};
+use qoa_bench::{cell_chaos, cli, emit, harness, run, sweep_subset, NA};
+use qoa_core::harness::{nursery_spec, NurseryCell};
 use qoa_core::report::{f3, Table};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_core::sweeps::{format_bytes, NURSERY_SIZES_SCALED as NURSERY_SIZES};
@@ -25,7 +25,7 @@ fn main() {
             specs.push(nursery_spec(w, cli.scale, &rt, &uarch, n, "", chaos));
         }
     }
-    prewarm(&cli, &mut h, specs);
+    let mut results = run(&cli, &mut h, specs).into_iter();
     let baseline_idx = NURSERY_SIZES
         .iter()
         .position(|&b| b == (1 << 20))
@@ -41,14 +41,13 @@ fn main() {
     let mut max_sum = 0.0;
     let mut max_n = 0usize;
     for w in &suite {
-        eprintln!("sweeping {}...", w.name);
-        let pts = nursery_cells(&mut h, w, cli.scale, &rt, &uarch, &NURSERY_SIZES);
+        let pts = NurseryCell::take_row(&mut results, &NURSERY_SIZES);
         // Both columns normalize to the workload's own baseline point.
         let Some(base) = pts[baseline_idx].as_ref().map(|p| p.cycles.max(1) as f64) else {
             t.row(vec![w.name.to_string(), NA.into(), NA.into(), NA.into()]);
             continue;
         };
-        let best = best_nursery_cell(&pts);
+        let best = NurseryCell::best(&pts);
         let best_cell = best.map(|b| {
             let norm = b.cycles as f64 / base;
             best_sum += norm;

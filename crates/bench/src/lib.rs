@@ -1,5 +1,10 @@
 //! Shared scaffolding for the figure/table regeneration binaries.
 //!
+//! Each binary builds every measurement cell once as a supervised cell
+//! spec, hands the batch to [`run`] (journal answers first, the parallel
+//! executor for the rest), and renders its tables from the returned
+//! metrics, which come back in spec order.
+//!
 //! Every binary accepts the same flags:
 //!
 //! * `--scale tiny|small|full` — workload size (default `small`; the paper's
@@ -22,11 +27,11 @@
 //! * `--seed N` — executor seed (retry backoff schedules; default 0).
 //! * `--budget N` — admission budget in cell cost units; cells beyond it
 //!   are shed lowest-priority-first (recorded `shed`, not `failed`).
-//! * `--chaos-seed N` — run every prewarmed cell under a seeded chaos
-//!   fault plan (recovered faults; measured results stay identical to
-//!   fault-free runs by the differential oracle).
+//! * `--chaos-seed N` — run every cell under a seeded chaos fault plan
+//!   (recovered faults; measured results stay identical to fault-free
+//!   runs by the differential oracle).
 //! * `--exec-metrics` — print the executor's scheduler counters to
-//!   stderr as Prometheus text exposition after the prewarm pass.
+//!   stderr as Prometheus text exposition once the cells have run.
 
 use qoa_core::cli::{CliError, Flags};
 use qoa_core::harness::CellChaos;
@@ -63,9 +68,9 @@ pub struct Cli {
     pub seed: u64,
     /// Admission budget in cell cost units (`None` = admit everything).
     pub budget: Option<u64>,
-    /// Seed for per-cell chaos fault plans during prewarm.
+    /// Seed for per-cell chaos fault plans.
     pub chaos_seed: Option<u64>,
-    /// Print executor scheduler metrics to stderr after prewarm.
+    /// Print executor scheduler metrics to stderr after the cells run.
     pub exec_metrics: bool,
     /// Run the static-optimization mode (`fig04-static --opt`).
     pub opt: bool,
@@ -181,16 +186,21 @@ pub fn cell_chaos(cli: &Cli) -> Option<CellChaos> {
     cli.chaos_seed.map(|seed| CellChaos { seed, horizon: 20_000, points: 3 })
 }
 
-/// Runs the figure's cell specs through the supervised parallel executor
-/// (journaling every outcome, so the sequential render loop that follows
-/// answers each cell from the journal) and honours `--exec-metrics`.
-pub fn prewarm(cli: &Cli, h: &mut Harness, specs: Vec<SupervisedCell<CellMetrics>>) {
-    let stats = h.prewarm(specs, &executor_options(cli));
+/// Runs the figure's cell specs through [`Harness::run`] under the CLI's
+/// executor options, honours `--exec-metrics`, and returns every spec's
+/// metrics in submission order for the render loop.
+pub fn run(
+    cli: &Cli,
+    h: &mut Harness,
+    specs: Vec<SupervisedCell<CellMetrics>>,
+) -> Vec<Option<CellMetrics>> {
+    let (results, stats) = h.run(specs, &executor_options(cli));
     if cli.exec_metrics {
         let mut reg = qoa_obs::metrics::Registry::new();
         stats.export(&mut reg);
         eprint!("{}", reg.expose());
     }
+    results
 }
 
 /// Applies the subset limit to a suite.

@@ -8,7 +8,7 @@
 
 use crate::error::QoaError;
 use crate::runtime::{run_with_sink, RuntimeConfig};
-use qoa_model::{CategoryMap, RuntimeKind};
+use qoa_model::CategoryMap;
 use qoa_uarch::{ExecutionStats, SimpleCore, UarchConfig};
 use qoa_workloads::{Scale, Workload};
 
@@ -66,23 +66,6 @@ pub fn attribute_workload(
     Ok(Breakdown::from_stats(w.name, &core.finish()))
 }
 
-/// Attributes every workload in `suite` under `rt`.
-///
-/// # Errors
-///
-/// Propagates the first failing workload's error.
-pub fn attribute_suite(
-    suite: &[Workload],
-    scale: Scale,
-    rt: &RuntimeConfig,
-    uarch: &UarchConfig,
-) -> Result<Vec<Breakdown>, QoaError> {
-    suite
-        .iter()
-        .map(|w| attribute_workload(w, scale, rt, uarch))
-        .collect()
-}
-
 /// Arithmetic-mean category shares across breakdowns (the paper's "AVG"
 /// bars).
 pub fn average_shares(breakdowns: &[Breakdown]) -> CategoryMap<f64> {
@@ -90,24 +73,10 @@ pub fn average_shares(breakdowns: &[Breakdown]) -> CategoryMap<f64> {
     CategoryMap::from_fn(|c| breakdowns.iter().map(|b| b.shares[c]).sum::<f64>() / n)
 }
 
-/// Convenience: the default CPython attribution setup of Fig. 4.
-///
-/// # Errors
-///
-/// Propagates workload errors.
-pub fn figure4_breakdowns(scale: Scale) -> Result<Vec<Breakdown>, QoaError> {
-    attribute_suite(
-        qoa_workloads::python_suite(),
-        scale,
-        &RuntimeConfig::new(RuntimeKind::CPython),
-        &UarchConfig::skylake(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoa_model::Category;
+    use qoa_model::{Category, RuntimeKind};
     use qoa_workloads::by_name;
 
     fn quick(name: &str, kind: RuntimeKind) -> Breakdown {

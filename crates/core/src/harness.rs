@@ -1,17 +1,21 @@
 //! The resumable experiment harness.
 //!
-//! A figure binary opens one [`Harness`] and funnels every measurement
-//! through [`Harness::cell`]. Each cell:
+//! A figure binary opens one [`Harness`], builds every measurement cell
+//! once as a [`SupervisedCell`] spec, and hands the whole batch to
+//! [`Harness::run`], which returns each cell's metrics in submission
+//! order. Each cell:
 //!
 //! * is **skipped** when the journal already holds its result under the
 //!   current configuration (so a killed sweep resumes where it left off,
 //!   and a finished one re-renders instantly);
-//! * otherwise runs under [`run_isolated`] — a panic, guest error, fuel
-//!   exhaustion, wall-clock deadline or simulated OOM becomes a recorded
-//!   [`RunFailure`](crate::isolate::RunFailure) instead of aborting the
-//!   sweep's sibling cells;
+//! * otherwise runs under the supervised parallel executor
+//!   ([`run_supervised`]) — a panic, guest error, fuel exhaustion,
+//!   wall-clock deadline or simulated OOM becomes a recorded failure
+//!   instead of aborting the sweep's sibling cells;
 //! * is journaled (success metrics or failure) atomically.
 //!
+//! The figure then renders from the returned vector, decoding typed views
+//! ([`NurseryCell`], [`Breakdown`], [`SweepCellPoint`]) from the metrics.
 //! [`Harness::finish`] prints the failure annotations under the figure
 //! and returns a process exit code: nonzero only when the failure rate
 //! exceeds the configured threshold.
@@ -19,9 +23,9 @@
 use crate::chaos::{capture_chaos, fault_kinds_for, ChaosOptions};
 use crate::error::QoaError;
 use crate::executor::{
-    cell_seed, run_supervised, CellVerdict, ExecutorOptions, ExecutorStats, SupervisedCell,
+    cell_seed, run_supervised, CellVerdict, CommittedCell, ExecutorOptions, ExecutorStats,
+    SupervisedCell,
 };
-use crate::isolate::run_isolated;
 use crate::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Supervision};
 use crate::runtime::{capture, run_with_sink, CapturedRun, RuntimeConfig};
 use crate::sweeps::SweepParam;
@@ -32,9 +36,8 @@ use qoa_uarch::{OooCore, SimpleCore, TraceBuffer, UarchConfig};
 use qoa_vm::VmStats;
 use qoa_workloads::{Scale, Workload};
 use std::path::PathBuf;
-use std::rc::Rc;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Harness construction options (one per figure binary invocation).
 #[derive(Debug, Clone)]
@@ -116,83 +119,17 @@ impl Harness {
         })
     }
 
-    /// Runs (or skips) one measurement cell.
+    /// Runs a batch of cell specs and returns every spec's metrics in
+    /// submission order (`None` for a failed or shed cell).
     ///
-    /// `f` receives the absolute deadline for this cell (when one is
-    /// configured) and returns the cell's metrics. A `None` return means
-    /// the cell failed — now or in a previous journaled run — and its
-    /// annotation is queued for [`Harness::finish`].
-    pub fn cell(
-        &mut self,
-        key: CellKey,
-        f: impl FnOnce(Option<Instant>) -> Result<CellMetrics, QoaError>,
-    ) -> Option<CellMetrics> {
-        self.cells_total += 1;
-        match self.journal.get(&key) {
-            Some(CellOutcome::Ok(metrics)) => {
-                self.cells_skipped += 1;
-                return Some(metrics.clone());
-            }
-            Some(CellOutcome::Failed { kind, message, .. }) => {
-                self.cells_skipped += 1;
-                self.failures.push(FailureNote {
-                    key,
-                    kind: kind.clone(),
-                    message: message.clone(),
-                });
-                return None;
-            }
-            Some(CellOutcome::Shed { reason }) => {
-                self.cells_skipped += 1;
-                self.shed.push((key, reason.clone()));
-                return None;
-            }
-            None => {}
-        }
-        let deadline = self.deadline.map(|d| Instant::now() + d);
-        match run_isolated(|| f(deadline)) {
-            Ok(metrics) => {
-                self.record(key, CellOutcome::Ok(metrics.clone()));
-                Some(metrics)
-            }
-            Err(failure) => {
-                let note = FailureNote {
-                    key: key.clone(),
-                    kind: failure.error.kind().to_string(),
-                    message: failure.error.to_string(),
-                };
-                self.record(
-                    key,
-                    CellOutcome::Failed {
-                        kind: note.kind.clone(),
-                        message: note.message.clone(),
-                        location: failure.error.location().map(str::to_string),
-                    },
-                );
-                self.failures.push(note);
-                None
-            }
-        }
-    }
-
-    fn record(&mut self, key: CellKey, outcome: CellOutcome) {
-        if self.journal_error.is_some() {
-            return; // already broken; keep measuring, report at the end
-        }
-        if let Err(e) = self.journal.record(key, outcome) {
-            self.journal_error = Some(e);
-        }
-    }
-
-    /// Runs a batch of cell specs through the supervised parallel
-    /// executor and journals every committed outcome, so the figure's
-    /// subsequent (sequential) render loop answers each cell from the
-    /// journal without re-running anything.
-    ///
-    /// Specs whose cells the journal already holds are dropped up front —
-    /// a resumed sweep only prewarms what is still missing. When `opts`
-    /// carries no cell deadline, the harness's own per-cell deadline is
-    /// used (which also arms the hung-worker watchdog).
+    /// Specs the journal already holds are answered from it without
+    /// running (a resumed sweep only measures what is still missing); the
+    /// rest run through the supervised parallel executor and each
+    /// committed outcome is journaled. Results come from the committed
+    /// verdicts, never read back from the journal, so an unwritable
+    /// journal costs no second measurement. When `opts` carries no cell
+    /// deadline, the harness's own per-cell deadline is used (which also
+    /// arms the hung-worker watchdog).
     ///
     /// Outcome mapping into the journal:
     ///
@@ -203,50 +140,90 @@ impl Harness {
     ///   `--fresh` to measure);
     /// * lost to a hung worker → `failed` with kind `lost`.
     ///
-    /// Returns the scheduler statistics for optional metrics export.
-    pub fn prewarm(
+    /// Failure and shed notes for [`Harness::finish`] are queued in
+    /// submission order. Also returns the scheduler statistics for
+    /// optional metrics export.
+    pub fn run(
         &mut self,
         specs: Vec<SupervisedCell<CellMetrics>>,
         opts: &ExecutorOptions,
-    ) -> ExecutorStats {
-        let todo: Vec<SupervisedCell<CellMetrics>> =
-            specs.into_iter().filter(|s| self.journal.get(&s.key).is_none()).collect();
+    ) -> (Vec<Option<CellMetrics>>, ExecutorStats) {
+        self.cells_total += specs.len();
+        let mut outcomes: Vec<Option<(CellKey, CellOutcome)>> = Vec::with_capacity(specs.len());
+        let mut todo = Vec::new();
+        for spec in specs {
+            match self.journal.get(&spec.key) {
+                Some(outcome) => {
+                    self.cells_skipped += 1;
+                    outcomes.push(Some((spec.key.clone(), outcome.clone())));
+                }
+                None => {
+                    outcomes.push(None);
+                    todo.push(spec);
+                }
+            }
+        }
         let mut exec = opts.clone();
         if exec.cell_deadline.is_none() {
             exec.cell_deadline = self.deadline;
         }
         let (committed, stats) = run_supervised(todo, &exec);
-        for cell in committed {
-            let breaker = cell.breaker.name().to_string();
-            let (outcome, attempts) = match cell.verdict {
-                CellVerdict::Ok { value, attempts } => (CellOutcome::Ok(value), attempts),
-                CellVerdict::Failed { kind, message, location, attempts } => {
-                    (CellOutcome::Failed { kind, message, location }, attempts)
+        // One committed cell per submitted spec, in submission order.
+        for (slot, cell) in outcomes.iter_mut().filter(|slot| slot.is_none()).zip(committed) {
+            *slot = Some(self.commit(cell));
+        }
+        let results = outcomes
+            .into_iter()
+            .map(|slot| {
+                let (key, outcome) = slot?;
+                match outcome {
+                    CellOutcome::Ok(metrics) => Some(metrics),
+                    CellOutcome::Failed { kind, message, .. } => {
+                        self.failures.push(FailureNote { key, kind, message });
+                        None
+                    }
+                    CellOutcome::Shed { reason } => {
+                        self.shed.push((key, reason));
+                        None
+                    }
                 }
-                CellVerdict::Shed { reason } => {
-                    (CellOutcome::Shed { reason: reason.name().to_string() }, 0)
-                }
-                CellVerdict::Lost { attempts } => (
-                    CellOutcome::Failed {
-                        kind: "lost".to_string(),
-                        message: "worker hung past the cell deadline; abandoned by the watchdog"
-                            .to_string(),
-                        location: None,
-                    },
-                    attempts,
-                ),
-            };
-            if self.journal_error.is_none() {
-                if let Err(e) = self.journal.record_supervised(
-                    cell.key,
-                    outcome,
-                    Supervision { attempts, breaker },
-                ) {
-                    self.journal_error = Some(e);
-                }
+            })
+            .collect();
+        (results, stats)
+    }
+
+    /// Journals one committed executor outcome and returns it as a
+    /// journal outcome.
+    fn commit(&mut self, cell: CommittedCell<CellMetrics>) -> (CellKey, CellOutcome) {
+        let breaker = cell.breaker.name().to_string();
+        let (outcome, attempts) = match cell.verdict {
+            CellVerdict::Ok { value, attempts } => (CellOutcome::Ok(value), attempts),
+            CellVerdict::Failed { kind, message, location, attempts } => {
+                (CellOutcome::Failed { kind, message, location }, attempts)
+            }
+            CellVerdict::Shed { reason } => {
+                (CellOutcome::Shed { reason: reason.name().to_string() }, 0)
+            }
+            CellVerdict::Lost { attempts } => (
+                CellOutcome::Failed {
+                    kind: "lost".to_string(),
+                    message: "worker hung past the cell deadline; abandoned by the watchdog"
+                        .to_string(),
+                    location: None,
+                },
+                attempts,
+            ),
+        };
+        if self.journal_error.is_none() {
+            // Already broken: keep measuring, report at the end.
+            let supervision = Supervision { attempts, breaker };
+            if let Err(e) =
+                self.journal.record_supervised(cell.key.clone(), outcome.clone(), supervision)
+            {
+                self.journal_error = Some(e);
             }
         }
-        stats
+        (cell.key, outcome)
     }
 
     /// Cells presented so far (run or skipped).
@@ -310,8 +287,6 @@ impl Harness {
     }
 }
 
-// ---- typed cell wrappers ---------------------------------------------------
-
 fn metric_i64(m: &CellMetrics, name: &str) -> Option<i64> {
     m.get(name)?.as_i64()
 }
@@ -320,15 +295,13 @@ fn metric_f64(m: &CellMetrics, name: &str) -> Option<f64> {
     m.get(name)?.as_f64()
 }
 
-// ---- shared measurement bodies ---------------------------------------------
+// ---- cell specs and their decoders -----------------------------------------
 //
-// Each figure cell exists in two forms — the sequential `*_cell` wrapper
-// (journal-resumable, used by the render loop) and the `*_spec` builder
-// (a `Send + 'static` closure for the supervised parallel executor). Both
-// call the same `measure_*` body, so a cell measures identically no
-// matter which path ran it.
+// Each figure cell is a `*_spec` builder (a `Send + 'static` closure for
+// the supervised executor) plus a decoder that turns the cell's journal
+// metrics back into the typed view the render loop consumes.
 
-/// Per-cell fault injection for supervised prewarm: when set, every cell
+/// Per-cell fault injection for a supervised batch: when set, every cell
 /// captures under a chaos plan seeded from `(seed, cell key)` — a pure
 /// function of the two, so the plan is identical regardless of which
 /// worker runs the cell. Recovered runs produce traces byte-identical to
@@ -400,52 +373,6 @@ pub fn run_cell_into<S: OpSink>(
     Ok((core, run.vm))
 }
 
-fn measure_nursery(
-    w: &Workload,
-    scale: Scale,
-    rt: RuntimeConfig, // nursery already applied
-    uarch: &UarchConfig,
-    deadline: Option<Instant>,
-    chaos: Option<CellChaos>,
-    key: &CellKey,
-) -> Result<CellMetrics, QoaError> {
-    let rt = rt.with_deadline(deadline);
-    let (core, vm) = run_cell_into(&w.source(scale), &rt, chaos, key, OooCore::new(uarch))?;
-    let stats = core.finish();
-    let mut m = CellMetrics::new();
-    m.insert("cycles".into(), Metric::Int(stats.cycles as i64));
-    m.insert(
-        "gc_cycles".into(),
-        Metric::Int(
-            (stats.cycles_by_phase[Phase::GcMinor] + stats.cycles_by_phase[Phase::GcMajor]) as i64,
-        ),
-    );
-    m.insert("llc_miss_rate".into(), Metric::Num(stats.llc.miss_rate()));
-    m.insert("minor_collections".into(), Metric::Int(vm.gc.minor_collections as i64));
-    Ok(m)
-}
-
-fn measure_breakdown(
-    w: &Workload,
-    scale: Scale,
-    rt: RuntimeConfig,
-    uarch: &UarchConfig,
-    deadline: Option<Instant>,
-    chaos: Option<CellChaos>,
-    key: &CellKey,
-) -> Result<CellMetrics, QoaError> {
-    let rt = rt.with_deadline(deadline);
-    let (core, _) = run_cell_into(&w.source(scale), &rt, chaos, key, SimpleCore::new(uarch))?;
-    let b = Breakdown::from_stats(w.name, &core.finish());
-    let mut m = CellMetrics::new();
-    m.insert("cycles".into(), Metric::Int(b.cycles as i64));
-    m.insert("instructions".into(), Metric::Int(b.instructions as i64));
-    for c in Category::ALL {
-        m.insert(format!("share.{c:?}"), Metric::Num(b.shares[c]));
-    }
-    Ok(m)
-}
-
 /// Replays one captured trace across a parameter sweep and flattens the
 /// points into journal metrics.
 fn sweep_metrics(trace: &TraceBuffer, param: SweepParam, base: &UarchConfig) -> CellMetrics {
@@ -496,7 +423,8 @@ impl NurseryCell {
         }
     }
 
-    fn from_metrics(nursery: u64, m: &CellMetrics) -> Option<Self> {
+    /// Decodes the metrics of a [`nursery_spec`] cell run at `nursery`.
+    pub fn from_metrics(nursery: u64, m: &CellMetrics) -> Option<Self> {
         Some(NurseryCell {
             nursery,
             cycles: metric_i64(m, "cycles")? as u64,
@@ -505,38 +433,31 @@ impl NurseryCell {
             minor_collections: metric_i64(m, "minor_collections")? as u64,
         })
     }
+
+    /// Decodes one workload's sweep: the next `sizes.len()` results of
+    /// [`Harness::run`], one per size in `sizes` order. Failed points come
+    /// back as `None` without hiding their siblings.
+    pub fn take_row(
+        results: &mut impl Iterator<Item = Option<CellMetrics>>,
+        sizes: &[u64],
+    ) -> Vec<Option<NurseryCell>> {
+        sizes
+            .iter()
+            .map(|&n| NurseryCell::from_metrics(n, &results.next()??))
+            .collect()
+    }
+
+    /// Picks the lowest-cycle successful point of a fault-isolated sweep.
+    pub fn best(points: &[Option<NurseryCell>]) -> Option<&NurseryCell> {
+        points.iter().flatten().min_by_key(|p| p.cycles)
+    }
 }
 
-/// Runs (or resumes) one nursery point of `w` under `rt`.
+/// One nursery point of `w` under `rt`, as a supervised cell spec.
 ///
 /// `tag` disambiguates cells measured under non-default hardware (e.g.
 /// `"@llc=4MB"` when the figure sweeps the LLC size too); pass `""` for
 /// the baseline configuration.
-pub fn nursery_cell(
-    h: &mut Harness,
-    w: &Workload,
-    scale: Scale,
-    rt: &RuntimeConfig,
-    uarch: &UarchConfig,
-    nursery: u64,
-    tag: &str,
-) -> Option<NurseryCell> {
-    let key = CellKey::new(
-        w.name,
-        format!("{:?}", rt.kind),
-        format!("nursery{tag}"),
-        nursery.to_string(),
-    );
-    let mkey = key.clone();
-    let metrics = h.cell(key, |deadline| {
-        measure_nursery(w, scale, rt.with_nursery(nursery), uarch, deadline, None, &mkey)
-    })?;
-    NurseryCell::from_metrics(nursery, &metrics)
-}
-
-/// The parallel-executor form of [`nursery_cell`]: the same key and the
-/// same measurement body, packaged as a supervised cell spec for
-/// [`Harness::prewarm`].
 pub fn nursery_spec(
     w: &'static Workload,
     scale: Scale,
@@ -556,66 +477,27 @@ pub fn nursery_spec(
     let uarch = uarch.clone();
     let mkey = key.clone();
     SupervisedCell::new(key, move |deadline| {
-        measure_nursery(w, scale, rt, &uarch, deadline, chaos, &mkey)
+        let rt = rt.with_deadline(deadline);
+        let (core, vm) =
+            run_cell_into(&w.source(scale), &rt, chaos, &mkey, OooCore::new(&uarch))?;
+        let stats = core.finish();
+        let mut m = CellMetrics::new();
+        m.insert("cycles".into(), Metric::Int(stats.cycles as i64));
+        m.insert(
+            "gc_cycles".into(),
+            Metric::Int(
+                (stats.cycles_by_phase[Phase::GcMinor] + stats.cycles_by_phase[Phase::GcMajor])
+                    as i64,
+            ),
+        );
+        m.insert("llc_miss_rate".into(), Metric::Num(stats.llc.miss_rate()));
+        m.insert("minor_collections".into(), Metric::Int(vm.gc.minor_collections as i64));
+        Ok(m)
     })
 }
 
-/// Runs (or resumes) a whole nursery sweep, one isolated cell per size.
-/// Failed points come back as `None` without aborting their siblings.
-pub fn nursery_cells(
-    h: &mut Harness,
-    w: &Workload,
-    scale: Scale,
-    rt: &RuntimeConfig,
-    uarch: &UarchConfig,
-    sizes: &[u64],
-) -> Vec<Option<NurseryCell>> {
-    sizes.iter().map(|&n| nursery_cell(h, w, scale, rt, uarch, n, "")).collect()
-}
-
-/// [`nursery_cells`] under non-default hardware, keyed with `tag`.
-pub fn nursery_cells_tagged(
-    h: &mut Harness,
-    w: &Workload,
-    scale: Scale,
-    rt: &RuntimeConfig,
-    uarch: &UarchConfig,
-    sizes: &[u64],
-    tag: &str,
-) -> Vec<Option<NurseryCell>> {
-    sizes.iter().map(|&n| nursery_cell(h, w, scale, rt, uarch, n, tag)).collect()
-}
-
-/// Picks the lowest-cycle successful point of a fault-isolated sweep.
-pub fn best_nursery_cell(points: &[Option<NurseryCell>]) -> Option<&NurseryCell> {
-    points.iter().flatten().min_by_key(|p| p.cycles)
-}
-
-/// Runs (or resumes) one simple-core attribution cell.
-pub fn breakdown_cell(
-    h: &mut Harness,
-    w: &Workload,
-    scale: Scale,
-    rt: &RuntimeConfig,
-    uarch: &UarchConfig,
-) -> Option<Breakdown> {
-    let key = CellKey::new(w.name, format!("{:?}", rt.kind), "attribution", "simple-core");
-    let mkey = key.clone();
-    let metrics = h.cell(key, |deadline| {
-        measure_breakdown(w, scale, *rt, uarch, deadline, None, &mkey)
-    })?;
-    let shares = CategoryMap::from_fn(|c| {
-        metric_f64(&metrics, &format!("share.{c:?}")).unwrap_or(0.0)
-    });
-    Some(Breakdown {
-        name: w.name.to_string(),
-        shares,
-        cycles: metric_i64(&metrics, "cycles")? as u64,
-        instructions: metric_i64(&metrics, "instructions")? as u64,
-    })
-}
-
-/// The parallel-executor form of [`breakdown_cell`].
+/// One simple-core attribution cell of `w` under `rt`, as a supervised
+/// cell spec.
 pub fn breakdown_spec(
     w: &'static Workload,
     scale: Scale,
@@ -628,8 +510,32 @@ pub fn breakdown_spec(
     let uarch = uarch.clone();
     let mkey = key.clone();
     SupervisedCell::new(key, move |deadline| {
-        measure_breakdown(w, scale, rt, &uarch, deadline, chaos, &mkey)
+        let rt = rt.with_deadline(deadline);
+        let (core, _) =
+            run_cell_into(&w.source(scale), &rt, chaos, &mkey, SimpleCore::new(&uarch))?;
+        let b = Breakdown::from_stats(w.name, &core.finish());
+        let mut m = CellMetrics::new();
+        m.insert("cycles".into(), Metric::Int(b.cycles as i64));
+        m.insert("instructions".into(), Metric::Int(b.instructions as i64));
+        for c in Category::ALL {
+            m.insert(format!("share.{c:?}"), Metric::Num(b.shares[c]));
+        }
+        Ok(m)
     })
+}
+
+impl Breakdown {
+    /// Decodes the metrics of a [`breakdown_spec`] cell of workload `name`.
+    pub fn from_metrics(name: &str, m: &CellMetrics) -> Option<Breakdown> {
+        Some(Breakdown {
+            name: name.to_string(),
+            shares: CategoryMap::from_fn(|c| {
+                metric_f64(m, &format!("share.{c:?}")).unwrap_or(0.0)
+            }),
+            cycles: metric_i64(m, "cycles")? as u64,
+            instructions: metric_i64(m, "instructions")? as u64,
+        })
+    }
 }
 
 /// One journaled microarchitecture-sweep point.
@@ -647,57 +553,32 @@ pub struct SweepCellPoint {
     pub jit_cpi: f64,
 }
 
-/// Runs (or resumes) one (workload, runtime, parameter) sweep cell.
-///
-/// The expensive capture is shared across the six parameters of a
-/// figure via `trace_cache`: the first cell that actually needs to run
-/// captures the trace, later cells replay it. Fully-journaled cells
-/// never touch the cache, so a completed figure re-renders without a
-/// single guest execution.
-pub fn sweep_param_cell(
-    h: &mut Harness,
-    w: &Workload,
-    scale: Scale,
-    rt: &RuntimeConfig,
-    base: &UarchConfig,
-    param: SweepParam,
-    trace_cache: &mut Option<Rc<TraceBuffer>>,
-) -> Option<Vec<SweepCellPoint>> {
-    let key = CellKey::new(w.name, format!("{:?}", rt.kind), format!("{param:?}"), "sweep");
-    let mkey = key.clone();
-    let metrics = h.cell(key, |deadline| {
-        let trace = match trace_cache {
-            Some(t) => Rc::clone(t),
-            None => {
-                let rt = rt.with_deadline(deadline);
-                let run = capture_cell(&w.source(scale), &rt, None, &mkey)?;
-                let t = Rc::new(run.trace);
-                *trace_cache = Some(Rc::clone(&t));
-                t
-            }
-        };
-        Ok(sweep_metrics(&trace, param, base))
-    })?;
-    param
-        .values()
-        .into_iter()
-        .map(|value| {
-            Some(SweepCellPoint {
-                value,
-                cpi: metric_f64(&metrics, &format!("cpi@{value}"))?,
-                interp_cpi: metric_f64(&metrics, &format!("interp@{value}"))?,
-                gc_cpi: metric_f64(&metrics, &format!("gc@{value}"))?,
-                jit_cpi: metric_f64(&metrics, &format!("jit@{value}"))?,
+impl SweepCellPoint {
+    /// Decodes the metrics of a [`sweep_param_spec`] cell: one point per
+    /// value of `param`, in [`SweepParam::values`] order.
+    pub fn from_metrics(param: SweepParam, m: &CellMetrics) -> Option<Vec<SweepCellPoint>> {
+        param
+            .values()
+            .into_iter()
+            .map(|value| {
+                Some(SweepCellPoint {
+                    value,
+                    cpi: metric_f64(m, &format!("cpi@{value}"))?,
+                    interp_cpi: metric_f64(m, &format!("interp@{value}"))?,
+                    gc_cpi: metric_f64(m, &format!("gc@{value}"))?,
+                    jit_cpi: metric_f64(m, &format!("jit@{value}"))?,
+                })
             })
-        })
-        .collect()
+            .collect()
+    }
 }
 
 /// The cross-thread trace cache shared by the sweep specs of one
 /// (workload, runtime) pair: whichever worker reaches the pair first
 /// captures the trace, the other parameters replay it. Capture is
 /// deterministic, so the cached trace is identical no matter which cell
-/// won the race.
+/// won the race. Fully-journaled cells never touch the cache, so a
+/// completed figure re-renders without a single guest execution.
 pub type SharedTraceCache = Arc<Mutex<Option<Arc<TraceBuffer>>>>;
 
 /// A fresh, empty [`SharedTraceCache`].
@@ -705,8 +586,8 @@ pub fn shared_trace_cache() -> SharedTraceCache {
     Arc::new(Mutex::new(None))
 }
 
-/// The parallel-executor form of [`sweep_param_cell`]: same key, same
-/// measurement, with the per-pair capture shared through `trace_cache`.
+/// One (workload, runtime, parameter) sweep cell, as a supervised cell
+/// spec, with the per-pair capture shared through `trace_cache`.
 pub fn sweep_param_spec(
     w: &'static Workload,
     scale: Scale,
@@ -744,6 +625,7 @@ pub fn sweep_param_spec(
 mod tests {
     use super::*;
     use qoa_model::RuntimeKind;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn tmp_options(tag: &str) -> HarnessOptions {
         let dir = std::env::temp_dir().join(format!("qoa-harness-{tag}-{}", std::process::id()));
@@ -753,21 +635,32 @@ mod tests {
         opts
     }
 
+    fn x(v: i64) -> CellMetrics {
+        let mut m = CellMetrics::new();
+        m.insert("x".into(), Metric::Int(v));
+        m
+    }
+
+    fn run(h: &mut Harness, specs: Vec<SupervisedCell<CellMetrics>>) -> Vec<Option<CellMetrics>> {
+        h.run(specs, &ExecutorOptions::new(1)).0
+    }
+
     #[test]
     fn failed_cells_do_not_abort_siblings() {
         let opts = tmp_options("siblings");
         let dir = opts.journal_dir.clone();
         let mut h = Harness::open(opts).expect("open");
-        let bad = h.cell(CellKey::new("w1", "CPython", "p", "1"), |_| {
-            panic!("cell exploded")
-        });
-        assert!(bad.is_none());
-        let good = h.cell(CellKey::new("w2", "CPython", "p", "1"), |_| {
-            let mut m = CellMetrics::new();
-            m.insert("x".into(), Metric::Int(7));
-            Ok(m)
-        });
-        assert_eq!(metric_i64(&good.expect("runs"), "x"), Some(7));
+        let results = run(
+            &mut h,
+            vec![
+                SupervisedCell::new(CellKey::new("w1", "CPython", "p", "1"), |_| {
+                    panic!("cell exploded")
+                }),
+                SupervisedCell::new(CellKey::new("w2", "CPython", "p", "1"), |_| Ok(x(7))),
+            ],
+        );
+        assert!(results[0].is_none());
+        assert_eq!(metric_i64(results[1].as_ref().expect("runs"), "x"), Some(7));
         assert_eq!(h.failures().len(), 1);
         assert_eq!(h.failures()[0].kind, "panic");
         let _ = std::fs::remove_dir_all(&dir);
@@ -780,35 +673,43 @@ mod tests {
         let key = CellKey::new("w", "CPython", "p", "1");
         {
             let mut h = Harness::open(opts.clone()).expect("open");
-            h.cell(key.clone(), |_| {
-                let mut m = CellMetrics::new();
-                m.insert("x".into(), Metric::Int(1));
-                Ok(m)
-            });
+            run(&mut h, vec![SupervisedCell::new(key.clone(), |_| Ok(x(1)))]);
         }
         let mut h = Harness::open(opts).expect("reopen");
-        let ran = std::cell::Cell::new(false);
-        let cached = h.cell(key, |_| {
-            ran.set(true);
-            Ok(CellMetrics::new())
-        });
-        assert!(!ran.get(), "journaled cell must not re-run");
-        assert_eq!(metric_i64(&cached.expect("cached"), "x"), Some(1));
+        let ran = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&ran);
+        let cached = run(
+            &mut h,
+            vec![SupervisedCell::new(key, move |_| {
+                flag.store(true, Ordering::SeqCst);
+                Ok(CellMetrics::new())
+            })],
+        );
+        assert!(!ran.load(Ordering::SeqCst), "journaled cell must not re-run");
+        assert_eq!(metric_i64(cached[0].as_ref().expect("cached"), "x"), Some(1));
         assert_eq!(h.cells_skipped(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn exit_code_reflects_failure_threshold() {
+        let bad = || {
+            SupervisedCell::new(CellKey::new("w", "CPython", "p", "bad"), |_| {
+                Err(QoaError::FuelExhausted { steps: 1 })
+            })
+        };
         let opts = tmp_options("exitcode");
         let dir = opts.journal_dir.clone();
         let mut h = Harness::open(opts.clone()).expect("open");
-        for i in 0..4 {
-            h.cell(CellKey::new("w", "CPython", "p", i.to_string()), |_| Ok(CellMetrics::new()));
-        }
-        h.cell(CellKey::new("w", "CPython", "p", "bad"), |_| {
-            Err(QoaError::FuelExhausted { steps: 1 })
-        });
+        let mut specs: Vec<_> = (0..4)
+            .map(|i| {
+                SupervisedCell::new(CellKey::new("w", "CPython", "p", i.to_string()), |_| {
+                    Ok(CellMetrics::new())
+                })
+            })
+            .collect();
+        specs.push(bad());
+        run(&mut h, specs);
         // 1/5 = 20% <= 25% threshold.
         assert_eq!(h.finish(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -816,9 +717,7 @@ mod tests {
         let opts2 = tmp_options("exitcode2");
         let dir2 = opts2.journal_dir.clone();
         let mut h = Harness::open(opts2).expect("open");
-        h.cell(CellKey::new("w", "CPython", "p", "bad"), |_| {
-            Err(QoaError::FuelExhausted { steps: 1 })
-        });
+        run(&mut h, vec![bad()]);
         assert_eq!(h.finish(), 1, "100% failures must exit nonzero");
         let _ = std::fs::remove_dir_all(&dir2);
     }
@@ -830,13 +729,17 @@ mod tests {
         let w = qoa_workloads::by_name("tuple_gc").expect("workload");
         let rt = RuntimeConfig::new(RuntimeKind::PyPyNoJit);
         let uarch = UarchConfig::skylake();
+        let point = |h: &mut Harness| {
+            let spec = nursery_spec(w, Scale::Tiny, &rt, &uarch, 256 << 10, "", None);
+            let mut results = run(h, vec![spec]).into_iter();
+            NurseryCell::take_row(&mut results, &[256 << 10]).remove(0)
+        };
         let first = {
             let mut h = Harness::open(opts.clone()).expect("open");
-            nursery_cell(&mut h, w, Scale::Tiny, &rt, &uarch, 256 << 10, "").expect("runs")
+            point(&mut h).expect("runs")
         };
         let mut h = Harness::open(opts).expect("reopen");
-        let resumed =
-            nursery_cell(&mut h, w, Scale::Tiny, &rt, &uarch, 256 << 10, "").expect("cached");
+        let resumed = point(&mut h).expect("cached");
         assert_eq!(h.cells_skipped(), 1);
         assert_eq!(first, resumed, "journaled point must reproduce exactly");
         let _ = std::fs::remove_dir_all(&dir);

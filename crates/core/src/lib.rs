@@ -51,7 +51,7 @@ pub mod sweeps;
 pub mod transport;
 
 pub use annotate::render_annotated;
-pub use attribution::{attribute_suite, attribute_workload, average_shares, Breakdown};
+pub use attribution::{attribute_workload, average_shares, Breakdown};
 pub use benchsnap::{
     diff_snapshots, parse_bench_json, render_bench_json, write_bench_json, BenchDiff, BenchEntry,
     BenchSnapshot, ClassDelta, BENCH_SCHEMA_VERSION,
@@ -67,10 +67,8 @@ pub use executor::{
 };
 pub use transport::VirtualRetryPolicy;
 pub use harness::{
-    best_nursery_cell, breakdown_cell, breakdown_spec, nursery_cell, nursery_cells,
-    nursery_cells_tagged, nursery_spec, shared_trace_cache, sweep_param_cell, sweep_param_spec,
-    CellChaos, FailureNote, Harness, HarnessOptions, NurseryCell, SharedTraceCache,
-    SweepCellPoint,
+    breakdown_spec, nursery_spec, shared_trace_cache, sweep_param_spec, CellChaos, FailureNote,
+    Harness, HarnessOptions, NurseryCell, SharedTraceCache, SweepCellPoint,
 };
 pub use isolate::{run_isolated, RunFailure, RunOutcome};
 pub use journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, JOURNAL_VERSION};

@@ -10,7 +10,7 @@
 
 use crate::error::QoaError;
 use crate::runtime::{run_with_sink, RuntimeConfig};
-use qoa_model::{Phase, PhaseMap, RuntimeKind};
+use qoa_model::{Phase, PhaseMap};
 use qoa_uarch::{ExecutionStats, OooCore, TraceBuffer, UarchConfig};
 use qoa_workloads::{Scale, Workload};
 
@@ -254,19 +254,11 @@ pub fn best_nursery(points: &[NurseryPoint]) -> Option<&NurseryPoint> {
     points.iter().min_by_key(|p| p.cycles)
 }
 
-/// Convenience bundle for Fig. 7's three run-time lines.
-pub fn fig7_runtimes() -> [RuntimeConfig; 3] {
-    [
-        RuntimeConfig::new(RuntimeKind::CPython),
-        RuntimeConfig::new(RuntimeKind::PyPyNoJit),
-        RuntimeConfig::new(RuntimeKind::PyPyJit),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::capture;
+    use qoa_model::RuntimeKind;
     use qoa_workloads::by_name;
 
     #[test]

@@ -1,4 +1,4 @@
-//! End-to-end supervision tests: `Harness::prewarm` drives real captures
+//! End-to-end supervision tests: `Harness::run` drives real captures
 //! (optionally under seeded per-cell chaos plans) through the parallel
 //! executor, and the resulting journal must be byte-identical for any
 //! `jobs` count — the executor's determinism contract, observed at the
@@ -43,27 +43,27 @@ fn capture_specs(chaos: Option<CellChaos>) -> Vec<SupervisedCell<CellMetrics>> {
         .collect()
 }
 
-fn prewarm_journal(dir: &Path, jobs: usize, chaos: Option<CellChaos>) -> String {
+fn run_journal(dir: &Path, jobs: usize, chaos: Option<CellChaos>) -> String {
     let mut opts = HarnessOptions::new("supervised", "itest");
     opts.journal_dir = dir.to_path_buf();
     let mut h = Harness::open(opts).expect("open harness");
     let mut exec = ExecutorOptions::new(jobs);
     exec.seed = 9;
-    h.prewarm(capture_specs(chaos), &exec);
+    h.run(capture_specs(chaos), &exec);
     std::fs::read_to_string(dir.join("supervised.journal.jsonl")).expect("journal written")
 }
 
 #[test]
-fn prewarm_journals_identically_for_any_jobs_count() {
+fn batch_journals_identically_for_any_jobs_count() {
     let chaos = Some(CellChaos { seed: 11, horizon: 4_000, points: 2 });
     let d1 = temp_dir("parity-j1");
     let d4 = temp_dir("parity-j4");
     let dp = temp_dir("parity-plain");
-    let j1 = prewarm_journal(&d1, 1, chaos);
-    let j4 = prewarm_journal(&d4, 4, chaos);
-    let plain = prewarm_journal(&dp, 1, None);
+    let j1 = run_journal(&d1, 1, chaos);
+    let j4 = run_journal(&d4, 4, chaos);
+    let plain = run_journal(&dp, 1, None);
     assert!(j1.contains("\"status\":\"ok\""), "cells must succeed:\n{j1}");
-    assert_eq!(j1, j4, "chaos prewarm journals must be byte-identical across jobs counts");
+    assert_eq!(j1, j4, "chaos batch journals must be byte-identical across jobs counts");
     assert_eq!(
         j1, plain,
         "recovered chaos runs must journal the same metrics as fault-free runs"
@@ -92,7 +92,7 @@ fn breaker_storm_is_journaled_and_observable() {
         .collect();
     let mut exec = ExecutorOptions::new(4);
     exec.breaker = BreakerOptions { failure_threshold: 3, cooldown_sheds: 4 };
-    let stats = h.prewarm(specs, &exec);
+    let (results, stats) = h.run(specs, &exec);
 
     // 3 failures open the breaker; 4 sheds half-open it; the probe fails
     // and reopens it; 4 more sheds half-open it again.
@@ -100,15 +100,21 @@ fn breaker_storm_is_journaled_and_observable() {
     assert_eq!(stats.cells_shed_breaker, 8);
     assert_eq!(stats.breaker_opened, 2);
     assert_eq!(stats.breaker_half_opened, 2);
+    assert!(results.iter().all(Option::is_none), "no storm cell yields metrics");
+    assert_eq!(h.shed().len(), 8, "the batch surfaces its shed cells in order");
+    assert_eq!(h.shed()[0].0, CellKey::new("w3", "flaky-rt", "cell", "3"));
 
     // Re-presenting a shed cell answers from the journal — no re-run —
     // and surfaces the shed note for finish() accounting.
-    let replay = h.cell(
+    let replay = SupervisedCell::new(
         CellKey::new("w11", "flaky-rt", "cell", "11"),
         |_| -> Result<CellMetrics, QoaError> { panic!("journaled shed cells must not re-run") },
     );
-    assert!(replay.is_none());
-    assert_eq!(h.shed().len(), 1, "harness must surface shed cells distinctly");
+    let (replayed, _) = h.run(vec![replay], &exec);
+    assert!(replayed[0].is_none());
+    assert_eq!(h.cells_skipped(), 1);
+    assert_eq!(h.shed().len(), 9, "harness must surface shed cells distinctly");
+    assert_eq!(h.shed()[8].0, CellKey::new("w11", "flaky-rt", "cell", "11"));
 
     let mut reg = qoa_obs::metrics::Registry::new();
     stats.export(&mut reg);

@@ -2,15 +2,17 @@
 //! become a recorded failure (not a crashed sweep), and a killed sweep must
 //! resume from its journal with byte-identical figure output.
 
-use qoa::core::harness::{nursery_cell, Harness, HarnessOptions, NurseryCell};
+use qoa::core::harness::{nursery_spec, Harness, HarnessOptions, NurseryCell};
 use qoa::core::journal::{CellKey, CellMetrics, Metric};
 use qoa::core::runtime::RuntimeConfig;
-use qoa::core::QoaError;
+use qoa::core::{ExecutorOptions, QoaError, RetryPolicy, SupervisedCell};
 use qoa::model::{CountingSink, RuntimeKind};
 use qoa::uarch::UarchConfig;
 use qoa::vm::{VmConfig, VmError};
 use qoa::workloads::{by_name, Scale};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const DIVERGING: &str = "while True:\n    pass\n";
@@ -27,6 +29,26 @@ fn options(tag: &str) -> HarnessOptions {
     opts
 }
 
+/// Runs `specs` as one single-worker batch.
+fn run(h: &mut Harness, specs: Vec<SupervisedCell<CellMetrics>>) -> Vec<Option<CellMetrics>> {
+    h.run(specs, &ExecutorOptions::new(1)).0
+}
+
+fn x(v: i64) -> CellMetrics {
+    let mut m = CellMetrics::new();
+    m.insert("x".into(), Metric::Int(v));
+    m
+}
+
+/// A cell that sets `ran` when it executes and returns `x = v`.
+fn flagged(key: CellKey, ran: &Arc<AtomicBool>, v: i64) -> SupervisedCell<CellMetrics> {
+    let ran = Arc::clone(ran);
+    SupervisedCell::new(key, move |_| {
+        ran.store(true, Ordering::SeqCst);
+        Ok(x(v))
+    })
+}
+
 /// A forever-looping guest is cut off by the execution fuel and recorded
 /// as a failure; the sibling cells of the sweep still run to completion.
 #[test]
@@ -35,21 +57,19 @@ fn diverging_guest_is_recorded_without_aborting_siblings() {
     let dir = opts.journal_dir.clone();
     let mut h = Harness::open(opts).expect("open");
 
-    let looping = h.cell(CellKey::new("forever", "CPython", "p", "1"), |_| {
+    let looping = SupervisedCell::new(CellKey::new("forever", "CPython", "p", "1"), |_| {
         let cfg = VmConfig { max_steps: 50_000, ..VmConfig::default() };
         qoa::vm::run_source(DIVERGING, cfg, CountingSink::new()).map_err(QoaError::from)?;
         Ok(CellMetrics::new())
     });
-    assert!(looping.is_none(), "diverging guest must not produce metrics");
-
-    let sibling = h.cell(CellKey::new("ok", "CPython", "p", "1"), |_| {
+    let sibling = SupervisedCell::new(CellKey::new("ok", "CPython", "p", "1"), |_| {
         let mut vm = qoa::vm::run_source("x = 2 + 3\n", VmConfig::default(), CountingSink::new())
             .map_err(QoaError::from)?;
-        let mut m = CellMetrics::new();
-        m.insert("x".into(), Metric::Int(vm.global_int("x").unwrap_or(-1)));
-        Ok(m)
+        Ok(x(vm.global_int("x").unwrap_or(-1)))
     });
-    let sibling = sibling.expect("sibling cell must still run");
+    let results = run(&mut h, vec![looping, sibling]);
+    assert!(results[0].is_none(), "diverging guest must not produce metrics");
+    let sibling = results[1].as_ref().expect("sibling cell must still run");
     assert_eq!(sibling.get("x").and_then(Metric::as_i64), Some(5));
 
     assert_eq!(h.failures().len(), 1);
@@ -68,12 +88,16 @@ fn diverging_guest_is_cut_off_by_the_deadline() {
     opts.max_failure_rate = 1.0;
     let mut h = Harness::open(opts).expect("open");
 
-    let looping = h.cell(CellKey::new("forever", "CPython", "p", "1"), |deadline| {
+    let looping = SupervisedCell::new(CellKey::new("forever", "CPython", "p", "1"), |deadline| {
         let cfg = VmConfig { deadline, ..VmConfig::default() };
         qoa::vm::run_source(DIVERGING, cfg, CountingSink::new()).map_err(QoaError::from)?;
         Ok(CellMetrics::new())
     });
-    assert!(looping.is_none());
+    // A deadline overrun is transient; one attempt keeps the test short.
+    let mut exec = ExecutorOptions::new(1);
+    exec.retry = RetryPolicy::none();
+    let (results, _) = h.run(vec![looping], &exec);
+    assert!(results[0].is_none());
     assert_eq!(h.failures()[0].kind, "deadline");
     assert_eq!(h.finish(), 0, "within the 100% threshold");
     let _ = std::fs::remove_dir_all(&dir);
@@ -88,16 +112,17 @@ fn guest_panic_is_journaled_and_not_rerun() {
     let key = CellKey::new("boom", "CPython", "p", "1");
     {
         let mut h = Harness::open(opts.clone()).expect("open");
-        let r = h.cell(key.clone(), |_| panic!("simulated driver bug"));
-        assert!(r.is_none());
+        let boom = SupervisedCell::new(key.clone(), |_| panic!("simulated driver bug"));
+        let r = run(&mut h, vec![boom]);
+        assert!(r[0].is_none());
         assert_eq!(h.failures()[0].kind, "panic");
         assert!(h.failures()[0].message.contains("simulated driver bug"));
     }
     let mut h = Harness::open(opts).expect("reopen");
-    let r = h.cell(key, |_| {
-        unreachable!("journaled failure must not re-run");
-    });
-    assert!(r.is_none(), "failure is replayed from the journal");
+    let ran = Arc::new(AtomicBool::new(false));
+    let r = run(&mut h, vec![flagged(key, &ran, 0)]);
+    assert!(!ran.load(Ordering::SeqCst), "journaled failure must not re-run");
+    assert!(r[0].is_none(), "failure is replayed from the journal");
     assert_eq!(h.cells_skipped(), 1);
     assert_eq!(h.failures()[0].kind, "panic");
     let _ = std::fs::remove_dir_all(&dir);
@@ -126,31 +151,31 @@ fn killed_sweep_resumes_from_the_journal_byte_identically() {
     let w = by_name("tuple_gc").expect("workload");
     let rt = RuntimeConfig::new(RuntimeKind::PyPyNoJit);
     let uarch = UarchConfig::skylake();
+    let sweep = |h: &mut Harness, sizes: &[u64]| {
+        let specs = sizes
+            .iter()
+            .map(|&n| nursery_spec(w, Scale::Tiny, &rt, &uarch, n, "", None))
+            .collect();
+        NurseryCell::take_row(&mut run(h, specs).into_iter(), sizes)
+    };
 
     // Uninterrupted reference run in its own journal.
     let ref_opts = options("resume-ref");
     let ref_dir = ref_opts.journal_dir.clone();
-    let mut h = Harness::open(ref_opts).expect("open");
-    let reference: Vec<_> = sizes
-        .iter()
-        .map(|&n| nursery_cell(&mut h, w, Scale::Tiny, &rt, &uarch, n, ""))
-        .collect();
+    let reference = sweep(&mut Harness::open(ref_opts).expect("open"), &sizes);
 
     // Interrupted run: the process dies after the first point...
     let opts = options("resume");
     let dir = opts.journal_dir.clone();
     {
         let mut h = Harness::open(opts.clone()).expect("open");
-        nursery_cell(&mut h, w, Scale::Tiny, &rt, &uarch, sizes[0], "").expect("first point runs");
+        sweep(&mut h, &sizes[..1])[0].as_ref().expect("first point runs");
         // (harness dropped without finish: simulates a kill)
     }
 
     // ...and the rerun completes the sweep, first point from the journal.
     let mut h = Harness::open(opts).expect("reopen");
-    let resumed: Vec<_> = sizes
-        .iter()
-        .map(|&n| nursery_cell(&mut h, w, Scale::Tiny, &rt, &uarch, n, ""))
-        .collect();
+    let resumed = sweep(&mut h, &sizes);
     assert_eq!(h.cells_skipped(), 1, "first point must come from the journal");
     assert_eq!(render(&resumed), render(&reference), "figure output must be byte-identical");
 
@@ -166,24 +191,15 @@ fn fresh_reruns_journaled_cells() {
     let key = CellKey::new("w", "CPython", "p", "1");
     {
         let mut h = Harness::open(opts.clone()).expect("open");
-        h.cell(key.clone(), |_| {
-            let mut m = CellMetrics::new();
-            m.insert("x".into(), Metric::Int(1));
-            Ok(m)
-        });
+        run(&mut h, vec![SupervisedCell::new(key.clone(), |_| Ok(x(1)))]);
     }
     let mut fresh_opts = opts;
     fresh_opts.fresh = true;
     let mut h = Harness::open(fresh_opts).expect("reopen fresh");
-    let ran = std::cell::Cell::new(false);
-    let m = h.cell(key, |_| {
-        ran.set(true);
-        let mut m = CellMetrics::new();
-        m.insert("x".into(), Metric::Int(2));
-        Ok(m)
-    });
-    assert!(ran.get(), "--fresh must re-measure");
-    assert_eq!(m.expect("runs").get("x").and_then(Metric::as_i64), Some(2));
+    let ran = Arc::new(AtomicBool::new(false));
+    let m = run(&mut h, vec![flagged(key, &ran, 2)]);
+    assert!(ran.load(Ordering::SeqCst), "--fresh must re-measure");
+    assert_eq!(m[0].as_ref().expect("runs").get("x").and_then(Metric::as_i64), Some(2));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -204,21 +220,48 @@ fn other_version_journal_lines_rerun() {
     std::fs::write(&path, format!("{unversioned}{v4}")).expect("write");
 
     let mut h = Harness::open(opts).expect("open");
-    let ran = std::cell::Cell::new(false);
-    let m = h.cell(CellKey::new("w", "CPython", "p", "1"), |_| {
-        ran.set(true);
-        let mut m = CellMetrics::new();
-        m.insert("x".into(), Metric::Int(2));
-        Ok(m)
-    });
-    assert!(ran.get(), "an old-version line must not answer the cell");
+    let ran = Arc::new(AtomicBool::new(false));
+    let m = run(&mut h, vec![flagged(CellKey::new("w", "CPython", "p", "1"), &ran, 2)]);
+    assert!(ran.load(Ordering::SeqCst), "an old-version line must not answer the cell");
     assert_eq!(h.cells_skipped(), 0);
-    assert_eq!(m.expect("runs").get("x").and_then(Metric::as_i64), Some(2));
+    assert_eq!(m[0].as_ref().expect("runs").get("x").and_then(Metric::as_i64), Some(2));
     let text = std::fs::read_to_string(&path).expect("read");
     let version = format!("\"version\":{},", qoa::core::journal::JOURNAL_VERSION);
     assert_eq!(text.lines().count(), 1, "{text}");
     assert!(text.contains(&version), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unwritable journal (its directory is a regular file) is reported
+/// through the exit code, but every cell still runs exactly once: results
+/// come from the executor's verdicts, not from re-reading the journal.
+#[test]
+fn unwritable_journal_runs_each_cell_once() {
+    let mut opts = options("unwritable");
+    let blocker = opts.journal_dir.clone();
+    std::fs::write(&blocker, "not a directory").expect("write blocker file");
+    opts.journal_dir = blocker.clone();
+    let mut h = Harness::open(opts).expect("open: nothing to read yet");
+    let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..6).map(|_| AtomicUsize::new(0)).collect());
+    let specs = (0..6)
+        .map(|i| {
+            let runs = Arc::clone(&runs);
+            SupervisedCell::new(CellKey::new(format!("w{i}"), "CPython", "p", "1"), move |_| {
+                runs[i].fetch_add(1, Ordering::SeqCst);
+                Ok(x(i as i64))
+            })
+        })
+        .collect();
+    let (results, _) = h.run(specs, &ExecutorOptions::new(2));
+    for (i, count) in runs.iter().enumerate() {
+        assert_eq!(count.load(Ordering::SeqCst), 1, "cell w{i} must run exactly once");
+    }
+    let got: Vec<Option<i64>> =
+        results.iter().map(|m| m.as_ref().and_then(|m| m.get("x")?.as_i64())).collect();
+    assert_eq!(got, (0..6).map(Some).collect::<Vec<_>>(), "results in submission order");
+    assert!(h.failures().is_empty());
+    assert_eq!(h.finish(), 1, "an unwritable journal must fail the run");
+    let _ = std::fs::remove_file(&blocker);
 }
 
 /// The typed taxonomy end to end: each guest-visible failure mode maps to
