@@ -381,7 +381,10 @@ fn main() {
     }
 
     // Invariant 4: the journal must still parse after the sweep.
-    if let Some(j) = journal.take() {
+    if let Some(mut j) = journal.take() {
+        if let Err(e) = j.compact() {
+            eprintln!("journal write failed (continuing): {e}");
+        }
         let path = j.path().to_path_buf();
         let config = format!("scale={:?} seeds={}", cli.scale, cli.seeds);
         drop(j);

@@ -12,7 +12,9 @@
 //!   ([`run_supervised`]) — a panic, guest error, fuel exhaustion,
 //!   wall-clock deadline or simulated OOM becomes a recorded failure
 //!   instead of aborting the sweep's sibling cells;
-//! * is journaled (success metrics or failure) atomically.
+//! * is journaled (success metrics or failure) as soon as the batch
+//!   commits it, by appending one line; the batch ends with one sorted,
+//!   atomic rewrite of the journal.
 //!
 //! The figure then renders from the returned vector, decoding typed views
 //! ([`NurseryCell`], [`Breakdown`], [`SweepCellPoint`]) from the metrics.
@@ -171,6 +173,10 @@ impl Harness {
         // One committed cell per submitted spec, in submission order.
         for (slot, cell) in outcomes.iter_mut().filter(|slot| slot.is_none()).zip(committed) {
             *slot = Some(self.commit(cell));
+        }
+        // Each commit appended one line; leave the file sorted.
+        if self.journal_error.is_none() {
+            self.journal_error = self.journal.compact().err();
         }
         let results = outcomes
             .into_iter()
@@ -689,6 +695,56 @@ mod tests {
         assert_eq!(metric_i64(cached[0].as_ref().expect("cached"), "x"), Some(1));
         assert_eq!(h.cells_skipped(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_batch_killed_between_appends_resumes_with_the_appended_cells_skipped() {
+        let cell = |i: i64, ran: &Arc<Mutex<Vec<i64>>>| {
+            let ran = Arc::clone(ran);
+            SupervisedCell::new(CellKey::new("w", "CPython", "p", i.to_string()), move |_| {
+                ran.lock().expect("ran").push(i);
+                Ok(x(i))
+            })
+        };
+        let batch = |ran: &Arc<Mutex<Vec<i64>>>| (0..5).map(|i| cell(i, ran)).collect::<Vec<_>>();
+
+        // The journal of an uninterrupted batch.
+        let whole = tmp_options("killed-whole");
+        let mut h = Harness::open(whole.clone()).expect("open");
+        run(&mut h, batch(&Arc::default()));
+        let path = whole.journal_dir.join("figtest.journal.jsonl");
+        let expected = std::fs::read_to_string(&path).expect("whole journal");
+
+        // A batch killed after committing three cells, the last append cut
+        // short: the first record rewrote the file, the next two appended.
+        let killed = tmp_options("killed-cut");
+        let path = killed.journal_dir.join("figtest.journal.jsonl");
+        let mut j = Journal::open(&killed.journal_dir, "figtest", "cfg", false).expect("journal");
+        for i in [2, 0, 1] {
+            let supervision = Supervision { attempts: 1, breaker: "closed".into() };
+            let key = CellKey::new("w", "CPython", "p", i.to_string());
+            j.record_supervised(key, CellOutcome::Ok(x(i)), supervision).expect("record");
+        }
+        drop(j);
+        let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("append");
+        std::io::Write::write_all(&mut file, b"{\"figure\":\"figtest\",\"con").expect("cut");
+        let cut = std::fs::read_to_string(&path).expect("cut journal");
+        let at = |i: i64| cut.find(&format!("\"value\":\"{i}\"")).expect("recorded");
+        assert!(at(2) < at(0) && at(0) < at(1), "not appended in commit order: {cut}");
+
+        // The rerun measures only the two cells that never committed and
+        // leaves the journal the uninterrupted batch wrote.
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let mut h = Harness::open(killed.clone()).expect("reopen");
+        let results = run(&mut h, batch(&ran));
+        assert_eq!(*ran.lock().expect("ran"), [3, 4]);
+        assert_eq!(h.cells_skipped(), 3);
+        let values: Vec<_> =
+            results.iter().map(|m| metric_i64(m.as_ref().expect("ok"), "x")).collect();
+        assert_eq!(values, [Some(0), Some(1), Some(2), Some(3), Some(4)]);
+        assert_eq!(std::fs::read_to_string(&path).expect("resumed journal"), expected);
+        let _ = std::fs::remove_dir_all(&whole.journal_dir);
+        let _ = std::fs::remove_dir_all(&killed.journal_dir);
     }
 
     #[test]

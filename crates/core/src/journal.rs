@@ -7,8 +7,15 @@
 //! a killed sweep resumes where it left off and a finished sweep re-renders
 //! instantly from recorded metrics.
 //!
-//! The file is rewritten atomically (temp file + rename) on every record;
-//! a crash mid-write can never leave a half-line behind. There is no
+//! A journal's first record rewrites the file atomically (temp file +
+//! rename), which drops stale and half-written lines; each later record
+//! appends its one line, and [`Journal::compact`] (called when a batch
+//! finishes) rewrites the file atomically once more, sorted by cell. So a
+//! batch writes each line once plus two whole files, not a whole file per
+//! cell. A crash can leave at most one half-written line, at the end of
+//! the file: it fails to parse, so opening skips it and its cell reruns.
+//! Until a later record rewrites the file, the cells appended after
+//! that crash stay unsorted but are still honoured. There is no
 //! `serde` in the dependency tree: lines are rendered by hand and read
 //! back through the stack's one JSON codec, [`qoa_obs::perfetto::json`],
 //! whose exact integers keep cycle counts exact. Floats are written with
@@ -19,6 +26,7 @@ use crate::error::QoaError;
 use qoa_obs::perfetto::json::{self, encode_str, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Journal line format version.
@@ -153,6 +161,13 @@ pub struct Journal {
     /// Per-cell simulated-network counters (the `"net"` field), written
     /// by the cluster driver.
     net: BTreeMap<CellKey, CellMetrics>,
+    /// Whether this journal has rewritten the file, so a record may
+    /// append to it. Until then the file may hold stale, foreign or
+    /// half-written lines, or (under `fresh`) prior contents to drop.
+    rewritten: bool,
+    /// Whether lines were appended since the last rewrite, leaving the
+    /// file out of key order.
+    appended: bool,
 }
 
 impl Journal {
@@ -183,6 +198,8 @@ impl Journal {
             chaos: BTreeMap::new(),
             supervision: BTreeMap::new(),
             net: BTreeMap::new(),
+            rewritten: false,
+            appended: false,
         };
         if fresh || !journal.path.exists() {
             return Ok(journal);
@@ -192,20 +209,14 @@ impl Journal {
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             // A malformed line (old format, manual edit) is skipped, not
             // fatal: the cell simply reruns.
+            // An appended line may re-record a cell; the last one wins.
             if let Some(parsed) = journal.parse_line(line) {
-                if let Some(snapshot) = parsed.obs {
-                    journal.obs.insert(parsed.key.clone(), snapshot);
-                }
-                if let Some(counters) = parsed.chaos {
-                    journal.chaos.insert(parsed.key.clone(), counters);
-                }
-                if let Some(sup) = parsed.supervision {
-                    journal.supervision.insert(parsed.key.clone(), sup);
-                }
-                if let Some(counters) = parsed.net {
-                    journal.net.insert(parsed.key.clone(), counters);
-                }
-                journal.entries.insert(parsed.key, parsed.outcome);
+                let key = parsed.key;
+                set(&mut journal.obs, &key, parsed.obs);
+                set(&mut journal.chaos, &key, parsed.chaos);
+                set(&mut journal.supervision, &key, parsed.supervision);
+                set(&mut journal.net, &key, parsed.net);
+                journal.entries.insert(key, parsed.outcome);
             }
         }
         Ok(journal)
@@ -231,77 +242,63 @@ impl Journal {
         self.entries.get(key)
     }
 
-    /// Records a completed cell and persists the journal atomically.
+    /// Records a completed cell and persists it (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`QoaError::Journal`] when the temp file cannot be written
-    /// or renamed into place.
+    /// Returns [`QoaError::Journal`] when the journal file cannot be
+    /// written.
     pub fn record(&mut self, key: CellKey, outcome: CellOutcome) -> Result<(), QoaError> {
         self.record_with_obs(key, outcome, None)
     }
 
     /// Records a completed cell with an optional observability snapshot
     /// (a flattened metrics-registry view, embedded as the line's `"obs"`
-    /// object) and persists the journal atomically.
+    /// object) and persists it (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`QoaError::Journal`] when the temp file cannot be written
-    /// or renamed into place.
+    /// Returns [`QoaError::Journal`] when the journal file cannot be
+    /// written.
     pub fn record_with_obs(
         &mut self,
         key: CellKey,
         outcome: CellOutcome,
         obs: Option<CellMetrics>,
     ) -> Result<(), QoaError> {
-        match obs {
-            Some(snapshot) => {
-                self.obs.insert(key.clone(), snapshot);
-            }
-            None => {
-                self.obs.remove(&key);
-            }
-        }
-        self.entries.insert(key, outcome);
-        self.persist()
+        set(&mut self.obs, &key, obs);
+        self.entries.insert(key.clone(), outcome);
+        self.persist(&key)
     }
 
     /// Records a completed cell with chaos-engine counters (faults
     /// injected, recoveries, checkpoints — the line's `"chaos"` object)
-    /// and persists the journal atomically.
+    /// and persists it (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`QoaError::Journal`] when the temp file cannot be written
-    /// or renamed into place.
+    /// Returns [`QoaError::Journal`] when the journal file cannot be
+    /// written.
     pub fn record_with_chaos(
         &mut self,
         key: CellKey,
         outcome: CellOutcome,
         chaos: Option<CellMetrics>,
     ) -> Result<(), QoaError> {
-        match chaos {
-            Some(counters) => {
-                self.chaos.insert(key.clone(), counters);
-            }
-            None => {
-                self.chaos.remove(&key);
-            }
-        }
-        self.entries.insert(key, outcome);
-        self.persist()
+        set(&mut self.chaos, &key, chaos);
+        self.entries.insert(key.clone(), outcome);
+        self.persist(&key)
     }
 
     /// Records a completed cell with the supervision metadata the
     /// parallel executor tracked for it (attempt count and circuit-breaker
     /// state — the line's `"attempts"`/`"breaker"` fields) and persists
-    /// the journal atomically.
+    /// it (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`QoaError::Journal`] when the temp file cannot be written
-    /// or renamed into place.
+    /// Returns [`QoaError::Journal`] when the journal file cannot be
+    /// written.
     pub fn record_supervised(
         &mut self,
         key: CellKey,
@@ -309,34 +306,27 @@ impl Journal {
         supervision: Supervision,
     ) -> Result<(), QoaError> {
         self.supervision.insert(key.clone(), supervision);
-        self.entries.insert(key, outcome);
-        self.persist()
+        self.entries.insert(key.clone(), outcome);
+        self.persist(&key)
     }
 
     /// Records a completed cell with simulated-network counters
     /// (messages by fate, retries, hedges, dedup hits, crashes — the
-    /// line's `"net"` object) and persists the journal atomically.
+    /// line's `"net"` object) and persists it (see the module docs).
     ///
     /// # Errors
     ///
-    /// Returns [`QoaError::Journal`] when the temp file cannot be written
-    /// or renamed into place.
+    /// Returns [`QoaError::Journal`] when the journal file cannot be
+    /// written.
     pub fn record_with_net(
         &mut self,
         key: CellKey,
         outcome: CellOutcome,
         net: Option<CellMetrics>,
     ) -> Result<(), QoaError> {
-        match net {
-            Some(counters) => {
-                self.net.insert(key.clone(), counters);
-            }
-            None => {
-                self.net.remove(&key);
-            }
-        }
-        self.entries.insert(key, outcome);
-        self.persist()
+        set(&mut self.net, &key, net);
+        self.entries.insert(key.clone(), outcome);
+        self.persist(&key)
     }
 
     /// The observability snapshot recorded with a cell, if any.
@@ -359,7 +349,41 @@ impl Journal {
         self.net.get(key)
     }
 
-    fn persist(&self) -> Result<(), QoaError> {
+    /// Rewrites the journal atomically in key order if records were
+    /// appended since the last rewrite. Call it when a batch of records
+    /// is done; the file then reads exactly as if every record had
+    /// rewritten it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QoaError::Journal`] when the temp file cannot be written
+    /// or renamed into place.
+    pub fn compact(&mut self) -> Result<(), QoaError> {
+        if self.appended {
+            self.rewrite()?;
+        }
+        Ok(())
+    }
+
+    /// Makes the record of `key` durable: appends its line, or rewrites
+    /// the whole file when this journal has not written it yet.
+    fn persist(&mut self, key: &CellKey) -> Result<(), QoaError> {
+        if !self.rewritten {
+            return self.rewrite();
+        }
+        let mut line = String::new();
+        self.encode_line(&mut line, key, &self.entries[key]);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&self.path)
+            .map_err(|e| QoaError::journal(format!("opening {}", self.path.display()), e))?;
+        file.write_all(line.as_bytes())
+            .map_err(|e| QoaError::journal(format!("appending to {}", self.path.display()), e))?;
+        self.appended = true;
+        Ok(())
+    }
+
+    fn rewrite(&mut self) -> Result<(), QoaError> {
         if let Some(dir) = self.path.parent() {
             std::fs::create_dir_all(dir)
                 .map_err(|e| QoaError::journal(format!("creating {}", dir.display()), e))?;
@@ -373,6 +397,8 @@ impl Journal {
             .map_err(|e| QoaError::journal(format!("writing {}", tmp.display()), e))?;
         std::fs::rename(&tmp, &self.path)
             .map_err(|e| QoaError::journal(format!("renaming into {}", self.path.display()), e))?;
+        self.rewritten = true;
+        self.appended = false;
         Ok(())
     }
 
@@ -501,6 +527,18 @@ impl Journal {
     }
 }
 
+/// Sets or clears `key`'s entry in a per-cell side map.
+fn set<T>(map: &mut BTreeMap<CellKey, T>, key: &CellKey, value: Option<T>) {
+    match value {
+        Some(v) => {
+            map.insert(key.clone(), v);
+        }
+        None => {
+            map.remove(key);
+        }
+    }
+}
+
 /// One successfully decoded journal line.
 struct ParsedLine {
     key: CellKey,
@@ -610,6 +648,34 @@ mod tests {
         assert!(matches!(
             failed,
             Some(CellOutcome::Failed { location: Some(at), .. }) if at.contains("interp.rs:241")
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_re_recorded_cell_reads_back_as_its_last_line() {
+        let dir = tmp_dir("rerecord");
+        let key = CellKey::new("go", "CPython", "scale", "small");
+        let other = CellKey::new("float", "CPython", "scale", "small");
+        let mut obs = CellMetrics::new();
+        obs.insert("qoa_sim_cycles_total".into(), Metric::Num(1.0));
+        let mut j = Journal::open(&dir, "prof", "cfg", false).expect("open");
+        j.record_with_obs(key.clone(), CellOutcome::Ok(CellMetrics::new()), Some(obs))
+            .expect("record");
+        j.record(other.clone(), CellOutcome::Ok(CellMetrics::new())).expect("append");
+        j.record_with_obs(key.clone(), CellOutcome::Ok(sample_metrics()), None).expect("append");
+        let appended = std::fs::read_to_string(j.path()).expect("read");
+        assert_eq!(appended.lines().count(), 3, "{appended}");
+
+        let reread = Journal::open(&dir, "prof", "cfg", false).expect("reopen");
+        assert_eq!(reread.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
+        assert_eq!(reread.obs_snapshot(&key), None);
+        assert_eq!(reread.len(), 2);
+        j.compact().expect("compact");
+        let compacted = std::fs::read_to_string(j.path()).expect("read");
+        assert_eq!(compacted.lines().count(), 2, "{compacted}");
+        assert!(compacted.starts_with(
+            "{\"figure\":\"prof\",\"config\":\"cfg\",\"version\":5,\"workload\":\"float\""
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -372,6 +372,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, QoaError> {
             CellVerdict::Shed { .. } | CellVerdict::Lost { .. } => {}
         }
     }
+    journal.compact()?;
 
     summary
         .divergences

@@ -252,6 +252,9 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
             CellVerdict::Shed { .. } | CellVerdict::Lost { .. } => cell_failures += 1,
         }
     }
+    if let Some(j) = journal.as_mut() {
+        j.compact().map_err(|e| e.to_string())?;
+    }
     runs.sort_by_key(|r| r.seed);
 
     let mut failed_requests = 0u64;

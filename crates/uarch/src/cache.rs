@@ -36,10 +36,12 @@ pub struct Cache {
     cfg: CacheConfig,
     /// `sets * assoc` tags; `u64::MAX` marks an empty way.
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
+    /// LRU stamps parallel to `tags`: 0 for an empty way, and the access
+    /// clock (which starts at 1) of a filled one.
     stamps: Vec<u64>,
     clock: u64,
-    sets: usize,
+    assoc: usize,
+    set_mask: usize,
     line_shift: u32,
     stats: CacheStats,
 }
@@ -57,7 +59,8 @@ impl Cache {
             tags: vec![u64::MAX; sets * cfg.assoc],
             stamps: vec![0; sets * cfg.assoc],
             clock: 0,
-            sets,
+            assoc: cfg.assoc,
+            set_mask: sets - 1,
             line_shift: cfg.line.trailing_zeros(),
             cfg,
             stats: CacheStats::default(),
@@ -85,29 +88,23 @@ impl Cache {
         self.stats.accesses += 1;
         self.clock += 1;
         let line = addr >> self.line_shift;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.cfg.assoc;
-        let ways = &mut self.tags[base..base + self.cfg.assoc];
-        if let Some(way) = ways.iter().position(|&t| t == line) {
+        let base = ((line as usize) & self.set_mask) * self.assoc;
+        let ways = base..base + self.assoc;
+        if let Some(way) = self.tags[ways.clone()].iter().position(|&t| t == line) {
             self.stamps[base + way] = self.clock;
             return true;
         }
         self.stats.misses += 1;
-        // Choose victim: empty way first, else LRU.
-        let victim = match ways.iter().position(|&t| t == u64::MAX) {
-            Some(w) => w,
-            None => {
-                let mut lru = 0;
-                let mut lru_stamp = u64::MAX;
-                for (w, &s) in self.stamps[base..base + self.cfg.assoc].iter().enumerate() {
-                    if s < lru_stamp {
-                        lru_stamp = s;
-                        lru = w;
-                    }
-                }
-                lru
+        // Victim: the first least-recent way. Empty ways keep stamp 0, so
+        // while the set has one, that is the first empty way.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (w, &s) in self.stamps[ways].iter().enumerate() {
+            if s < oldest {
+                oldest = s;
+                victim = w;
             }
-        };
+        }
         self.tags[base + victim] = line;
         self.stamps[base + victim] = self.clock;
         false
@@ -117,9 +114,8 @@ impl Cache {
     /// touching LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.cfg.assoc;
-        self.tags[base..base + self.cfg.assoc].contains(&line)
+        let base = ((line as usize) & self.set_mask) * self.assoc;
+        self.tags[base..base + self.assoc].contains(&line)
     }
 
     /// Number of resident (non-empty) lines.
@@ -177,33 +173,45 @@ impl MemoryHierarchy {
         }
     }
 
-    fn walk(&mut self, addr: u64, instruction: bool, now: u64) -> Access {
+    /// Walks the hierarchy for `addr` and returns the level that holds it,
+    /// filling every level above on the way back. The outcome depends only
+    /// on the access stream and the cache geometry, never on time.
+    pub fn level(&mut self, addr: u64, instruction: bool) -> HitLevel {
         let l1 = if instruction { &mut self.l1i } else { &mut self.l1d };
         if l1.access(addr) {
-            return Access { level: HitLevel::L1, penalty: 0 };
+            HitLevel::L1
+        } else if self.l2.access(addr) {
+            HitLevel::L2
+        } else if self.l3.access(addr) {
+            HitLevel::L3
+        } else {
+            HitLevel::Memory
         }
-        if self.l2.access(addr) {
-            return Access { level: HitLevel::L2, penalty: self.l2_latency };
-        }
-        if self.l3.access(addr) {
-            return Access { level: HitLevel::L3, penalty: self.l3_latency };
-        }
-        let queue = self.dram.access(now);
-        Access {
-            level: HitLevel::Memory,
-            penalty: self.l3_latency + self.dram.latency() + queue,
+    }
+
+    /// Cycles beyond a first-level hit for an access satisfied at `level`
+    /// and issued at cycle `now`. A memory access occupies the DRAM
+    /// channel, so the penalty includes its queuing delay.
+    pub fn penalty(&mut self, level: HitLevel, now: u64) -> u64 {
+        match level {
+            HitLevel::L1 => 0,
+            HitLevel::L2 => self.l2_latency,
+            HitLevel::L3 => self.l3_latency,
+            HitLevel::Memory => self.l3_latency + self.dram.latency() + self.dram.access(now),
         }
     }
 
     /// Instruction-fetch access at `pc`.
     pub fn fetch(&mut self, pc: u64, now: u64) -> Access {
-        self.walk(pc, true, now)
+        let level = self.level(pc, true);
+        Access { level, penalty: self.penalty(level, now) }
     }
 
     /// Data access (load or store; write-allocate makes them equivalent for
     /// residence).
     pub fn data(&mut self, addr: u64, now: u64) -> Access {
-        self.walk(addr, false, now)
+        let level = self.level(addr, false);
+        Access { level, penalty: self.penalty(level, now) }
     }
 
     /// L1I statistics.

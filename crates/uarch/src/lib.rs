@@ -37,6 +37,7 @@ pub mod branch;
 pub mod cache;
 pub mod config;
 pub mod dram;
+mod memo;
 pub mod ooo;
 pub mod simple;
 pub mod stats;

@@ -13,9 +13,19 @@
 //! pipeline (the paper makes the same observation and uses the simple core
 //! for Fig. 4); this core attributes the monotone retire-clock deltas, which
 //! is good enough for the per-phase lines of Fig. 7.
+//!
+//! Each op runs in two halves. The outcome half decides which cache level
+//! satisfies its fetch and data access and whether a control transfer is
+//! mispredicted; it depends only on the op stream, the cache geometry and
+//! the predictor tables. The timing half (dispatch, ROB, MSHRs, the DRAM
+//! channel's queue, retire-clock attribution) turns those outcomes into
+//! cycles. A core fed as an [`OpSink`] asks the models for the outcomes;
+//! a replay of a trace can instead take them from an earlier replay under
+//! the same geometry and tables (see [`crate::trace`]), and run the timing
+//! half alone.
 
 use crate::branch::BranchUnit;
-use crate::cache::MemoryHierarchy;
+use crate::cache::{HitLevel, MemoryHierarchy};
 use crate::config::UarchConfig;
 use crate::stats::ExecutionStats;
 use qoa_model::{MicroOp, OpKind, OpSink};
@@ -28,10 +38,11 @@ pub struct OooCore {
     mem: MemoryHierarchy,
     branch: BranchUnit,
     stats: ExecutionStats,
-    /// Completion time (cycles, q8) of each ROB slot, indexed by op#%rob.
+    /// Completion time (cycles, q8) of each ROB slot; op `n` owns slot
+    /// `n % rob.len()`.
     rob: Vec<u64>,
-    rob_mask: Option<usize>, // Some(mask) when rob size is a power of two
-    rob_size: usize,
+    /// The slot of the next op: the op count modulo the ROB size.
+    slot: usize,
     ops: u64,
     next_dispatch_q8: u64,
     dispatch_step_q8: u64,
@@ -41,6 +52,58 @@ pub struct OooCore {
     line_mask: u64,
     mshr: Vec<u64>, // completion times (q8) of outstanding load misses
     load_latency: u64,
+}
+
+/// Where [`OooCore::step`] takes an op's cache levels from.
+pub(crate) trait CacheOutcomes {
+    /// The level that satisfies op `n`'s instruction fetch (`instruction`)
+    /// or data access at `addr`. An op's fetch is asked about before its
+    /// data access.
+    fn level(
+        &mut self,
+        mem: &mut MemoryHierarchy,
+        n: u64,
+        addr: u64,
+        instruction: bool,
+    ) -> HitLevel;
+}
+
+/// Where [`OooCore::step`] takes a branch, call or return's mispredict
+/// from.
+pub(crate) trait BranchOutcomes {
+    /// Whether `op`, a control transfer, was mispredicted. Control
+    /// transfers are asked about in trace order.
+    fn mispredicted(&mut self, unit: &mut BranchUnit, op: &MicroOp) -> bool;
+}
+
+/// The live outcome source: walks the caches and consults (and trains)
+/// the predictor.
+pub(crate) struct Models;
+
+impl CacheOutcomes for Models {
+    #[inline(always)]
+    fn level(
+        &mut self,
+        mem: &mut MemoryHierarchy,
+        _n: u64,
+        addr: u64,
+        instruction: bool,
+    ) -> HitLevel {
+        mem.level(addr, instruction)
+    }
+}
+
+impl BranchOutcomes for Models {
+    #[inline(always)]
+    fn mispredicted(&mut self, unit: &mut BranchUnit, op: &MicroOp) -> bool {
+        match op.kind {
+            OpKind::Branch { taken, target, indirect } => {
+                unit.branch(op.pc, taken, target, indirect)
+            }
+            OpKind::Call { target, indirect } => unit.call(op.pc, target, indirect),
+            _ => unit.ret(op.pc),
+        }
+    }
 }
 
 impl OooCore {
@@ -54,8 +117,7 @@ impl OooCore {
             branch: BranchUnit::new(&cfg.branch),
             stats: ExecutionStats::default(),
             rob: vec![0; rob_size],
-            rob_mask: rob_size.is_power_of_two().then(|| rob_size - 1),
-            rob_size,
+            slot: 0,
             ops: 0,
             next_dispatch_q8: 0,
             dispatch_step_q8: (Q / cfg.core.issue_width as u64).max(1),
@@ -65,14 +127,6 @@ impl OooCore {
             line_mask: !(cfg.l1i.line - 1),
             mshr: vec![0; mshr_slots],
             load_latency: cfg.l1d.latency.saturating_sub(1).max(1),
-        }
-    }
-
-    #[inline]
-    fn rob_slot(&self, n: u64) -> usize {
-        match self.rob_mask {
-            Some(mask) => (n as usize) & mask,
-            None => (n % self.rob_size as u64) as usize,
         }
     }
 
@@ -98,14 +152,23 @@ impl OooCore {
     pub fn cycles_so_far(&self) -> u64 {
         self.retire_clock_q8 >> 8
     }
-}
 
-impl OpSink for OooCore {
-    #[inline]
-    fn op(&mut self, op: MicroOp) {
+    /// Times one op. Its cache levels come from `caches` and its
+    /// mispredict from `branches`: the models themselves on the live
+    /// path, or outcomes an earlier replay of the same trace recorded.
+    /// Either way the timing half (dispatch, ROB, MSHRs, the DRAM
+    /// channel's queue, retire-clock attribution) runs here.
+    #[inline(always)]
+    pub(crate) fn step(
+        &mut self,
+        op: MicroOp,
+        caches: &mut impl CacheOutcomes,
+        branches: &mut impl BranchOutcomes,
+    ) {
         let n = self.ops;
         self.ops += 1;
-        let slot = self.rob_slot(n);
+        let slot = self.slot;
+        self.slot = if slot + 1 == self.rob.len() { 0 } else { slot + 1 };
 
         // --- Front end ----------------------------------------------------
         let mut dispatch = self.next_dispatch_q8.max(self.fetch_ready_q8);
@@ -114,15 +177,15 @@ impl OpSink for OooCore {
         if rob_ready > dispatch {
             dispatch = rob_ready;
         }
-        let now_cycles = dispatch >> 8;
         // Instruction fetch, once per new line.
         let line = op.pc.0 & self.line_mask;
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
-            let fetch = self.mem.fetch(op.pc.0, now_cycles);
-            if fetch.penalty > 0 {
+            let level = caches.level(&mut self.mem, n, op.pc.0, true);
+            let penalty = self.mem.penalty(level, dispatch >> 8);
+            if penalty > 0 {
                 // Fetch bubble: front end stalls for the miss.
-                self.fetch_ready_q8 = dispatch + (fetch.penalty << 8);
+                self.fetch_ready_q8 = dispatch + (penalty << 8);
                 dispatch = self.fetch_ready_q8;
             }
         }
@@ -134,7 +197,11 @@ impl OpSink for OooCore {
         let dist = 1 + ((op.pc.0 >> 2) % 3);
         let mut start = dispatch;
         if n >= dist {
-            let dep_done = self.rob[self.rob_slot(n - dist)];
+            // Op `n - dist`'s slot, without dividing by the ROB size.
+            let size = self.rob.len();
+            let back = if (dist as usize) < size { dist as usize } else { dist as usize % size };
+            let dep = if slot >= back { slot - back } else { slot + size - back };
+            let dep_done = self.rob[dep];
             if dep_done > start {
                 start = dep_done;
             }
@@ -152,8 +219,9 @@ impl OpSink for OooCore {
         };
         match op.kind {
             OpKind::Load { addr, .. } => {
-                let acc = self.mem.data(addr, start >> 8);
-                if acc.penalty > 0 {
+                let level = caches.level(&mut self.mem, n, addr, false);
+                let penalty = self.mem.penalty(level, start >> 8);
+                if penalty > 0 {
                     // Need a free MSHR slot to overlap the miss.
                     let (idx, &earliest) = self
                         .mshr
@@ -164,9 +232,9 @@ impl OpSink for OooCore {
                     if earliest > start {
                         start = earliest;
                     }
-                    let done = start + (acc.penalty << 8);
+                    let done = start + (penalty << 8);
                     self.mshr[idx] = done;
-                    latency += acc.penalty;
+                    latency += penalty;
                 }
             }
             OpKind::Store { addr, .. } => {
@@ -175,8 +243,9 @@ impl OpSink for OooCore {
                 // DRAM bandwidth; once the MSHRs saturate, dispatch stalls.
                 // This is what makes allocation streams that overflow the
                 // LLC expensive (the paper's nursery-size cliff).
-                let acc = self.mem.data(addr, start >> 8);
-                if acc.penalty > 0 {
+                let level = caches.level(&mut self.mem, n, addr, false);
+                let penalty = self.mem.penalty(level, start >> 8);
+                if penalty > 0 {
                     let (idx, &earliest) = self
                         .mshr
                         .iter()
@@ -186,19 +255,13 @@ impl OpSink for OooCore {
                     if earliest > start {
                         start = earliest;
                     }
-                    self.mshr[idx] = start + (acc.penalty << 8);
+                    self.mshr[idx] = start + (penalty << 8);
                 }
             }
             OpKind::Branch { .. } | OpKind::Call { .. } | OpKind::Ret => {
                 // The predictor is always consulted (and trained); only a
                 // mispredict stalls the front end.
-                let mispredicted = match op.kind {
-                    OpKind::Branch { taken, target, indirect } => {
-                        self.branch.branch(op.pc, taken, target, indirect)
-                    }
-                    OpKind::Call { target, indirect } => self.branch.call(op.pc, target, indirect),
-                    _ => self.branch.ret(op.pc),
-                };
+                let mispredicted = branches.mispredicted(&mut self.branch, &op);
                 if mispredicted {
                     let resolve = start + (1 << 8);
                     self.fetch_ready_q8 =
@@ -221,6 +284,13 @@ impl OpSink for OooCore {
             self.stats.cycles_by_category[op.category] += delta;
             self.stats.cycles_by_phase[op.phase] += delta;
         }
+    }
+}
+
+impl OpSink for OooCore {
+    #[inline]
+    fn op(&mut self, op: MicroOp) {
+        self.step(op, &mut Models, &mut Models);
     }
 }
 

@@ -34,12 +34,37 @@
 //! it, so a `--jobs N` run can hold N of them, one per worker thread, each
 //! the size of the largest trace that thread dropped.
 //!
+//! # Recorded outcomes
+//!
+//! [`TraceBuffer::simulate_ooo`] replays only the timing half of the
+//! out-of-order core where it can. Which level satisfies each access and
+//! which branches are mispredicted depend on the trace, the cache geometry
+//! and the predictor tables alone, so a trace keeps the outcomes its
+//! out-of-order replays observed under two keys: the geometry (size,
+//! associativity and line of all four caches; latencies left out) and the
+//! predictor tables (L1/L2 entries, history bits, BTB, RAS; the mispredict
+//! penalty left out). A replay reads the half recorded under its keys and
+//! records the other from the live models. The outcomes are stored
+//! compactly: one varint per access that missed L1 and one bit per control
+//! transfer, plus the cache and branch statistics (layout in `memo.rs`).
+//! A Fig. 7 sweep of 36 points thus walks the caches at 13 geometries and
+//! the predictor at 5 table sizes.
+//!
+//! The first out-of-order replay of a trace neither reads nor records, so
+//! a trace replayed once (a nursery-sweep cell) pays nothing; recording
+//! starts with the second. The recorded outcomes sit behind a
+//! `Mutex` of `Arc`s, locked only to look up and to store, so workers that
+//! share one trace replay concurrently. A trace that grows after recording
+//! starts over, and a clone starts with none.
+//!
 //! [`mem::CODE_END`]: qoa_model::mem::CODE_END
 
+use crate::memo::{BranchKey, BranchLog, BranchSide, CacheKey, CacheLog, CacheSide, Side};
 use crate::stats::ExecutionStats;
 use crate::{OooCore, SimpleCore, UarchConfig};
 use qoa_model::{Category, FrameEvent, MicroOp, OpKind, OpSink, Pc, Phase};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     /// This thread's spare record buffer: empty, and the largest one
@@ -54,13 +79,17 @@ thread_local! {
 /// exact op positions where they were observed, so a replay sink sees the
 /// same call-stack evolution the live run produced. Frame capture is off
 /// by default: the figure paths never pay for it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TraceBuffer {
     ops: Vec<Record>,
     /// `(op_index, event)`: the event fired just before `ops[op_index]`
     /// (or after the last op when `op_index == ops.len()`).
     frames: Vec<(u64, FrameEvent)>,
     capture_frames: bool,
+    /// Outcomes recorded by earlier out-of-order replays. Concurrent
+    /// replays of one shared trace take the lock only to look up and to
+    /// store, never while replaying.
+    memo: Mutex<ReplayMemo>,
 }
 
 impl Default for TraceBuffer {
@@ -69,8 +98,69 @@ impl Default for TraceBuffer {
             ops: SPARE.try_with(Cell::take).unwrap_or_default(),
             frames: Vec::new(),
             capture_frames: false,
+            memo: Mutex::default(),
         }
     }
+}
+
+/// A clone starts without recorded outcomes.
+impl Clone for TraceBuffer {
+    fn clone(&self) -> Self {
+        TraceBuffer {
+            ops: self.ops.clone(),
+            frames: self.frames.clone(),
+            capture_frames: self.capture_frames,
+            memo: Mutex::default(),
+        }
+    }
+}
+
+/// The outcomes a trace's out-of-order replays have recorded, by key.
+#[derive(Debug, Default)]
+struct ReplayMemo {
+    /// The trace length they belong to: a trace that has grown since
+    /// starts over.
+    len: usize,
+    /// Out-of-order replays of the trace at `len` ops.
+    replays: u64,
+    caches: Vec<(CacheKey, Arc<CacheLog>)>,
+    branches: Vec<(BranchKey, Arc<BranchLog>)>,
+}
+
+/// What one replay reads from the memo: `None` for a half to record.
+type Recorded = (Option<Arc<CacheLog>>, Option<Arc<BranchLog>>);
+
+impl ReplayMemo {
+    /// Counts a replay of a trace of `len` ops and returns the outcomes
+    /// recorded under `keys`, or `None` on the trace's first replay, which
+    /// neither reads nor records.
+    fn lookup(&mut self, len: usize, keys: &(CacheKey, BranchKey)) -> Option<Recorded> {
+        if self.len != len {
+            *self = ReplayMemo { len, ..ReplayMemo::default() };
+        }
+        self.replays += 1;
+        (self.replays > 1).then(|| (find(&self.caches, &keys.0), find(&self.branches, &keys.1)))
+    }
+
+    /// Keeps newly recorded outcomes. A concurrent replay may have stored
+    /// the same key first; both recorded the same outcomes.
+    fn store(
+        &mut self,
+        keys: (CacheKey, BranchKey),
+        caches: Option<CacheLog>,
+        branches: Option<BranchLog>,
+    ) {
+        if let Some(log) = caches.filter(|_| find(&self.caches, &keys.0).is_none()) {
+            self.caches.push((keys.0, Arc::new(log)));
+        }
+        if let Some(log) = branches.filter(|_| find(&self.branches, &keys.1).is_none()) {
+            self.branches.push((keys.1, Arc::new(log)));
+        }
+    }
+}
+
+fn find<K: PartialEq, T>(logs: &[(K, Arc<T>)], key: &K) -> Option<Arc<T>> {
+    logs.iter().find(|(k, _)| k == key).map(|(_, log)| Arc::clone(log))
 }
 
 impl Drop for TraceBuffer {
@@ -149,10 +239,54 @@ impl TraceBuffer {
     }
 
     /// Replays through a fresh [`OooCore`] built from `cfg`.
+    ///
+    /// From the trace's second out-of-order replay on, each replay reads
+    /// the cache levels and mispredicts an earlier replay recorded under
+    /// the same cache geometry and predictor tables, and records the
+    /// half it cannot read (see the module docs). The statistics equal
+    /// those of `self.replay(&mut OooCore::new(cfg))` byte for byte.
     pub fn simulate_ooo(&self, cfg: &UarchConfig) -> ExecutionStats {
         let mut core = OooCore::new(cfg);
-        self.replay(&mut core);
-        core.finish()
+        let keys = (CacheKey::of(cfg), BranchKey::of(cfg));
+        // Its own statement, so the lock is released before any replay.
+        let recorded = self.memo().lookup(self.ops.len(), &keys);
+        let Some((caches, branches)) = recorded else {
+            self.replay(&mut core);
+            return core.finish();
+        };
+        let mut cache_side = CacheSide::new(caches.as_deref());
+        let mut branch_side = BranchSide::new(branches.as_deref());
+        // The core ignores phase changes and frame events: ops alone
+        // decide its statistics.
+        for r in &self.ops {
+            core.step(r.decode(), &mut cache_side, &mut branch_side);
+        }
+        let mut stats = core.finish();
+        let new_caches = match cache_side {
+            Side::Read(_) => {
+                let log = caches.as_ref().expect("a read side has a log");
+                [stats.l1i, stats.l1d, stats.l2, stats.llc] = log.stats;
+                None
+            }
+            Side::Record(r) => Some(r.finish([stats.l1i, stats.l1d, stats.l2, stats.llc])),
+        };
+        let new_branches = match branch_side {
+            Side::Read(_) => {
+                stats.branch = branches.as_ref().expect("a read side has a log").stats;
+                None
+            }
+            Side::Record(r) => Some(r.finish(stats.branch)),
+        };
+        if new_caches.is_some() || new_branches.is_some() {
+            self.memo().store(keys, new_caches, new_branches);
+        }
+        stats
+    }
+
+    fn memo(&self) -> MutexGuard<'_, ReplayMemo> {
+        // Every update leaves the memo whole, so a panicked holder's data
+        // is still good.
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
