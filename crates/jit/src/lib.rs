@@ -37,8 +37,8 @@
 use qoa_frontend::CodeObject;
 use qoa_heap::GcConfig;
 use qoa_model::{mem, OpSink};
+use qoa_vm::idhash::{IdMap, IdSet};
 use qoa_vm::{CostMode, HeapMode, StepEvent, Vm, VmConfig, VmError};
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 /// Tracing-JIT configuration.
@@ -149,17 +149,25 @@ struct Fragment {
     steps: Vec<Loc>,
     code_base: u64,
     /// (step index, diverged-to location) → bridge fragment index.
-    bridges: HashMap<(usize, Loc), usize>,
+    bridges: IdMap<(usize, Loc), usize>,
     /// Guard-failure counts per (step index, diverged-to location).
-    fail_counts: HashMap<(usize, Loc), u32>,
+    fail_counts: IdMap<(usize, Loc), u32>,
 }
 
 #[derive(Debug, Clone)]
 struct LoopTraces {
+    /// The loop header this loop's traces start at.
+    header: Loc,
     fragments: Vec<Fragment>,
     blacklisted: bool,
     /// Side exits that failed to record a bridge; never retried.
-    hopeless_exits: HashSet<(usize, usize, Loc)>,
+    hopeless_exits: IdSet<(usize, usize, Loc)>,
+}
+
+impl LoopTraces {
+    fn new(header: Loc, fragments: Vec<Fragment>, blacklisted: bool) -> Self {
+        LoopTraces { header, fragments, blacklisted, hopeless_exits: IdSet::default() }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -173,7 +181,8 @@ enum DriverState {
         steps: Vec<Loc>,
     },
     Executing {
-        header: Loc,
+        /// Index of the loop in [`PyPyVm::loops`].
+        lp: usize,
         frag: usize,
         idx: usize,
     },
@@ -190,8 +199,11 @@ pub struct PyPyVm<S: OpSink> {
     /// The underlying VM (public for inspection of globals, stats, output).
     pub vm: Vm<S>,
     cfg: JitConfig,
-    counters: HashMap<Loc, u32>,
-    loops: HashMap<Loc, LoopTraces>,
+    counters: IdMap<Loc, u32>,
+    /// Index in `loops` of each loop header's traces. The executing state
+    /// carries the index, so a traced bytecode probes no table.
+    loop_ids: IdMap<Loc, usize>,
+    loops: Vec<LoopTraces>,
     state: DriverState,
     stats: JitStats,
     jit_code_bump: u64,
@@ -209,8 +221,9 @@ impl<S: OpSink> PyPyVm<S> {
         PyPyVm {
             vm: Vm::new(vm_cfg, sink),
             cfg,
-            counters: HashMap::new(),
-            loops: HashMap::new(),
+            counters: IdMap::default(),
+            loop_ids: IdMap::default(),
+            loops: Vec::new(),
             state: DriverState::Interp,
             stats: JitStats::default(),
             jit_code_bump: mem::JIT_CODE_BASE,
@@ -299,24 +312,21 @@ impl<S: OpSink> PyPyVm<S> {
             DriverState::Recording { header, parent, steps } => {
                 self.drive_recording(header, parent, steps)
             }
-            DriverState::Executing { header, frag, idx } => {
-                self.drive_executing(header, frag, idx)
-            }
+            DriverState::Executing { lp, frag, idx } => self.drive_executing(lp, frag, idx),
         }
     }
 
     fn drive_interp(&mut self) -> Result<bool, VmError> {
         // Entering a compiled loop?
         if self.cfg.enabled {
-            if let Some(loc) = self.vm.location() {
-                if let Some(lt) = self.loops.get(&loc) {
-                    if !lt.blacklisted && !lt.fragments.is_empty() {
-                        let base = lt.fragments[0].code_base;
-                        self.vm.set_cost_mode(CostMode::Trace);
-                        self.vm.set_trace_pc(base);
-                        self.state = DriverState::Executing { header: loc, frag: 0, idx: 0 };
-                        return Ok(false);
-                    }
+            if let Some(&lp) = self.vm.location().and_then(|loc| self.loop_ids.get(&loc)) {
+                let lt = &self.loops[lp];
+                if !lt.blacklisted && !lt.fragments.is_empty() {
+                    let base = lt.fragments[0].code_base;
+                    self.vm.set_cost_mode(CostMode::Trace);
+                    self.vm.set_trace_pc(base);
+                    self.state = DriverState::Executing { lp, frag: 0, idx: 0 };
+                    return Ok(false);
                 }
             }
         }
@@ -330,7 +340,7 @@ impl<S: OpSink> PyPyVm<S> {
                     *c += 1;
                     *c
                 };
-                if hot >= self.cfg.hot_threshold && !self.loops.contains_key(&key) {
+                if hot >= self.cfg.hot_threshold && !self.loop_ids.contains_key(&key) {
                     self.state =
                         DriverState::Recording { header: key, parent: None, steps: Vec::new() };
                     return Ok(false);
@@ -378,19 +388,12 @@ impl<S: OpSink> PyPyVm<S> {
             match parent {
                 None => {
                     // The main trace cannot be recorded: blacklist the loop.
-                    self.loops.insert(
-                        header,
-                        LoopTraces {
-                            fragments: Vec::new(),
-                            blacklisted: true,
-                            hopeless_exits: HashSet::new(),
-                        },
-                    );
+                    self.add_loop(LoopTraces::new(header, Vec::new(), true));
                     self.stats.blacklisted += 1;
                 }
                 Some(exit) => {
-                    if let Some(lt) = self.loops.get_mut(&header) {
-                        lt.hopeless_exits.insert(exit);
+                    if let Some(&lp) = self.loop_ids.get(&header) {
+                        self.loops[lp].hopeless_exits.insert(exit);
                     }
                 }
             }
@@ -411,12 +414,7 @@ impl<S: OpSink> PyPyVm<S> {
         }
     }
 
-    fn drive_executing(
-        &mut self,
-        header: Loc,
-        frag: usize,
-        idx: usize,
-    ) -> Result<bool, VmError> {
+    fn drive_executing(&mut self, lp: usize, frag: usize, idx: usize) -> Result<bool, VmError> {
         let Some(loc) = self.vm.location() else { return Ok(true) };
         // Injected mid-trace abort: the compiled code hits a synthetic
         // failure and must deoptimize. The deopt leaves the interpreter
@@ -434,25 +432,15 @@ impl<S: OpSink> PyPyVm<S> {
             }
             return Err(VmError::Injected { what: rec.kind.name(), steps: self.vm.steps() });
         }
-        let expected = {
-            let lt = self
-                .loops
-                .get(&header)
-                .ok_or_else(|| VmError::runtime("jit driver: executing an unknown loop", 0))?;
-            lt.fragments[frag].steps[idx]
-        };
-        if loc != expected {
-            return self.handle_guard_failure(header, frag, idx, loc);
+        if loc != self.loops[lp].fragments[frag].steps[idx] {
+            return self.handle_guard_failure(lp, frag, idx, loc);
         }
         self.stats.jit_bytecodes += 1;
         if let StepEvent::Done = self.vm.step()? {
             self.vm.set_cost_mode(CostMode::Interp);
             return Ok(true);
         }
-        let lt = self
-            .loops
-            .get(&header)
-            .ok_or_else(|| VmError::runtime("jit driver: lost the executing loop", 0))?;
+        let lt = &self.loops[lp];
         let fragment = &lt.fragments[frag];
         if idx + 1 >= fragment.steps.len() {
             // Fragment complete: both the main trace and bridges jump back
@@ -462,16 +450,16 @@ impl<S: OpSink> PyPyVm<S> {
             }
             let base = lt.fragments[0].code_base;
             self.vm.set_trace_pc(base);
-            self.state = DriverState::Executing { header, frag: 0, idx: 0 };
+            self.state = DriverState::Executing { lp, frag: 0, idx: 0 };
         } else {
-            self.state = DriverState::Executing { header, frag, idx: idx + 1 };
+            self.state = DriverState::Executing { lp, frag, idx: idx + 1 };
         }
         Ok(false)
     }
 
     fn handle_guard_failure(
         &mut self,
-        header: Loc,
+        lp: usize,
         frag: usize,
         idx: usize,
         loc: Loc,
@@ -479,16 +467,14 @@ impl<S: OpSink> PyPyVm<S> {
         self.stats.guard_failures += 1;
         let bridge_threshold = self.cfg.bridge_threshold;
         let max_fragments = self.cfg.max_fragments;
-        let Some(lt) = self.loops.get_mut(&header) else {
-            return Err(VmError::runtime("jit driver: guard failure in an unknown loop", 0));
-        };
+        let lt = &mut self.loops[lp];
 
         // A compiled bridge for this exact side exit?
         if let Some(&bridge) = lt.fragments[frag].bridges.get(&(idx, loc)) {
             self.stats.bridge_transfers += 1;
             let base = lt.fragments[bridge].code_base;
             self.vm.set_trace_pc(base);
-            self.state = DriverState::Executing { header, frag: bridge, idx: 0 };
+            self.state = DriverState::Executing { lp, frag: bridge, idx: 0 };
             return Ok(false);
         }
 
@@ -506,7 +492,7 @@ impl<S: OpSink> PyPyVm<S> {
             self.vm.set_cost_mode(CostMode::Interp);
             self.stats.deopts += 1;
             self.state = DriverState::Recording {
-                header,
+                header: lt.header,
                 parent: Some((frag, idx, loc)),
                 steps: Vec::new(),
             };
@@ -533,23 +519,17 @@ impl<S: OpSink> PyPyVm<S> {
         let fragment = Fragment {
             steps,
             code_base,
-            bridges: HashMap::new(),
-            fail_counts: HashMap::new(),
+            bridges: IdMap::default(),
+            fail_counts: IdMap::default(),
         };
         match parent {
             None => {
-                self.loops.insert(
-                    header,
-                    LoopTraces {
-                        fragments: vec![fragment],
-                        blacklisted: false,
-                        hopeless_exits: HashSet::new(),
-                    },
-                );
+                self.add_loop(LoopTraces::new(header, vec![fragment], false));
                 self.stats.traces_compiled += 1;
             }
             Some((pfrag, idx, loc)) => {
-                let Some(lt) = self.loops.get_mut(&header) else { return };
+                let Some(&lp) = self.loop_ids.get(&header) else { return };
+                let lt = &mut self.loops[lp];
                 if lt.blacklisted {
                     return;
                 }
@@ -559,6 +539,13 @@ impl<S: OpSink> PyPyVm<S> {
                 self.stats.bridges_compiled += 1;
             }
         }
+    }
+
+    /// Records `lt` as the traces of its loop header, which has none yet
+    /// (recording starts only at a header without traces).
+    fn add_loop(&mut self, lt: LoopTraces) {
+        self.loop_ids.insert(lt.header, self.loops.len());
+        self.loops.push(lt);
     }
 }
 

@@ -34,7 +34,9 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `sets * assoc` tags; `u64::MAX` marks an empty way.
+    /// `sets * assoc` tags, each a line number plus one, so 0 marks an
+    /// empty way: the array comes zeroed from the allocator, and a cache
+    /// that is built but never accessed never touches it.
     tags: Vec<u64>,
     /// LRU stamps parallel to `tags`: 0 for an empty way, and the access
     /// clock (which starts at 1) of a filled one.
@@ -56,7 +58,7 @@ impl Cache {
         cfg.validate();
         let sets = cfg.sets();
         Cache {
-            tags: vec![u64::MAX; sets * cfg.assoc],
+            tags: vec![0; sets * cfg.assoc],
             stamps: vec![0; sets * cfg.assoc],
             clock: 0,
             assoc: cfg.assoc,
@@ -90,7 +92,8 @@ impl Cache {
         let line = addr >> self.line_shift;
         let base = ((line as usize) & self.set_mask) * self.assoc;
         let ways = base..base + self.assoc;
-        if let Some(way) = self.tags[ways.clone()].iter().position(|&t| t == line) {
+        let tag = line + 1;
+        if let Some(way) = self.tags[ways.clone()].iter().position(|&t| t == tag) {
             self.stamps[base + way] = self.clock;
             return true;
         }
@@ -105,7 +108,7 @@ impl Cache {
                 victim = w;
             }
         }
-        self.tags[base + victim] = line;
+        self.tags[base + victim] = tag;
         self.stamps[base + victim] = self.clock;
         false
     }
@@ -115,12 +118,12 @@ impl Cache {
     pub fn probe(&self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
         let base = ((line as usize) & self.set_mask) * self.assoc;
-        self.tags[base..base + self.assoc].contains(&line)
+        self.tags[base..base + self.assoc].contains(&(line + 1))
     }
 
     /// Number of resident (non-empty) lines.
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != u64::MAX).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 

@@ -215,6 +215,12 @@ impl DictObj {
         }
     }
 
+    /// The `(key_obj, value)` pair in slot `i` (`None` for an empty slot).
+    /// Walking `0..capacity()` visits the pairs in [`DictObj::iter`] order.
+    pub fn entry(&self, i: usize) -> Option<(ObjRef, ObjRef)> {
+        self.slots[i].as_ref().map(|s| (s.key_obj, s.value))
+    }
+
     /// Iterates `(key_obj, value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (ObjRef, ObjRef)> + '_ {
         self.slots

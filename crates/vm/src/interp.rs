@@ -15,9 +15,8 @@
 //! dispatch, no stack traffic, virtualized frames — while C calls into the
 //! native library remain (Fig. 5).
 
-use crate::dict::Key;
 use crate::object::{ClassObj, FuncObj, IterState, ObjKind, ObjRef};
-use crate::vm::{code_key, Block, CostMode, Frame, StepEvent, Vm, VmError};
+use crate::vm::{code_key, Block, CodeMeta, CostMode, Frame, StepEvent, Vm, VmError};
 use qoa_frontend::{
     ccj_cmp, ccj_const, ccj_if_true, ccj_target, pair_hi, pair_lo, Cmp, CodeObject, Instr, Opcode,
 };
@@ -39,10 +38,10 @@ impl<S: OpSink> Vm<S> {
     /// interpreter performs on untrusted bytecode. Use
     /// [`Vm::load_verified`] to elide them.
     pub fn load_program(&mut self, code: &Rc<CodeObject>) {
-        self.register_code(code);
-        let frame = self.new_frame(Rc::clone(code), Vec::new(), None, None);
+        let meta = self.register_code(code);
+        let name = std::sync::Arc::clone(&meta.name);
+        let frame = self.new_frame(Rc::clone(code), meta, None, None);
         self.frames.push(frame);
-        let name = std::sync::Arc::clone(&self.code_meta[&code_key(code)].name);
         self.sink.frame_event(&FrameEvent::Push { name });
     }
 
@@ -86,18 +85,16 @@ impl<S: OpSink> Vm<S> {
     pub(crate) fn new_frame(
         &mut self,
         code: Rc<CodeObject>,
-        args: Vec<ObjRef>,
+        meta: Rc<CodeMeta>,
         callee: Option<ObjRef>,
         class_ns: Option<ObjRef>,
     ) -> Frame {
         let nlocals = code.varnames.len();
-        let mut locals: Vec<Option<ObjRef>> = vec![None; nlocals];
-        for (i, a) in args.into_iter().enumerate() {
-            locals[i] = Some(a);
-        }
+        let (mut locals, mut stack, blocks) = self.frame_bufs.pop().unwrap_or_default();
+        locals.resize(nlocals, None);
         // The compiler's declared stack bound sizes the frame exactly;
         // hand-built code may declare 0, so keep a small floor.
-        let stack_cap = code.max_stack.max(4);
+        stack.reserve(code.max_stack.max(4));
         // Frame objects are heap-allocated per call in the interpreter
         // (Table II: object allocation); JIT traces virtualize them away.
         let frame_obj = if self.cost == CostMode::Interp {
@@ -108,10 +105,11 @@ impl<S: OpSink> Vm<S> {
         };
         Frame {
             code,
+            meta,
             pc: 0,
             locals,
-            stack: Vec::with_capacity(stack_cap),
-            blocks: Vec::new(),
+            stack,
+            blocks,
             frame_obj,
             class_ns,
             callee,
@@ -299,6 +297,7 @@ impl<S: OpSink> Vm<S> {
         self.stats.bytecodes += 1;
 
         let code = Rc::clone(&frame.code);
+        let meta = Rc::clone(&frame.meta);
         let pc = frame.pc;
         let Some(&instr) = code.code.get(pc) else {
             return Err(self.err(format!("pc {pc} out of bounds (malformed bytecode)")));
@@ -323,7 +322,6 @@ impl<S: OpSink> Vm<S> {
         // so the BTB observes per-handler next-opcode streams.
         let next_handler = mem::INTERP_CODE_BASE + (instr.op.index() as u64) * HANDLER_SPAN;
         if self.cost == CostMode::Interp {
-            let meta = &self.code_meta[&code_key(&code)];
             let consts_addr = meta.consts_addr;
             let code_addr = meta.code_addr + (pc as u64) * 4;
             self.eload(240, Category::Dispatch, code_addr);
@@ -353,15 +351,19 @@ impl<S: OpSink> Vm<S> {
             self.eload(253, Category::Execute, consts_addr);
         }
 
-        self.exec_instr(&code, instr)
+        self.exec_instr(&code, &meta, instr)
     }
 
-    fn exec_instr(&mut self, code: &Rc<CodeObject>, instr: Instr) -> Result<StepEvent, VmError> {
+    fn exec_instr(
+        &mut self,
+        code: &Rc<CodeObject>,
+        meta: &CodeMeta,
+        instr: Instr,
+    ) -> Result<StepEvent, VmError> {
         let arg = instr.arg;
         match instr.op {
             Opcode::Nop => {}
             Opcode::LoadConst => {
-                let meta = &self.code_meta[&code_key(code)];
                 let v = meta.consts[arg as usize];
                 let consts_addr = meta.consts_addr + (arg as u64) * 8;
                 if self.cost == CostMode::Interp {
@@ -439,43 +441,42 @@ impl<S: OpSink> Vm<S> {
                 }
             }
             Opcode::LoadGlobal => {
-                let name = &code.names[arg as usize];
-                let v = self.load_global(name.clone())?;
+                let v = self.load_global(&meta.names[arg as usize])?;
                 self.incref(v);
                 self.push_s(8, v)?;
             }
             Opcode::StoreGlobal => {
                 let v = self.pop_s(0)?;
-                let name = code.names[arg as usize].clone();
-                let name_obj = self.intern_str(&name);
+                let name_obj = self.name_obj(meta, arg as usize);
                 let globals = self.globals;
-                self.dict_insert(globals, Key::Str(name.into()), name_obj, v, Category::NameResolution)?;
+                let key = meta.name_key(arg as usize);
+                self.dict_insert(globals, key, name_obj, v, Category::NameResolution)?;
             }
             Opcode::LoadName => {
                 // Class-body namespace load, falling back to globals.
-                let name = code.names[arg as usize].clone();
+                let key = meta.name_key(arg as usize);
                 let ns = self.frames.last().and_then(|f| f.class_ns);
                 let mut found = None;
                 if let Some(ns) = ns {
-                    found = self.dict_lookup(ns, &Key::Str(name.clone().into()), Category::NameResolution);
+                    found = self.dict_lookup(ns, &key, Category::NameResolution);
                 }
                 let v = match found {
                     Some(v) => v,
-                    None => self.load_global(name)?,
+                    None => self.load_global(&meta.names[arg as usize])?,
                 };
                 self.incref(v);
                 self.push_s(8, v)?;
             }
             Opcode::StoreName => {
                 let v = self.pop_s(0)?;
-                let name = code.names[arg as usize].clone();
-                let name_obj = self.intern_str(&name);
+                let name_obj = self.name_obj(meta, arg as usize);
                 let ns = self
                     .frames
                     .last()
                     .and_then(|f| f.class_ns)
                     .unwrap_or(self.globals);
-                self.dict_insert(ns, Key::Str(name.into()), name_obj, v, Category::NameResolution)?;
+                let key = meta.name_key(arg as usize);
+                self.dict_insert(ns, key, name_obj, v, Category::NameResolution)?;
             }
             Opcode::BinaryAdd
             | Opcode::BinarySubtract
@@ -740,13 +741,12 @@ impl<S: OpSink> Vm<S> {
                     self.scratch.push(v);
                 }
                 self.scratch[start..].reverse();
-                let items: Vec<ObjRef> = self.scratch[start..].to_vec();
                 let r = if instr.op == Opcode::BuildList {
-                    let list = self.alloc_obj(ObjKind::List(items));
+                    let list = self.alloc_obj(ObjKind::List(self.scratch[start..].to_vec()));
                     self.attach_list_buffer(list, n);
                     list
                 } else {
-                    self.alloc_obj(ObjKind::Tuple(items.into()))
+                    self.alloc_obj(ObjKind::Tuple(Rc::from(&self.scratch[start..])))
                 };
                 // Element stores into the fresh object.
                 let base = self.obj_addr(r);
@@ -788,9 +788,8 @@ impl<S: OpSink> Vm<S> {
                 let n = arg as usize;
                 let seq = self.pop_s(0)?;
                 self.emit_typecheck(10, seq);
-                let items: Vec<ObjRef> = match self.kind(seq) {
-                    ObjKind::Tuple(t) => t.iter().copied().collect(),
-                    ObjKind::List(l) => l.clone(),
+                let len = match self.kind(seq) {
+                    ObjKind::Tuple(_) | ObjKind::List(_) => self.seq_items(seq).len(),
                     other => {
                         return Err(self.err(format!(
                             "TypeError: cannot unpack '{}'",
@@ -799,15 +798,16 @@ impl<S: OpSink> Vm<S> {
                     }
                 };
                 self.ealu(12, Category::ErrorCheck, 1);
-                self.ebranch(13, Category::ErrorCheck, items.len() != n);
-                if items.len() != n {
+                self.ebranch(13, Category::ErrorCheck, len != n);
+                if len != n {
                     return Err(self.err(format!(
-                        "ValueError: expected {n} values to unpack, got {}",
-                        items.len()
+                        "ValueError: expected {n} values to unpack, got {len}"
                     )));
                 }
                 let base = self.obj_addr(seq);
-                for (i, &v) in items.iter().enumerate().rev() {
+                // Pushing runs no guest code, so the items are read in place.
+                for i in (0..n).rev() {
+                    let v = self.seq_items(seq)[i];
                     self.eload(14, Category::Execute, base + 40 + (i as u64) * 8);
                     self.incref(v);
                     self.push_s(16, v)?;
@@ -816,16 +816,14 @@ impl<S: OpSink> Vm<S> {
             }
             Opcode::LoadAttr => {
                 let obj = self.pop_s(0)?;
-                let name = code.names[arg as usize].clone();
-                let r = self.load_attr(obj, &name)?;
+                let r = self.load_attr(obj, &meta.names[arg as usize])?;
                 self.push_s(8, r)?;
             }
             Opcode::StoreAttr => {
                 // Stack: [value, obj]
                 let obj = self.pop_s(0)?;
                 let value = self.pop_s(3)?;
-                let name = code.names[arg as usize].clone();
-                self.store_attr(obj, &name, value)?;
+                self.store_attr(obj, meta, arg as usize, value)?;
             }
             Opcode::MakeFunction => {
                 let code_obj = self.pop_s(0)?;
@@ -854,7 +852,7 @@ impl<S: OpSink> Vm<S> {
             Opcode::BuildClass => {
                 let ns = self.pop_s(0)?;
                 let base_obj = self.pop_s(3)?;
-                let name: Rc<str> = code.names[arg as usize].clone().into();
+                let name = Rc::clone(&meta.names[arg as usize]);
                 let base = match self.kind(base_obj) {
                     ObjKind::None => None,
                     ObjKind::Class(_) => Some(base_obj),
@@ -903,7 +901,6 @@ impl<S: OpSink> Vm<S> {
                 let a = self.read_fast(0, pair_lo(arg))?;
                 self.push_s(4, a)?;
                 let k = pair_hi(arg);
-                let meta = &self.code_meta[&code_key(code)];
                 let v = meta.consts[k as usize];
                 let consts_addr = meta.consts_addr + (k as u64) * 8;
                 if self.cost == CostMode::Interp {
@@ -933,7 +930,6 @@ impl<S: OpSink> Vm<S> {
                 // without touching the stack.
                 let a = self.pop_s(0)?;
                 let kidx = ccj_const(arg);
-                let meta = &self.code_meta[&code_key(code)];
                 let k = meta.consts[kidx as usize];
                 let consts_addr = meta.consts_addr + (kidx as u64) * 8;
                 if self.cost == CostMode::Interp {

@@ -33,6 +33,7 @@
 
 pub mod annotate;
 pub mod dict;
+pub mod idhash;
 pub mod interp;
 pub mod native;
 pub mod native_lib;

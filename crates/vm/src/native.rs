@@ -12,10 +12,10 @@
 //! checksums, compression) live in [`crate::native_lib`].
 
 use crate::dict::Key;
+use crate::idhash::IdMap;
 use crate::object::{IterState, NativeId, ObjKind, ObjRef};
 use crate::vm::{CostMode, Vm, VmError};
 use qoa_model::{mem, Category, OpSink, Phase};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Every native function the run-time exposes.
@@ -201,7 +201,7 @@ const ALL_NATIVES: &[(NativeFn, &str, &str)] = &[
 /// Registry of native function objects and built-in type method tables.
 #[derive(Debug, Clone, Default)]
 pub struct NativeRegistry {
-    methods: HashMap<(&'static str, &'static str), ObjRef>,
+    methods: IdMap<(&'static str, &'static str), ObjRef>,
     /// Deterministic PRNG state for the `rand*` module.
     pub(crate) rng_state: u64,
 }
@@ -209,7 +209,7 @@ pub struct NativeRegistry {
 impl NativeRegistry {
     /// Creates an empty registry (populated by `install_builtins`).
     pub fn new() -> Self {
-        NativeRegistry { methods: HashMap::new(), rng_state: 0x9E3779B97F4A7C15 }
+        NativeRegistry { methods: IdMap::default(), rng_state: 0x9E3779B97F4A7C15 }
     }
 
     /// Looks up a method of a built-in type.
@@ -275,7 +275,7 @@ impl<S: OpSink> Vm<S> {
             for &a in args {
                 self.incref(a);
             }
-            let t = self.alloc_obj(ObjKind::Tuple(args.to_vec().into()));
+            let t = self.alloc_obj(ObjKind::Tuple(Rc::from(args)));
             self.scratch.push(t);
             Some(t)
         } else {
@@ -1180,11 +1180,12 @@ impl<S: OpSink> Vm<S> {
         }
     }
 
-    /// Dict-key iteration order snapshot, exposed for `native_lib`.
-    pub(crate) fn dict_pairs(&self, dict: ObjRef) -> Vec<(ObjRef, ObjRef)> {
+    /// The entry in slot `slot` of dict `dict` (see [`crate::dict::DictObj::entry`]);
+    /// `None` for an empty slot or a non-dict.
+    pub(crate) fn dict_entry(&self, dict: ObjRef, slot: usize) -> Option<(ObjRef, ObjRef)> {
         match self.kind(dict) {
-            ObjKind::Dict(d) => d.iter().collect(),
-            _ => Vec::new(),
+            ObjKind::Dict(d) => d.entry(slot),
+            _ => None,
         }
     }
 

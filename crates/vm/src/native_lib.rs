@@ -234,7 +234,10 @@ impl<S: OpSink> Vm<S> {
         self.lib_load(37, addr + 8);
         self.lib_load(29, addr + 16);
         self.lib_work(35, 44);
-        match self.kind(r).clone() {
+        // Borrow the node: only scalars and shared strings are copied out,
+        // and containers are walked by index (encoding runs no guest code,
+        // so they cannot change underneath).
+        match *self.kind(r) {
             ObjKind::None => out.push_str("null"),
             ObjKind::Bool(true) => out.push_str("true"),
             ObjKind::Bool(false) => out.push_str("false"),
@@ -246,7 +249,8 @@ impl<S: OpSink> Vm<S> {
                 self.lib_work(32, 6);
                 out.push_str(&format!("{v}"));
             }
-            ObjKind::Str(s) => {
+            ObjKind::Str(ref s) => {
+                let s = Rc::clone(s);
                 self.lib_work(32, (s.len() as u32 * 2).min(4096));
                 out.push('"');
                 for c in s.chars() {
@@ -259,32 +263,23 @@ impl<S: OpSink> Vm<S> {
                 }
                 out.push('"');
             }
-            ObjKind::List(items) => {
+            ObjKind::List(_) | ObjKind::Tuple(_) => {
                 out.push('[');
-                for (i, &item) in items.iter().enumerate() {
+                for i in 0..self.seq_items(r).len() {
                     if i > 0 {
                         out.push(',');
                     }
-                    self.serialize_json(item, out, depth + 1)?;
+                    self.serialize_json(self.seq_items(r)[i], out, depth + 1)?;
                 }
                 out.push(']');
             }
-            ObjKind::Tuple(items) => {
-                out.push('[');
-                for (i, &item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    self.serialize_json(item, out, depth + 1)?;
-                }
-                out.push(']');
-            }
-            ObjKind::Dict(_) => {
+            ObjKind::Dict(ref d) => {
                 out.push('{');
-                for (i, (k, v)) in self.dict_pairs(r).into_iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
+                let mut sep = "";
+                for slot in 0..d.capacity() {
+                    let Some((k, v)) = self.dict_entry(r, slot) else { continue };
+                    out.push_str(sep);
+                    sep = ",";
                     let key = self.display_string(k);
                     self.lib_work(33, (key.len() as u32).min(64));
                     out.push('"');
@@ -294,7 +289,7 @@ impl<S: OpSink> Vm<S> {
                 }
                 out.push('}');
             }
-            other => {
+            ref other => {
                 return Err(self.err_here(format!(
                     "TypeError: '{}' is not JSON serializable",
                     other.type_name()
@@ -434,7 +429,8 @@ impl<S: OpSink> Vm<S> {
         self.lib_load(46, self.obj_addr(r) + 8);
         self.lib_load(45, self.obj_addr(r) + 16);
         self.lib_work(47, 44);
-        match self.kind(r).clone() {
+        // Borrowed as in `serialize_json`.
+        match *self.kind(r) {
             ObjKind::None => out.push('N'),
             ObjKind::Bool(b) => out.push(if b { 'T' } else { 'F' }),
             ObjKind::Int(v) => {
@@ -449,40 +445,35 @@ impl<S: OpSink> Vm<S> {
                 out.push_str(&format!("{:?}", v));
                 out.push(';');
             }
-            ObjKind::Str(s) => {
+            ObjKind::Str(ref s) => {
+                let s = Rc::clone(s);
                 self.lib_work(40, (s.len() as u32 * 2).min(4096));
                 out.push('S');
                 out.push_str(&s.len().to_string());
                 out.push(':');
                 out.push_str(&s);
             }
-            ObjKind::List(items) => {
-                out.push('L');
-                out.push_str(&items.len().to_string());
+            ObjKind::List(_) | ObjKind::Tuple(_) => {
+                let n = self.seq_items(r).len();
+                out.push(if matches!(self.kind(r), ObjKind::List(_)) { 'L' } else { 'U' });
+                out.push_str(&n.to_string());
                 out.push(':');
-                for &i in &items {
-                    self.serialize_pickle(i, out, depth + 1)?;
+                for i in 0..n {
+                    self.serialize_pickle(self.seq_items(r)[i], out, depth + 1)?;
                 }
             }
-            ObjKind::Tuple(items) => {
-                out.push('U');
-                out.push_str(&items.len().to_string());
-                out.push(':');
-                for &i in items.iter() {
-                    self.serialize_pickle(i, out, depth + 1)?;
-                }
-            }
-            ObjKind::Dict(_) => {
-                let pairs = self.dict_pairs(r);
+            ObjKind::Dict(ref d) => {
+                let (len, capacity) = (d.len(), d.capacity());
                 out.push('M');
-                out.push_str(&pairs.len().to_string());
+                out.push_str(&len.to_string());
                 out.push(':');
-                for (k, v) in pairs {
+                for slot in 0..capacity {
+                    let Some((k, v)) = self.dict_entry(r, slot) else { continue };
                     self.serialize_pickle(k, out, depth + 1)?;
                     self.serialize_pickle(v, out, depth + 1)?;
                 }
             }
-            other => {
+            ref other => {
                 return Err(self.err_here(format!(
                     "TypeError: cannot pickle '{}'",
                     other.type_name()

@@ -4,8 +4,8 @@
 //! cost emission (and its JIT-trace counterpart).
 
 use crate::dict::Key;
-use crate::object::{FuncObj, IterState, ObjKind, ObjRef};
-use crate::vm::{code_key, CostMode, StepEvent, Vm, VmError};
+use crate::object::{IterState, ObjKind, ObjRef};
+use crate::vm::{CodeMeta, CostMode, Frame, StepEvent, Vm, VmError};
 use qoa_frontend::{Cmp, CodeKind, Opcode};
 use qoa_model::{mem, Category, FrameEvent, OpSink};
 use std::rc::Rc;
@@ -97,9 +97,10 @@ impl<S: OpSink> Vm<S> {
             return Ok(r);
         }
 
-        let r = match (op, self.kind(a).clone(), self.kind(b).clone()) {
+        let r = match (op, self.kind(a), self.kind(b)) {
             // -------- str + str -------------------------------------------------
             (Opcode::BinaryAdd, ObjKind::Str(x), ObjKind::Str(y)) => {
+                let (x, y) = (Rc::clone(x), Rc::clone(y));
                 self.rcall(20, 0x9000, false);
                 let out: Rc<str> = Rc::from(format!("{x}{y}"));
                 let bytes = out.len() as u64;
@@ -118,8 +119,8 @@ impl<S: OpSink> Vm<S> {
             // -------- str * int / int * str ------------------------------------
             (Opcode::BinaryMultiply, ObjKind::Str(x), ObjKind::Int(n))
             | (Opcode::BinaryMultiply, ObjKind::Int(n), ObjKind::Str(x)) => {
+                let (x, n) = (Rc::clone(x), (*n).max(0) as usize);
                 self.rcall(20, 0x9040, false);
-                let n = n.max(0) as usize;
                 let out: Rc<str> = Rc::from(x.repeat(n));
                 self.scratch.push(a);
                 self.scratch.push(b);
@@ -132,6 +133,7 @@ impl<S: OpSink> Vm<S> {
             }
             // -------- str % value: simple formatting ---------------------------
             (Opcode::BinaryModulo, ObjKind::Str(fmt), _) => {
+                let fmt = Rc::clone(fmt);
                 self.rcall(20, 0x9080, false);
                 let formatted = self.format_str(&fmt, b)?;
                 self.scratch.push(a);
@@ -145,9 +147,11 @@ impl<S: OpSink> Vm<S> {
             }
             // -------- list + list ------------------------------------------------
             (Opcode::BinaryAdd, ObjKind::List(x), ObjKind::List(y)) => {
+                let (xn, yn) = (x.len() as u64, y.len() as u64);
+                let mut items = Vec::with_capacity(x.len() + y.len());
+                items.extend_from_slice(x);
+                items.extend_from_slice(y);
                 self.rcall(20, 0x90C0, false);
-                let mut items = x.clone();
-                items.extend_from_slice(&y);
                 for &i in &items {
                     self.incref(i);
                 }
@@ -159,20 +163,20 @@ impl<S: OpSink> Vm<S> {
                 self.scratch.truncate(self.scratch.len() - 2);
                 let (aa, ba) = (self.buffer_addr(a), self.buffer_addr(b));
                 let ra = self.buffer_addr(r);
-                self.copy_span(24, aa, ra, (x.len() as u64) * 8);
-                self.copy_span(26, ba, ra + (x.len() as u64) * 8, (y.len() as u64) * 8);
+                self.copy_span(24, aa, ra, xn * 8);
+                self.copy_span(26, ba, ra + xn * 8, yn * 8);
                 self.rret(28);
                 r
             }
             // -------- list * int -------------------------------------------------
             (Opcode::BinaryMultiply, ObjKind::List(x), ObjKind::Int(n))
             | (Opcode::BinaryMultiply, ObjKind::Int(n), ObjKind::List(x)) => {
-                self.rcall(20, 0x9100, false);
-                let n = n.max(0) as usize;
+                let n = (*n).max(0) as usize;
                 let mut items = Vec::with_capacity(x.len() * n);
                 for _ in 0..n {
-                    items.extend_from_slice(&x);
+                    items.extend_from_slice(x);
                 }
+                self.rcall(20, 0x9100, false);
                 for &i in &items {
                     self.incref(i);
                 }
@@ -189,9 +193,10 @@ impl<S: OpSink> Vm<S> {
             }
             // -------- tuple + tuple ----------------------------------------------
             (Opcode::BinaryAdd, ObjKind::Tuple(x), ObjKind::Tuple(y)) => {
+                let mut items = Vec::with_capacity(x.len() + y.len());
+                items.extend_from_slice(x);
+                items.extend_from_slice(y);
                 self.rcall(20, 0x9140, false);
-                let mut items: Vec<ObjRef> = x.iter().copied().collect();
-                items.extend(y.iter().copied());
                 for &i in &items {
                     self.incref(i);
                 }
@@ -527,7 +532,7 @@ impl<S: OpSink> Vm<S> {
         site: u32,
     ) -> Result<std::cmp::Ordering, VmError> {
         use std::cmp::Ordering;
-        match (self.kind(a).clone(), self.kind(b).clone()) {
+        match (self.kind(a), self.kind(b)) {
             (ObjKind::Int(_) | ObjKind::Bool(_), ObjKind::Int(_) | ObjKind::Bool(_)) => {
                 // ceval fast path: inline compare.
                 let x = self.as_int(a).ok_or_else(|| self.err_here("TypeError: int operand expected"))?;
@@ -551,6 +556,7 @@ impl<S: OpSink> Vm<S> {
                 Ok(x.partial_cmp(&y).unwrap_or(Ordering::Equal))
             }
             (ObjKind::Str(x), ObjKind::Str(y)) => {
+                let (x, y) = (Rc::clone(x), Rc::clone(y));
                 self.rcall(site, 0x9440, false);
                 // Per-character compare loads, up to the shared prefix.
                 let (aa, ba) = (self.obj_addr(a), self.obj_addr(b));
@@ -567,11 +573,8 @@ impl<S: OpSink> Vm<S> {
                 self.rret(site + 10);
                 Ok(x.as_ref().cmp(y.as_ref()))
             }
-            (ObjKind::List(x), ObjKind::List(y)) => self.compare_seq(&x, &y, site),
-            (ObjKind::Tuple(x), ObjKind::Tuple(y)) => {
-                let x: Vec<ObjRef> = x.iter().copied().collect();
-                let y: Vec<ObjRef> = y.iter().copied().collect();
-                self.compare_seq(&x, &y, site)
+            (ObjKind::List(_), ObjKind::List(_)) | (ObjKind::Tuple(_), ObjKind::Tuple(_)) => {
+                self.compare_seq(a, b, site)
             }
             (ObjKind::None, ObjKind::None) => Ok(Ordering::Equal),
             (ObjKind::None, _) => Ok(Ordering::Less),
@@ -585,15 +588,19 @@ impl<S: OpSink> Vm<S> {
         }
     }
 
+    /// Lexicographic comparison of two lists or two tuples. Items are read
+    /// by index: comparing runs no guest code, so neither side can change.
     fn compare_seq(
         &mut self,
-        x: &[ObjRef],
-        y: &[ObjRef],
+        a: ObjRef,
+        b: ObjRef,
         site: u32,
     ) -> Result<std::cmp::Ordering, VmError> {
         self.rcall(site, 0x9480, false);
-        let mut result = x.len().cmp(&y.len());
-        for (&p, &q) in x.iter().zip(y.iter()) {
+        let (xn, yn) = (self.seq_items(a).len(), self.seq_items(b).len());
+        let mut result = xn.cmp(&yn);
+        for i in 0..xn.min(yn) {
+            let (p, q) = (self.seq_items(a)[i], self.seq_items(b)[i]);
             let ord = self.compare_values(p, q, site + 12)?;
             if ord != std::cmp::Ordering::Equal {
                 result = ord;
@@ -602,6 +609,15 @@ impl<S: OpSink> Vm<S> {
         }
         self.rret(site + 20);
         Ok(result)
+    }
+
+    /// The items of a list or tuple (empty for any other object).
+    pub(crate) fn seq_items(&self, r: ObjRef) -> &[ObjRef] {
+        match self.kind(r) {
+            ObjKind::List(items) => items,
+            ObjKind::Tuple(items) => items,
+            _ => &[],
+        }
     }
 
     /// Pure-semantics equality (no emission) for membership and dict keys.
@@ -629,7 +645,7 @@ impl<S: OpSink> Vm<S> {
     }
 
     fn contains(&mut self, container: ObjRef, item: ObjRef) -> Result<bool, VmError> {
-        match self.kind(container).clone() {
+        match self.kind(container) {
             ObjKind::Dict(_) => {
                 let key = self
                     .key_of(item)
@@ -637,29 +653,22 @@ impl<S: OpSink> Vm<S> {
                 // Program-data lookup: Execute, per the paper's call-site rule.
                 Ok(self.dict_lookup(container, &key, Category::Execute).is_some())
             }
-            ObjKind::List(items) => {
-                let base = self.buffer_addr(container);
-                for (i, &e) in items.iter().enumerate() {
+            ObjKind::List(_) | ObjKind::Tuple(_) => {
+                let base = match self.kind(container) {
+                    ObjKind::List(_) => self.buffer_addr(container),
+                    _ => self.obj_addr(container) + SEQ_HEADER,
+                };
+                for i in 0..self.seq_items(container).len() {
                     self.eload2(90, Category::Execute, base + (i as u64) * 8);
                     self.ealu2(91, Category::Execute, 1);
-                    if self.value_eq(e, item) {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            ObjKind::Tuple(items) => {
-                let base = self.obj_addr(container) + SEQ_HEADER;
-                for (i, &e) in items.iter().enumerate() {
-                    self.eload2(90, Category::Execute, base + (i as u64) * 8);
-                    self.ealu2(91, Category::Execute, 1);
-                    if self.value_eq(e, item) {
+                    if self.value_eq(self.seq_items(container)[i], item) {
                         return Ok(true);
                     }
                 }
                 Ok(false)
             }
             ObjKind::Str(s) => {
+                let s = Rc::clone(s);
                 let ObjKind::Str(needle) = self.kind(item) else {
                     return Err(self.err_here("TypeError: 'in <string>' requires string"));
                 };
@@ -880,9 +889,9 @@ impl<S: OpSink> Vm<S> {
 
     /// Resolves a global name (globals, then builtins). Returns a
     /// *borrowed* reference.
-    pub(crate) fn load_global(&mut self, name: String) -> Result<ObjRef, VmError> {
+    pub(crate) fn load_global(&mut self, name: &Rc<str>) -> Result<ObjRef, VmError> {
         self.icall(120, 0x9500, false);
-        let key = Key::Str(Rc::from(name.as_str()));
+        let key = Key::Str(Rc::clone(name));
         let globals = self.globals;
         let found = self.dict_lookup(globals, &key, Category::NameResolution);
         let v = match found {
@@ -948,30 +957,33 @@ impl<S: OpSink> Vm<S> {
     pub(crate) fn subscr(&mut self, obj: ObjRef, idx: ObjRef) -> Result<ObjRef, VmError> {
         self.emit_typecheck2(16, obj);
         self.emit_typecheck2(18, idx);
-        let r = match (self.kind(obj).clone(), self.kind(idx).clone()) {
+        let r = match (self.kind(obj), self.kind(idx)) {
             (ObjKind::List(items), ObjKind::Int(_) | ObjKind::Bool(_)) => {
                 // ceval list fast path: inline bounds check + load.
+                let len = items.len();
                 let i = self.index_i64(idx)?;
                 self.emit_unbox2(20, idx);
-                let i = self.normalize_index(i, items.len(), false)?;
+                let i = self.normalize_index(i, len, false)?;
                 let base = self.buffer_addr(obj);
                 self.ealu2(21, Category::Execute, 2);
                 self.eload2(22, Category::Execute, base + (i as u64) * 8);
-                let v = items[i];
+                let v = self.seq_items(obj)[i];
                 self.incref(v);
                 v
             }
             (ObjKind::Tuple(items), ObjKind::Int(_) | ObjKind::Bool(_)) => {
+                let len = items.len();
                 let i = self.index_i64(idx)?;
                 self.emit_unbox2(20, idx);
-                let i = self.normalize_index(i, items.len(), false)?;
+                let i = self.normalize_index(i, len, false)?;
                 let base = self.obj_addr(obj) + SEQ_HEADER;
                 self.eload2(22, Category::Execute, base + (i as u64) * 8);
-                let v = items[i];
+                let v = self.seq_items(obj)[i];
                 self.incref(v);
                 v
             }
             (ObjKind::Str(s), ObjKind::Int(_) | ObjKind::Bool(_)) => {
+                let s = Rc::clone(s);
                 let i = self.index_i64(idx)?;
                 self.emit_unbox2(20, idx);
                 let bytes = s.as_bytes();
@@ -1002,10 +1014,11 @@ impl<S: OpSink> Vm<S> {
                     }
                 }
             }
-            (ObjKind::List(items), ObjKind::Slice { lo, hi }) => {
+            (ObjKind::List(items), &ObjKind::Slice { lo, hi }) => {
+                let len = items.len();
                 self.rcall(24, 0x9640, false);
-                let (l, h) = self.slice_bounds(lo, hi, items.len())?;
-                let slice: Vec<ObjRef> = items[l..h].to_vec();
+                let (l, h) = self.slice_bounds(lo, hi, len)?;
+                let slice: Vec<ObjRef> = self.seq_items(obj)[l..h].to_vec();
                 for &v in &slice {
                     self.incref(v);
                 }
@@ -1021,7 +1034,8 @@ impl<S: OpSink> Vm<S> {
                 self.rret(30);
                 r
             }
-            (ObjKind::Str(s), ObjKind::Slice { lo, hi }) => {
+            (ObjKind::Str(s), &ObjKind::Slice { lo, hi }) => {
+                let s = Rc::clone(s);
                 self.rcall(24, 0x9680, false);
                 let (l, h) = self.slice_bounds(lo, hi, s.len())?;
                 let sub: Rc<str> = Rc::from(&s[l..h]);
@@ -1036,10 +1050,11 @@ impl<S: OpSink> Vm<S> {
                 self.rret(30);
                 r
             }
-            (ObjKind::Tuple(items), ObjKind::Slice { lo, hi }) => {
+            (ObjKind::Tuple(items), &ObjKind::Slice { lo, hi }) => {
+                let len = items.len();
                 self.rcall(24, 0x96C0, false);
-                let (l, h) = self.slice_bounds(lo, hi, items.len())?;
-                let slice: Vec<ObjRef> = items[l..h].to_vec();
+                let (l, h) = self.slice_bounds(lo, hi, len)?;
+                let slice: Vec<ObjRef> = self.seq_items(obj)[l..h].to_vec();
                 for &v in &slice {
                     self.incref(v);
                 }
@@ -1071,11 +1086,12 @@ impl<S: OpSink> Vm<S> {
         value: ObjRef,
     ) -> Result<(), VmError> {
         self.emit_typecheck2(16, obj);
-        match self.kind(obj).clone() {
+        match self.kind(obj) {
             ObjKind::List(items) => {
+                let len = items.len();
                 let i = self.index_i64(idx)?;
                 self.emit_unbox2(20, idx);
-                let i = self.normalize_index(i, items.len(), false)?;
+                let i = self.normalize_index(i, len, false)?;
                 // The JIT materializes values that escape into the heap.
                 self.materialize(value);
                 let base = self.buffer_addr(obj);
@@ -1114,7 +1130,7 @@ impl<S: OpSink> Vm<S> {
     /// `del obj[idx]` on owned operands.
     pub(crate) fn del_subscr(&mut self, obj: ObjRef, idx: ObjRef) -> Result<(), VmError> {
         self.emit_typecheck2(16, obj);
-        match self.kind(obj).clone() {
+        match self.kind(obj) {
             ObjKind::Dict(_) => {
                 self.rcall(24, 0x9740, false);
                 let key = self
@@ -1131,8 +1147,9 @@ impl<S: OpSink> Vm<S> {
                 }
             }
             ObjKind::List(items) => {
+                let len = items.len();
                 let i = self.index_i64(idx)?;
-                let i = self.normalize_index(i, items.len(), false)?;
+                let i = self.normalize_index(i, len, false)?;
                 let removed = {
                     let ObjKind::List(v) = &mut self.obj_mut(obj).kind else {
                         return Err(self.err_here("internal error: list changed kind"));
@@ -1141,7 +1158,6 @@ impl<S: OpSink> Vm<S> {
                 };
                 // Shift emission.
                 let base = self.buffer_addr(obj);
-                let len = items.len();
                 for j in i..len.saturating_sub(1) {
                     self.eload2(26, Category::Execute, base + (j as u64 + 1) * 8);
                     self.estore2(27, Category::Execute, base + (j as u64) * 8);
@@ -1163,13 +1179,13 @@ impl<S: OpSink> Vm<S> {
     // ---- attributes --------------------------------------------------------------------
 
     /// `obj.name` on an owned receiver; returns an owned result.
-    pub(crate) fn load_attr(&mut self, obj: ObjRef, name: &str) -> Result<ObjRef, VmError> {
+    pub(crate) fn load_attr(&mut self, obj: ObjRef, name: &Rc<str>) -> Result<ObjRef, VmError> {
         self.emit_typecheck2(16, obj);
         // PyObject_GetAttr -> tp_getattro (indirect).
         self.rcall(18, 0x9800, false);
         self.icall(24, 0x9840, true);
-        let key = Key::Str(Rc::from(name));
-        let result = match self.kind(obj).clone() {
+        let key = Key::Str(Rc::clone(name));
+        let result = match *self.kind(obj) {
             ObjKind::Instance { class, dict } => {
                 // Instance dict first.
                 if let Some(v) = self.dict_lookup(dict, &key, Category::NameResolution) {
@@ -1206,7 +1222,7 @@ impl<S: OpSink> Vm<S> {
                     }
                 }
             }
-            ObjKind::Class(c) => {
+            ObjKind::Class(ref c) => {
                 let mut cur = Some(c.dict);
                 let mut base = c.base;
                 let mut found = None;
@@ -1240,9 +1256,10 @@ impl<S: OpSink> Vm<S> {
                     }
                 }
             }
-            kind => {
+            ref kind => {
                 // Built-in type method: consult the type's method table.
-                match self.natives.method_for(kind.type_name(), name) {
+                let type_name = kind.type_name();
+                match self.natives.method_for(type_name, name) {
                     Some(native_obj) => {
                         self.eload2(30, Category::FunctionResolution, mem::STATIC_DATA_BASE + 0x800);
                         self.eload2(31, Category::FunctionResolution, self.obj_addr(native_obj));
@@ -1255,8 +1272,7 @@ impl<S: OpSink> Vm<S> {
                     }
                     None => {
                         return Err(self.err_here(format!(
-                            "AttributeError: '{}' object has no attribute '{name}'",
-                            kind.type_name()
+                            "AttributeError: '{type_name}' object has no attribute '{name}'"
                         )))
                     }
                 }
@@ -1282,33 +1298,30 @@ impl<S: OpSink> Vm<S> {
         }
     }
 
-    /// `obj.name = value` on owned receiver and value.
+    /// `obj.name = value` on owned receiver and value, where `name` is
+    /// name `idx` of the executing code object.
     pub(crate) fn store_attr(
         &mut self,
         obj: ObjRef,
-        name: &str,
+        meta: &CodeMeta,
+        idx: usize,
         value: ObjRef,
     ) -> Result<(), VmError> {
         self.emit_typecheck2(16, obj);
         self.icall(18, 0x9880, false);
-        let name_obj = self.intern_str(name);
-        let key = Key::Str(Rc::from(name));
-        match self.kind(obj).clone() {
-            ObjKind::Instance { dict, .. } => {
-                self.materialize(value);
-                self.dict_insert(dict, key, name_obj, value, Category::NameResolution)?;
-            }
-            ObjKind::Class(c) => {
-                self.materialize(value);
-                self.dict_insert(c.dict, key, name_obj, value, Category::NameResolution)?;
-            }
+        let name_obj = self.name_obj(meta, idx);
+        let dict = match self.kind(obj) {
+            ObjKind::Instance { dict, .. } => *dict,
+            ObjKind::Class(c) => c.dict,
             other => {
                 return Err(self.err_here(format!(
                     "AttributeError: '{}' object has no settable attributes",
                     other.type_name()
                 )))
             }
-        }
+        };
+        self.materialize(value);
+        self.dict_insert(dict, meta.name_key(idx), name_obj, value, Category::NameResolution)?;
         self.iret(26);
         self.decref(obj);
         Ok(())
@@ -1429,63 +1442,45 @@ impl<S: OpSink> Vm<S> {
 
     /// Dispatches a call; `mark..mark+argc` in scratch are the owned args,
     /// `mark+argc` is the owned callee. Consumes them all.
+    ///
+    /// Guest frames take their arguments straight from scratch: at every
+    /// allocation on the way (class namespace, frame object) the GC roots
+    /// end with the arguments in parameter order. A minor collection
+    /// charges one load per root and traces the roots in order, so both
+    /// the count and the order reach the simulated cycles.
     fn dispatch_call(
         &mut self,
         callee: ObjRef,
         mark: usize,
         argc: usize,
     ) -> Result<StepEvent, VmError> {
-        match self.kind(callee).clone() {
-            ObjKind::Func(f) => {
-                let args: Vec<ObjRef> = self.scratch[mark..mark + argc].to_vec();
-                self.scratch.truncate(mark);
+        match *self.kind(callee) {
+            ObjKind::Func(_) => {
                 // `callee` ownership moves into the frame's root slot.
-                self.enter_function(f, args, callee, None)?;
+                self.scratch.truncate(mark + argc);
+                self.enter_function(callee, mark, None)?;
                 Ok(StepEvent::Continue)
             }
-            ObjKind::Native(id) => {
-                let args: Vec<ObjRef> = self.scratch[mark..mark + argc].to_vec();
-                let result = self.call_native(id, None, &args)?;
-                self.scratch.truncate(mark);
-                for a in args {
-                    self.decref(a);
+            ObjKind::Native(id) => self.dispatch_native(id, None, callee, mark, argc),
+            ObjKind::BoundMethod { func, recv } => match *self.kind(func) {
+                ObjKind::Func(_) => {
+                    self.incref(recv);
+                    // The receiver becomes argument 0, in the callee's slot.
+                    self.scratch[mark + argc] = recv;
+                    self.scratch[mark..].rotate_right(1);
+                    self.incref(func);
+                    // The bound method itself is released; the frame
+                    // keeps the function alive.
+                    self.decref(callee);
+                    self.enter_function(func, mark, None)?;
+                    Ok(StepEvent::Continue)
                 }
-                self.decref(callee);
-                self.push_s(56, result)?;
-                Ok(StepEvent::Continue)
-            }
-            ObjKind::BoundMethod { func, recv } => {
-                match self.kind(func).clone() {
-                    ObjKind::Func(f) => {
-                        self.incref(recv);
-                        let mut args = Vec::with_capacity(argc + 1);
-                        args.push(recv);
-                        args.extend_from_slice(&self.scratch[mark..mark + argc]);
-                        self.scratch.truncate(mark);
-                        self.incref(func);
-                        // The bound method itself is released; the frame
-                        // keeps the function alive.
-                        self.decref(callee);
-                        self.enter_function(f, args, func, None)?;
-                        Ok(StepEvent::Continue)
-                    }
-                    ObjKind::Native(id) => {
-                        let args: Vec<ObjRef> = self.scratch[mark..mark + argc].to_vec();
-                        let result = self.call_native(id, Some(recv), &args)?;
-                        self.scratch.truncate(mark);
-                        for a in args {
-                            self.decref(a);
-                        }
-                        self.decref(callee);
-                        self.push_s(56, result)?;
-                        Ok(StepEvent::Continue)
-                    }
-                    other => Err(self.err_here(format!(
-                        "TypeError: bound method wraps non-callable '{}'",
-                        other.type_name()
-                    ))),
-                }
-            }
+                ObjKind::Native(id) => self.dispatch_native(id, Some(recv), callee, mark, argc),
+                ref other => Err(self.err_here(format!(
+                    "TypeError: bound method wraps non-callable '{}'",
+                    other.type_name()
+                ))),
+            },
             ObjKind::Class(_) => {
                 // Instantiation: allocate the instance and its dict, then
                 // run `__init__` if defined.
@@ -1497,24 +1492,26 @@ impl<S: OpSink> Vm<S> {
                 let inst = self.alloc_obj(ObjKind::Instance { class: callee, dict });
                 self.scratch.pop(); // dict ownership moved into instance
                 self.scratch.push(inst);
-                let init_key = Key::Str(Rc::from("__init__"));
+                let init_key = Key::Str(Rc::clone(&self.init_name));
                 let init = self.class_chain_lookup(callee, &init_key);
                 match init {
                     Some(init_fn) => {
-                        let ObjKind::Func(f) = self.kind(init_fn).clone() else {
+                        if !matches!(self.kind(init_fn), ObjKind::Func(_)) {
                             return Err(self.err_here("TypeError: __init__ must be a function"));
-                        };
+                        }
                         // arg0 = self (one extra ref for the argument).
                         self.incref(inst);
-                        let mut args = Vec::with_capacity(argc + 1);
-                        args.push(inst);
-                        // Ownership of the popped args moves into the vec.
-                        args.extend_from_slice(&self.scratch[mark..mark + argc]);
+                        // The arguments follow the instance as a second
+                        // copy; the originals stay below as roots until
+                        // the frame owns them.
+                        let args_at = self.scratch.len();
+                        self.scratch.push(inst);
+                        self.scratch.extend_from_within(mark..mark + argc);
                         self.incref(init_fn);
                         // Our original `inst` reference transfers into the
                         // frame's init_instance slot; scratch entries were
                         // all transferred, so truncate without decref.
-                        self.enter_function(f, args, init_fn, Some(inst))?;
+                        self.enter_function(init_fn, args_at, Some(inst))?;
                         self.scratch.truncate(mark);
                         self.decref(callee);
                         Ok(StepEvent::Continue)
@@ -1534,54 +1531,90 @@ impl<S: OpSink> Vm<S> {
                     }
                 }
             }
-            other => Err(self.err_here(format!(
+            ref other => Err(self.err_here(format!(
                 "TypeError: '{}' object is not callable",
                 other.type_name()
             ))),
         }
     }
 
-    /// Pushes a frame for a guest function call.
+    /// Calls native `id` on the owned args `mark..mark+argc` in scratch
+    /// (bound to `recv` when it is a method), releases the args and
+    /// `callee`, and pushes the result.
+    fn dispatch_native(
+        &mut self,
+        id: crate::object::NativeId,
+        recv: Option<ObjRef>,
+        callee: ObjRef,
+        mark: usize,
+        argc: usize,
+    ) -> Result<StepEvent, VmError> {
+        // A reused buffer: natives read their args while mutating the VM.
+        let mut args = std::mem::take(&mut self.native_args);
+        args.clear();
+        args.extend_from_slice(&self.scratch[mark..mark + argc]);
+        let result = self.call_native(id, recv, &args);
+        self.scratch.truncate(mark);
+        if result.is_ok() {
+            for &a in &args {
+                self.decref(a);
+            }
+            self.decref(callee);
+        }
+        self.native_args = args;
+        self.push_s(56, result?)?;
+        Ok(StepEvent::Continue)
+    }
+
+    /// The default values of function object `func` (empty for anything
+    /// else).
+    fn func_defaults(&self, func: ObjRef) -> &[ObjRef] {
+        match self.kind(func) {
+            ObjKind::Func(f) => &f.defaults,
+            _ => &[],
+        }
+    }
+
+    /// Pushes a frame for a call of function object `callee`, whose owned
+    /// arguments are `scratch[args_at..]`; they move into the frame's
+    /// locals and scratch is truncated to `args_at`.
     fn enter_function(
         &mut self,
-        f: FuncObj,
-        mut args: Vec<ObjRef>,
         callee: ObjRef,
+        args_at: usize,
         init_instance: Option<ObjRef>,
     ) -> Result<(), VmError> {
+        let ObjKind::Func(f) = self.kind(callee) else {
+            return Err(self.err_here("internal error: calling a non-function"));
+        };
         let code = Rc::clone(&f.code);
-        self.register_code(&code);
-        let required = code.argcount - f.defaults.len().min(code.argcount);
+        let ndefaults = f.defaults.len();
+        let meta = self.register_code(&code);
+        let required = code.argcount - ndefaults.min(code.argcount);
+        let nargs = self.scratch.len() - args_at;
         // Argument-count error check.
         self.ealu2(30, Category::ErrorCheck, 1);
         self.ebranch2(31, Category::ErrorCheck, false);
-        if args.len() < required || args.len() > code.argcount {
+        if nargs < required || nargs > code.argcount {
+            self.scratch.truncate(args_at);
             return Err(self.err_here(format!(
                 "TypeError: {}() takes {} arguments ({} given)",
-                code.name,
-                code.argcount,
-                args.len()
+                code.name, code.argcount, nargs
             )));
         }
         // Fill defaults for missing trailing parameters.
-        let missing = code.argcount - args.len();
-        if missing > 0 {
-            let start = f.defaults.len() - missing;
-            for &d in &f.defaults[start..] {
-                self.incref(d);
-                args.push(d);
-            }
+        for i in ndefaults - (code.argcount - nargs)..ndefaults {
+            let d = self.func_defaults(callee)[i];
+            self.incref(d);
+            self.scratch.push(d);
         }
+        let nargs = code.argcount;
         // Class bodies run with a dict namespace.
         let class_ns = if code.kind == CodeKind::ClassBody {
-            for &a in &args {
-                self.scratch.push(a);
-            }
             let ns = self.alloc_obj(ObjKind::Dict(crate::dict::DictObj::new()));
             self.scratch.push(ns);
             self.attach_dict_buffer(ns);
             self.scratch.pop();
-            self.scratch.truncate(self.scratch.len() - args.len());
             Some(ns)
         } else {
             None
@@ -1592,27 +1625,17 @@ impl<S: OpSink> Vm<S> {
         self.icall(34, 0x9940, false);
         self.icall(40, 0x9980, false);
         // Argument copy into fast locals.
-        let nargs = args.len();
-        for a in &args {
-            self.scratch.push(*a);
+        let frame_name = std::sync::Arc::clone(&meta.name);
+        let mut frame = self.new_frame(code, meta, Some(callee), class_ns);
+        for (slot, &a) in frame.locals.iter_mut().zip(&self.scratch[args_at..]) {
+            *slot = Some(a);
         }
-        let frame_name = match self.code_meta.get(&code_key(&code)) {
-            Some(meta) => std::sync::Arc::clone(&meta.name),
-            None => std::sync::Arc::from(code.name.as_str()),
-        };
-        let frame = self.new_frame(code, Vec::new(), Some(callee), class_ns);
-        self.scratch.truncate(self.scratch.len() - nargs);
+        frame.init_instance = init_instance;
+        self.scratch.truncate(args_at);
         self.frames.push(frame);
         self.sink.frame_event(&FrameEvent::Push { name: frame_name });
-        let frame_addr = self.frame_addr();
-        {
-            let fr = self.frame_mut()?;
-            for (i, a) in args.into_iter().enumerate() {
-                fr.locals[i] = Some(a);
-            }
-            fr.init_instance = init_instance;
-        }
         if self.cost == CostMode::Interp {
+            let frame_addr = self.frame_addr();
             for i in 0..nargs as u64 {
                 self.estore(46, Category::FunctionSetup, frame_addr + 96 + i * 8);
             }
@@ -1639,26 +1662,30 @@ impl<S: OpSink> Vm<S> {
         self.ealu2(4, Category::FunctionSetup, 10);
         let frame = self.frames.pop().ok_or_else(|| self.err_here("internal error: no frame to return from"))?;
         self.sink.frame_event(&FrameEvent::Pop);
-        for v in frame.locals.into_iter().flatten() {
+        let Frame { mut locals, mut stack, mut blocks, class_ns, callee, frame_obj, init_instance, .. } =
+            frame;
+        for v in locals.drain(..).flatten() {
             self.decref(v);
         }
-        for v in frame.stack {
+        for v in stack.drain(..) {
             self.decref(v);
         }
-        if let Some(ns) = frame.class_ns {
+        blocks.clear();
+        self.frame_bufs.push((locals, stack, blocks));
+        if let Some(ns) = class_ns {
             self.decref(ns);
         }
-        if let Some(c) = frame.callee {
+        if let Some(c) = callee {
             self.decref(c);
         }
-        if let Some(fo) = frame.frame_obj {
+        if let Some(fo) = frame_obj {
             // Frame deallocation: the alloc/free churn of Table II.
             self.decref(fo);
         }
         // Matching returns for the call-entry helpers.
         self.iret(8);
         self.iret(12);
-        let retval = match frame.init_instance {
+        let retval = match init_instance {
             Some(inst) => {
                 // `__init__` frames yield the instance.
                 self.decref(retval);

@@ -13,6 +13,7 @@
 //! semantics never change.
 
 use crate::dict::{DictObj, Key};
+use crate::idhash::IdMap;
 use crate::native::NativeRegistry;
 use crate::object::{Obj, ObjKind, ObjRef};
 use qoa_chaos::{ChaosState, FaultKind, FaultRecord};
@@ -211,6 +212,9 @@ pub struct Block {
 pub struct Frame {
     /// The executing code object.
     pub code: Rc<CodeObject>,
+    /// The VM's registered metadata for `code`, carried here so dispatch
+    /// reads it without a table lookup.
+    pub(crate) meta: Rc<CodeMeta>,
     /// Next instruction index.
     pub pc: usize,
     /// Fast locals (parameters first).
@@ -229,6 +233,9 @@ pub struct Frame {
     /// value.
     pub init_instance: Option<ObjRef>,
 }
+
+/// A returned frame's emptied locals, value stack and block stack.
+pub(crate) type FrameBufs = (Vec<Option<ObjRef>>, Vec<ObjRef>, Vec<Block>);
 
 /// Execution statistics.
 #[derive(Debug, Clone)]
@@ -310,11 +317,27 @@ pub struct Vm<S: OpSink> {
     pub(crate) interned_strs: HashMap<Rc<str>, ObjRef>,
     pub(crate) natives: NativeRegistry,
     /// Per-code-object constant object tables and simulated co_code
-    /// addresses, keyed by code identity.
-    pub(crate) code_meta: HashMap<usize, CodeMeta>,
+    /// addresses, keyed by code identity. Frames carry their own `Rc`, so
+    /// this is consulted once per call, not per bytecode.
+    pub(crate) code_meta: IdMap<usize, Rc<CodeMeta>>,
+    /// Interned name objects of every registered code object's `names`,
+    /// from [`CodeMeta::name_base`] on; `None` until first needed.
+    /// Interning allocates at the next static address, so it stays
+    /// exactly as lazy as a per-use `intern_str` would be.
+    pub(crate) name_objs: Vec<Option<ObjRef>>,
     next_code_addr: u64,
     static_bump: u64,
     pub(crate) probes: Vec<u32>,
+    /// [`Vm::decref`]'s cascade worklist, kept between calls so a release
+    /// does not allocate.
+    decref_work: Vec<ObjRef>,
+    /// Emptied locals, value-stack and block vectors of returned frames,
+    /// reused by the next calls so a call does not allocate them.
+    pub(crate) frame_bufs: Vec<FrameBufs>,
+    /// Argument buffer for native calls (taken and given back per call).
+    pub(crate) native_args: Vec<ObjRef>,
+    /// `"__init__"`, the name instantiation looks up.
+    pub(crate) init_name: Rc<str>,
     pub(crate) stats: VmStats,
     pub(crate) steps: u64,
     /// A fault detected mid-instruction (e.g. simulated OOM during an
@@ -348,8 +371,9 @@ pub struct Vm<S: OpSink> {
     pub(crate) cur_line: u32,
 }
 
-/// Registered metadata for one code object.
-#[derive(Clone)]
+/// Registered metadata for one code object. Immutable once built, so a
+/// snapshot shares it with the machine it was cloned from.
+#[derive(Debug)]
 pub(crate) struct CodeMeta {
     /// Constants realized as (immortal) guest objects.
     pub consts: Vec<ObjRef>,
@@ -360,6 +384,18 @@ pub(crate) struct CodeMeta {
     /// Interned function name for frame events (cheap to clone per call;
     /// `Arc` so emitted traces stay shareable across threads).
     pub name: std::sync::Arc<str>,
+    /// `names` as shared strings, built once so a name lookup clones an
+    /// `Rc` instead of allocating a key.
+    pub names: Vec<Rc<str>>,
+    /// Index of `names[0]` in [`Vm::name_objs`].
+    pub name_base: usize,
+}
+
+impl CodeMeta {
+    /// The dict key for name `idx`.
+    pub fn name_key(&self, idx: usize) -> Key {
+        Key::Str(Rc::clone(&self.names[idx]))
+    }
 }
 
 /// Identity key of a code object (Rc pointer address).
@@ -397,10 +433,15 @@ impl<S: OpSink> Vm<S> {
             small_ints: Vec::new(),
             interned_strs: HashMap::new(),
             natives: NativeRegistry::new(),
-            code_meta: HashMap::new(),
+            code_meta: IdMap::default(),
+            name_objs: Vec::new(),
             next_code_addr: mem::STATIC_DATA_BASE + 0x10_0000,
             static_bump: mem::STATIC_DATA_BASE + 0x40_0000,
             probes: Vec::new(),
+            decref_work: Vec::new(),
+            frame_bufs: Vec::new(),
+            native_args: Vec::new(),
+            init_name: Rc::from("__init__"),
             stats: VmStats::default(),
             steps: 0,
             pending_fault: None,
@@ -929,7 +970,8 @@ impl<S: OpSink> Vm<S> {
     /// Decrements a reference count; frees (and cascades) at zero under Rc
     /// mode, or reclaims virtual temporaries under the generational heap.
     pub(crate) fn decref(&mut self, r: ObjRef) {
-        let mut worklist = vec![r];
+        let mut worklist = std::mem::take(&mut self.decref_work);
+        worklist.push(r);
         while let Some(r) = worklist.pop() {
             let o = &mut self.slab[r.index()];
             if o.immortal {
@@ -976,6 +1018,7 @@ impl<S: OpSink> Vm<S> {
                 }
             }
         }
+        self.decref_work = worklist;
     }
 
     fn release_slot(&mut self, r: ObjRef) {
@@ -1067,10 +1110,11 @@ impl<S: OpSink> Vm<S> {
 
     /// Registers a code object: realizes its constants as immortal guest
     /// objects and assigns simulated addresses for `co_code`/`co_consts`.
-    pub(crate) fn register_code(&mut self, code: &Rc<CodeObject>) {
+    /// Returns its metadata (the already registered one on a repeat call).
+    pub(crate) fn register_code(&mut self, code: &Rc<CodeObject>) -> Rc<CodeMeta> {
         let key = code_key(code);
-        if self.code_meta.contains_key(&key) {
-            return;
+        if let Some(meta) = self.code_meta.get(&key) {
+            return Rc::clone(meta);
         }
         let code_addr = self.next_code_addr;
         self.next_code_addr += (code.code.len() as u64) * 4 + 64;
@@ -1078,25 +1122,41 @@ impl<S: OpSink> Vm<S> {
         self.next_code_addr += (code.consts.len() as u64) * 8 + 64;
         let consts: Vec<ObjRef> = code
             .consts
-            .clone()
-            .into_iter()
+            .iter()
             .map(|c| match c {
                 Const::None => self.none_ref,
-                Const::Bool(b) => self.bool_ref(b),
-                Const::Int(v) if (SMALL_INT_MIN..=SMALL_INT_MAX).contains(&v) => {
+                Const::Bool(b) => self.bool_ref(*b),
+                Const::Int(v) if (SMALL_INT_MIN..=SMALL_INT_MAX).contains(v) => {
                     self.small_ints[(v - SMALL_INT_MIN) as usize]
                 }
-                Const::Int(v) => self.alloc_immortal(ObjKind::Int(v)),
-                Const::Float(v) => self.alloc_immortal(ObjKind::Float(v)),
-                Const::Str(s) => self.intern_str(&s),
+                Const::Int(v) => self.alloc_immortal(ObjKind::Int(*v)),
+                Const::Float(v) => self.alloc_immortal(ObjKind::Float(*v)),
+                Const::Str(s) => self.intern_str(s),
                 Const::Code(inner) => {
-                    self.register_code(&inner);
-                    self.alloc_immortal(ObjKind::Code(Rc::clone(&inner)))
+                    self.register_code(inner);
+                    self.alloc_immortal(ObjKind::Code(Rc::clone(inner)))
                 }
             })
             .collect();
         let name: std::sync::Arc<str> = std::sync::Arc::from(code.name.as_str());
-        self.code_meta.insert(key, CodeMeta { consts, code_addr, consts_addr, name });
+        let names = code.names.iter().map(|n| Rc::from(n.as_str())).collect();
+        let name_base = self.name_objs.len();
+        self.name_objs.resize(name_base + code.names.len(), None);
+        let meta = Rc::new(CodeMeta { consts, code_addr, consts_addr, name, names, name_base });
+        self.code_meta.insert(key, Rc::clone(&meta));
+        meta
+    }
+
+    /// The interned string object for `meta`'s name `idx`: the same object
+    /// [`Vm::intern_str`] returns, found without hashing after first use.
+    pub(crate) fn name_obj(&mut self, meta: &CodeMeta, idx: usize) -> ObjRef {
+        let slot = meta.name_base + idx;
+        if let Some(r) = self.name_objs[slot] {
+            return r;
+        }
+        let r = self.intern_str(&meta.names[idx]);
+        self.name_objs[slot] = Some(r);
+        r
     }
 
     /// Builds a [`Key`] from a guest object, if it is hashable.

@@ -502,6 +502,35 @@ while n < 3000:
     check_int(src, "t", 31_495_500);
 }
 
+#[test]
+fn call_arguments_survive_minor_collections_at_the_smallest_nursery() {
+    // Arguments move from the value stack into the callee's locals
+    // through GC-visible scratch. At the 4 kB minimum nursery a minor
+    // collection runs during most calls' frame allocation (hundreds over
+    // the loop); a fresh list and boxed ints above the small-int cache
+    // must survive it, and the defaulted `k` with them.
+    let src = "
+def f(a, b, k=2):
+    return a[0] + b[k]
+total = 0
+n = 0
+while n < 3000:
+    total = total + f([n + 1000, n + 2000, n + 3000], [n + 7, n + 8, n + 9])
+    n += 1
+";
+    let run = |heap| {
+        let cfg = VmConfig { heap, max_steps: 50_000_000, ..VmConfig::default() };
+        qoa_vm::run_source(src, cfg, CountingSink::new())
+            .unwrap_or_else(|e| panic!("{heap:?} run failed: {e}"))
+    };
+    let mut rc = run(HeapMode::Rc);
+    let mut gen = run(HeapMode::Gen(GcConfig::with_nursery(4096)));
+    assert_eq!(rc.global_int("total"), Some(12_024_000));
+    assert_eq!(gen.global_int("total"), rc.global_int("total"));
+    let minor = gen.stats().gc.minor_collections;
+    assert!(minor > 300, "only {minor} minor collections");
+}
+
 // ---- native library --------------------------------------------------------------------------------
 
 #[test]
