@@ -2,16 +2,17 @@
 //! checkpoint/restore recovery.
 //!
 //! [`capture_chaos`] runs a workload exactly like
-//! [`crate::runtime::capture`], but with a [`FaultPlan`] armed and the
-//! machine driven step by step so it can be snapshotted every
-//! `checkpoint_every` bytecodes. When an *injected* fault surfaces, the
-//! runner restores the most recent [`Snapshot`] — interpreter, heap, JIT
-//! driver, *and* attribution state all rewind together — disarms the
-//! consumed fault point, and resumes. Because execution is deterministic
-//! (the fault clock counts simulated steps, never wall time), the
-//! recovered run re-executes the rewound span identically and finishes
-//! with a trace **byte-identical** to the fault-free baseline: that is
-//! the differential oracle [`oracle_check`] asserts.
+//! [`crate::runtime::capture`], on the same [`Machine`], but with a
+//! [`FaultPlan`] armed and the machine driven step by step ([`drive`]) so
+//! it can be snapshotted every `checkpoint_every` bytecodes. When an
+//! *injected* fault surfaces, the runner restores the most recent
+//! [`Snapshot`] — interpreter, heap, JIT driver, *and* attribution state
+//! all rewind together — disarms the consumed fault point, and resumes.
+//! Because execution is deterministic (the fault clock counts simulated
+//! steps, never wall time), the recovered run re-executes the rewound
+//! span identically and finishes with a trace **byte-identical** to the
+//! fault-free baseline: that is the differential oracle [`oracle_check`]
+//! asserts.
 //!
 //! Organic errors (guest faults, real fuel/deadline/OOM) are *not*
 //! recovered — they surface as the same typed [`QoaError`] the plain
@@ -19,15 +20,16 @@
 
 use crate::error::QoaError;
 use crate::journal::{CellMetrics, Metric};
-use crate::runtime::{CapturedRun, RuntimeConfig};
-use qoa_chaos::{ChaosState, FaultKind, FaultPlan, FaultRecord, Snapshot};
+use crate::runtime::{trace_buffer, CapturedRun, Machine, RuntimeConfig};
+use qoa_chaos::{ChaosState, FaultKind, FaultPlan, Snapshot};
 use qoa_frontend::CodeObject;
-use qoa_jit::PyPyVm;
 use qoa_model::{OpSink, RuntimeKind};
 use qoa_obs::metrics::Registry;
-use qoa_uarch::{ExecutionStats, TraceBuffer, UarchConfig};
-use qoa_vm::{HeapMode, StepEvent, Vm, VmConfig, VmError};
+use qoa_uarch::{ExecutionStats, UarchConfig};
 use std::collections::BTreeMap;
+
+/// The default snapshot cadence of [`drive`], in executed bytecodes.
+pub const CHECKPOINT_EVERY: u64 = 4096;
 
 /// How to run a workload under fault injection.
 #[derive(Debug, Clone)]
@@ -46,7 +48,7 @@ pub struct ChaosOptions {
 impl ChaosOptions {
     /// Options for `plan` with the default checkpoint cadence.
     pub fn new(plan: FaultPlan) -> ChaosOptions {
-        ChaosOptions { plan, checkpoint_every: 4096, degrade_jit: false }
+        ChaosOptions { plan, checkpoint_every: CHECKPOINT_EVERY, degrade_jit: false }
     }
 
     /// Returns a copy with the checkpoint cadence set.
@@ -158,75 +160,22 @@ impl ChaosOutcome {
     }
 }
 
-/// The step-drive interface [`capture_chaos`] needs from a machine: both
-/// [`Vm`] and [`PyPyVm`] provide it (with the whole machine `Clone`-able
-/// for snapshots).
-trait ChaosMachine: Clone {
-    /// Executes one driver step. `Ok(true)` when the program finished.
-    fn step_once(&mut self) -> Result<bool, VmError>;
-    /// Bytecodes executed so far.
-    fn steps(&self) -> u64;
-    /// Takes the record of the most recent injected fault.
-    fn take_injected(&mut self) -> Option<FaultRecord>;
-    /// The armed chaos state.
-    fn chaos_mut(&mut self) -> Option<&mut ChaosState>;
-    /// Whether a fault raised mid-step waits for the next step boundary.
-    fn has_pending_fault(&self) -> bool;
-}
-
-impl<S: OpSink + Clone> ChaosMachine for Vm<S> {
-    fn step_once(&mut self) -> Result<bool, VmError> {
-        Ok(matches!(self.step()?, StepEvent::Done))
-    }
-
-    fn steps(&self) -> u64 {
-        Vm::steps(self)
-    }
-
-    fn take_injected(&mut self) -> Option<FaultRecord> {
-        Vm::take_injected(self)
-    }
-
-    fn chaos_mut(&mut self) -> Option<&mut ChaosState> {
-        Vm::chaos_mut(self)
-    }
-
-    fn has_pending_fault(&self) -> bool {
-        Vm::has_pending_fault(self)
-    }
-}
-
-impl<S: OpSink + Clone> ChaosMachine for PyPyVm<S> {
-    fn step_once(&mut self) -> Result<bool, VmError> {
-        self.step_driver()
-    }
-
-    fn steps(&self) -> u64 {
-        PyPyVm::steps(self)
-    }
-
-    fn take_injected(&mut self) -> Option<FaultRecord> {
-        PyPyVm::take_injected(self)
-    }
-
-    fn chaos_mut(&mut self) -> Option<&mut ChaosState> {
-        self.vm.chaos_mut()
-    }
-
-    fn has_pending_fault(&self) -> bool {
-        self.vm.has_pending_fault()
-    }
-}
-
-/// Drives `machine` to completion, checkpointing every `every` bytecodes
-/// and recovering injected faults by restore-and-disarm.
-fn drive<M: ChaosMachine>(
-    mut machine: M,
+/// Drives a machine with a chaos plan armed to completion, checkpointing
+/// every `every` bytecodes and recovering injected faults by
+/// restore-and-disarm. This is the stack's one recovery loop: the chaos
+/// runner and fault-injected serving both call it.
+///
+/// # Errors
+///
+/// The organic (not injected) error that stopped the run, or
+/// [`QoaError::Injected`] when no snapshot can be restored.
+pub fn drive<S: OpSink + Clone>(
+    mut machine: Machine<S>,
     every: u64,
     out: &mut ChaosOutcome,
-) -> Result<M, QoaError> {
+) -> Result<Machine<S>, QoaError> {
     let every = every.max(1);
-    let mut snap: Option<Snapshot<M>> = None;
+    let mut snap: Option<Snapshot<Machine<S>>> = None;
     // Every fault point recovered so far. A snapshot captured *before* a
     // fault fired knows nothing of its consumption, so each restore must
     // re-disarm the full set — otherwise two faults inside one checkpoint
@@ -239,21 +188,22 @@ fn drive<M: ChaosMachine>(
         // raised mid-step is still pending: the snapshot would carry it,
         // and every restore would re-raise a fault that disarming its
         // point cannot clear. The checkpoint moves to the next boundary.
-        let pending = machine.chaos_mut().is_some_and(|c| !c.exhausted());
+        let vm = machine.vm();
+        let pending = vm.chaos().is_some_and(|c| !c.exhausted());
         let due = match &snap {
             None => true,
-            Some(s) => machine.steps().saturating_sub(s.steps()) >= every,
+            Some(s) => vm.steps().saturating_sub(s.steps()) >= every,
         };
-        if pending && due && !machine.has_pending_fault() {
-            snap = Some(Snapshot::capture(machine.steps(), &machine));
+        if pending && due && !vm.has_pending_fault() {
+            snap = Some(Snapshot::capture(vm.steps(), &machine));
             out.checkpoints_written += 1;
         }
-        match machine.step_once() {
+        match machine.step() {
             Ok(true) => {
                 // Degrade-mode recoveries happened inside the machine;
                 // fold them into the counters before the machine is
                 // consumed for extraction.
-                if let Some(chaos) = machine.chaos_mut() {
+                if let Some(chaos) = machine.vm().chaos() {
                     let n = chaos.in_vm_recoveries();
                     if n > 0 {
                         *out.injected.entry("jit").or_insert(0) += n;
@@ -263,7 +213,7 @@ fn drive<M: ChaosMachine>(
                 return Ok(machine);
             }
             Ok(false) => {}
-            Err(e) => match machine.take_injected() {
+            Err(e) => match machine.vm_mut().take_injected() {
                 Some(rec) => {
                     // A fault can only fire during a step, and a snapshot
                     // is guaranteed before any step with pending faults;
@@ -272,7 +222,7 @@ fn drive<M: ChaosMachine>(
                         return Err(QoaError::Injected { what: rec.kind.name(), steps: rec.tick });
                     };
                     disarmed.push(rec.index);
-                    if let Some(chaos) = restored.chaos_mut() {
+                    if let Some(chaos) = restored.vm_mut().chaos_mut() {
                         for &i in &disarmed {
                             chaos.disarm(i);
                         }
@@ -362,59 +312,10 @@ pub fn capture_chaos(
     // while the code that actually loads is the optimized form, so the
     // chaos oracle also covers the optimizer.
     let (code, verified) = crate::runtime::prepare(code, rt)?;
-    let trace = if rt.obs.enabled {
-        TraceBuffer::with_frame_capture()
-    } else {
-        TraceBuffer::new()
-    };
-
-    match rt.kind {
-        RuntimeKind::CPython => {
-            let cfg = VmConfig {
-                heap: HeapMode::Rc,
-                max_steps: rt.max_steps,
-                deadline: rt.deadline,
-                max_heap_bytes: rt.max_heap_bytes,
-            };
-            let mut vm = Vm::new(cfg, trace);
-            match verified.as_ref() {
-                Some(v) => vm.load_verified(v),
-                None => vm.load_program(&code),
-            }
-            vm.arm_chaos(chaos);
-            let mut vm = drive(vm, opts.checkpoint_every, &mut out)?;
-            let result = vm.global_display("result");
-            let output = vm.output().to_vec();
-            let stats = vm.stats();
-            let (trace, _) = vm.finish();
-            Ok((
-                CapturedRun {
-                    trace,
-                    vm: stats,
-                    jit: qoa_jit::JitStats::default(),
-                    output,
-                    result,
-                },
-                out,
-            ))
-        }
-        RuntimeKind::PyPyNoJit | RuntimeKind::PyPyJit | RuntimeKind::V8 => {
-            let enabled = rt.kind != RuntimeKind::PyPyNoJit;
-            let mut vm = PyPyVm::new(rt.jit_config(enabled), trace);
-            match verified.as_ref() {
-                Some(v) => vm.load_verified(v),
-                None => vm.load_program(&code),
-            }
-            vm.arm_chaos(chaos);
-            let mut vm = drive(vm, opts.checkpoint_every, &mut out)?;
-            let jit = vm.jit_stats();
-            let result = vm.vm.global_display("result");
-            let output = vm.vm.output().to_vec();
-            let stats = vm.vm.stats();
-            let (trace, _) = vm.vm.finish();
-            Ok((CapturedRun { trace, vm: stats, jit, output, result }, out))
-        }
-    }
+    let mut machine = Machine::load(&code, verified.as_ref(), rt, trace_buffer(rt));
+    machine.vm_mut().arm_chaos(chaos);
+    let run = drive(machine, opts.checkpoint_every, &mut out)?.finish();
+    Ok((CapturedRun::from(run), out))
 }
 
 /// The differential oracle: asserts a faulted-then-recovered run is

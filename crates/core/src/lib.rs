@@ -73,7 +73,7 @@ pub use harness::{
 pub use isolate::{run_isolated, RunFailure, RunOutcome};
 pub use journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, JOURNAL_VERSION};
 pub use report::Table;
-pub use runtime::{capture, capture_observed, run_with_sink, CapturedRun, RuntimeConfig};
+pub use runtime::{capture, capture_observed, run_with_sink, CapturedRun, Machine, RuntimeConfig};
 pub use sweeps::{
     best_nursery, nursery_sweep, sweep_trace, NurseryPoint, SweepParam, SweepPoint,
     NURSERY_SIZES,

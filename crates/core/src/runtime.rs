@@ -7,7 +7,7 @@ use qoa_jit::{JitConfig, JitStats, PyPyVm};
 use qoa_model::{OpSink, RuntimeKind};
 use qoa_obs::{ObsConfig, Observability};
 use qoa_uarch::TraceBuffer;
-use qoa_vm::{HeapMode, Vm, VmConfig, VmStats};
+use qoa_vm::{HeapMode, StepEvent, Vm, VmConfig, VmError, VmStats};
 use std::rc::Rc;
 
 /// Default execution fuel for experiment runs (guards against accidental
@@ -93,22 +93,6 @@ impl RuntimeConfig {
         self.opt_level = level;
         self
     }
-
-    pub(crate) fn jit_config(&self, enabled: bool) -> JitConfig {
-        let base = if self.kind == RuntimeKind::V8 {
-            JitConfig::v8()
-        } else {
-            JitConfig::default()
-        };
-        JitConfig {
-            enabled,
-            nursery_size: self.nursery.unwrap_or(base.nursery_size),
-            max_steps: self.max_steps,
-            deadline: self.deadline,
-            max_heap_bytes: self.max_heap_bytes,
-            ..base
-        }
-    }
 }
 
 /// Everything captured from one guest-program run: the micro-op trace
@@ -134,14 +118,23 @@ pub struct CapturedRun {
 /// Returns the typed [`QoaError`]: compile error, guest run-time error,
 /// or resource cutoff (fuel, deadline, simulated OOM).
 pub fn capture(source: &str, rt: &RuntimeConfig) -> Result<CapturedRun, QoaError> {
-    let trace = if rt.obs.enabled {
+    run_with_sink(source, rt, trace_buffer(rt)).map(CapturedRun::from)
+}
+
+impl From<SinkRun<TraceBuffer>> for CapturedRun {
+    fn from((trace, vm, jit, output, result): SinkRun<TraceBuffer>) -> Self {
+        CapturedRun { trace, vm, jit, output, result }
+    }
+}
+
+/// An empty trace for a run under `rt`, capturing guest frame events when
+/// observability is on.
+pub(crate) fn trace_buffer(rt: &RuntimeConfig) -> TraceBuffer {
+    if rt.obs.enabled {
         TraceBuffer::with_frame_capture()
     } else {
         TraceBuffer::new()
-    };
-    run_with_sink(source, rt, trace).map(
-        |(trace, vm, jit, output, result)| CapturedRun { trace, vm, jit, output, result },
-    )
+    }
 }
 
 /// Runs `source` under `rt` with wall-clock spans recorded into `obs`
@@ -176,9 +169,11 @@ pub fn capture_observed(
         prepare(code, rt)?
     };
     obs.wall_span("execute", || {
-        run_compiled(&code, verified.as_ref(), rt, TraceBuffer::with_frame_capture())
+        let mut machine =
+            Machine::load(&code, verified.as_ref(), rt, TraceBuffer::with_frame_capture());
+        machine.run()?;
+        Ok(CapturedRun::from(machine.finish()))
     })
-    .map(|(trace, vm, jit, output, result)| CapturedRun { trace, vm, jit, output, result })
 }
 
 /// Everything a runtime execution yields besides the trace: the sink,
@@ -197,9 +192,9 @@ pub fn run_with_sink<S: OpSink>(
     rt: &RuntimeConfig,
     sink: S,
 ) -> Result<SinkRun<S>, QoaError> {
-    let code = qoa_frontend::compile(source)?;
-    let (code, verified) = prepare(code, rt)?;
-    run_compiled(&code, verified.as_ref(), rt, sink)
+    let mut machine = Machine::new(source, rt, sink)?;
+    machine.run()?;
+    Ok(machine.finish())
 }
 
 /// The code to load plus the elision token, when check elision is on.
@@ -219,48 +214,136 @@ pub(crate) fn prepare(code: Rc<CodeObject>, rt: &RuntimeConfig) -> Result<Prepar
     }
 }
 
-/// Executes already-compiled (and optionally verified) code under `rt`.
-fn run_compiled<S: OpSink>(
-    code: &Rc<CodeObject>,
-    verified: Option<&Verified<Rc<CodeObject>>>,
-    rt: &RuntimeConfig,
-    sink: S,
-) -> Result<SinkRun<S>, QoaError> {
-    match rt.kind {
-        RuntimeKind::CPython => {
-            let cfg = VmConfig {
-                heap: HeapMode::Rc,
-                max_steps: rt.max_steps,
-                deadline: rt.deadline,
-                max_heap_bytes: rt.max_heap_bytes,
-            };
-            let mut vm = Vm::new(cfg, sink);
-            match verified {
-                Some(v) => vm.load_verified(v),
-                None => vm.load_program(code),
+/// One guest program loaded into the machine its [`RuntimeConfig`] names:
+/// the CPython model is a plain [`Vm`] over the refcounting heap; the PyPy
+/// and V8 models are a [`PyPyVm`] (JIT on or off) over the generational
+/// heap. [`Machine::load`] is the only place a run-time configuration
+/// becomes a [`VmConfig`] or [`JitConfig`].
+///
+/// The whole machine is plain data behind `Clone`, so a
+/// [`qoa_chaos::Snapshot`] of it captures interpreter, heap, JIT driver,
+/// chaos state and sink together.
+#[derive(Clone)]
+pub struct Machine<S: OpSink>(Inner<S>);
+
+#[derive(Clone)]
+enum Inner<S: OpSink> {
+    Interp(Box<Vm<S>>),
+    Jit(Box<PyPyVm<S>>),
+}
+
+impl<S: OpSink> Machine<S> {
+    /// Compiles `source`, optimizes and/or verifies it per `rt`, and
+    /// loads it.
+    ///
+    /// # Errors
+    ///
+    /// The compile error, or the verifier's rejection of the code.
+    pub fn new(source: &str, rt: &RuntimeConfig, sink: S) -> Result<Self, QoaError> {
+        let code = qoa_frontend::compile(source)?;
+        let (code, verified) = prepare(code, rt)?;
+        Ok(Machine::load(&code, verified.as_ref(), rt, sink))
+    }
+
+    /// Loads prepared code into a fresh machine for `rt`. A `verified`
+    /// token loads its code with the dispatch guard checks elided;
+    /// without one, `code` loads guarded.
+    pub fn load(
+        code: &Rc<CodeObject>,
+        verified: Option<&Verified<Rc<CodeObject>>>,
+        rt: &RuntimeConfig,
+        sink: S,
+    ) -> Self {
+        let inner = match rt.kind {
+            RuntimeKind::CPython => Inner::Interp(Box::new(Vm::new(
+                VmConfig {
+                    heap: HeapMode::Rc,
+                    max_steps: rt.max_steps,
+                    deadline: rt.deadline,
+                    max_heap_bytes: rt.max_heap_bytes,
+                },
+                sink,
+            ))),
+            RuntimeKind::PyPyNoJit | RuntimeKind::PyPyJit | RuntimeKind::V8 => {
+                let base =
+                    if rt.kind == RuntimeKind::V8 { JitConfig::v8() } else { JitConfig::default() };
+                let cfg = JitConfig {
+                    enabled: rt.kind != RuntimeKind::PyPyNoJit,
+                    nursery_size: rt.nursery.unwrap_or(base.nursery_size),
+                    max_steps: rt.max_steps,
+                    deadline: rt.deadline,
+                    max_heap_bytes: rt.max_heap_bytes,
+                    ..base
+                };
+                Inner::Jit(Box::new(PyPyVm::new(cfg, sink)))
             }
-            vm.run().map_err(QoaError::from)?;
-            let result = vm.global_display("result");
-            let output = vm.output().to_vec();
-            let stats = vm.stats();
-            let (sink, _) = vm.finish();
-            Ok((sink, stats, JitStats::default(), output, result))
+        };
+        let mut machine = Machine(inner);
+        match verified {
+            Some(v) => machine.vm_mut().load_verified(v),
+            None => machine.vm_mut().load_program(code),
         }
-        RuntimeKind::PyPyNoJit | RuntimeKind::PyPyJit | RuntimeKind::V8 => {
-            let enabled = rt.kind != RuntimeKind::PyPyNoJit;
-            let mut vm = PyPyVm::new(rt.jit_config(enabled), sink);
-            match verified {
-                Some(v) => vm.load_verified(v),
-                None => vm.load_program(code),
+        machine
+    }
+
+    /// The underlying interpreter: fuel, chaos arming, injected-fault
+    /// records and step counts live here.
+    pub fn vm(&self) -> &Vm<S> {
+        match &self.0 {
+            Inner::Interp(vm) => vm,
+            Inner::Jit(jit) => &jit.vm,
+        }
+    }
+
+    /// Mutable access to the underlying interpreter.
+    pub fn vm_mut(&mut self) -> &mut Vm<S> {
+        match &mut self.0 {
+            Inner::Interp(vm) => vm,
+            Inner::Jit(jit) => &mut jit.vm,
+        }
+    }
+
+    /// Runs the program to completion.
+    ///
+    /// # Errors
+    ///
+    /// The guest run-time error or resource cutoff that stopped it.
+    pub fn run(&mut self) -> Result<(), QoaError> {
+        match &mut self.0 {
+            Inner::Interp(vm) => vm.run(),
+            Inner::Jit(jit) => jit.run(),
+        }
+        .map_err(QoaError::from)
+    }
+
+    /// Executes one bytecode (under the JIT driver's state machine on the
+    /// PyPy and V8 models). `Ok(true)` when the program has finished.
+    ///
+    /// # Errors
+    ///
+    /// The raw [`VmError`], so a chaos driver can tell an injected fault
+    /// ([`Vm::take_injected`]) from an organic one.
+    pub fn step(&mut self) -> Result<bool, VmError> {
+        match &mut self.0 {
+            Inner::Interp(vm) => Ok(matches!(vm.step()?, StepEvent::Done)),
+            Inner::Jit(jit) => jit.step_driver(),
+        }
+    }
+
+    /// Consumes the machine: its sink, VM and JIT statistics (zeroed for
+    /// CPython), guest stdout, and the rendered `result` global.
+    pub fn finish(self) -> SinkRun<S> {
+        let (mut vm, jit) = match self.0 {
+            Inner::Interp(vm) => (*vm, JitStats::default()),
+            Inner::Jit(jit) => {
+                let stats = jit.jit_stats();
+                (jit.vm, stats)
             }
-            vm.run().map_err(QoaError::from)?;
-            let jit = vm.jit_stats();
-            let result = vm.vm.global_display("result");
-            let output = vm.vm.output().to_vec();
-            let stats = vm.vm.stats();
-            let (sink, _) = vm.vm.finish();
-            Ok((sink, stats, jit, output, result))
-        }
+        };
+        let result = vm.global_display("result");
+        let output = vm.output().to_vec();
+        let (sink, stats) = vm.finish();
+        (sink, stats, jit, output, result)
     }
 }
 

@@ -246,45 +246,9 @@ impl<S: OpSink> PyPyVm<S> {
         self.stats
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &JitConfig {
-        &self.cfg
-    }
-
     /// Total bytes of simulated JIT code emitted.
     pub fn jit_code_bytes(&self) -> u64 {
         self.jit_code_bump - mem::JIT_CODE_BASE
-    }
-
-    /// Bytecodes executed so far (see [`Vm::steps`]).
-    pub fn steps(&self) -> u64 {
-        self.vm.steps()
-    }
-
-    /// Replaces the execution fuel budget on the underlying machine (see
-    /// [`Vm::set_fuel`]). Kept in sync on the driver's own config so a
-    /// snapshot of this machine restores with the same limit.
-    pub fn set_fuel(&mut self, max_steps: u64) {
-        self.cfg.max_steps = max_steps;
-        self.vm.set_fuel(max_steps);
-    }
-
-    /// Replaces the wall-clock deadline on the underlying machine (see
-    /// [`Vm::set_deadline`]).
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.cfg.deadline = deadline;
-        self.vm.set_deadline(deadline);
-    }
-
-    /// Arms a chaos plan on the underlying machine (see [`Vm::arm_chaos`]).
-    pub fn arm_chaos(&mut self, chaos: qoa_chaos::ChaosState) {
-        self.vm.arm_chaos(chaos);
-    }
-
-    /// Takes the record of the most recent injected fault (see
-    /// [`Vm::take_injected`]).
-    pub fn take_injected(&mut self) -> Option<qoa_chaos::FaultRecord> {
-        self.vm.take_injected()
     }
 
     /// Runs the program to completion.
@@ -303,9 +267,15 @@ impl<S: OpSink> PyPyVm<S> {
     /// Advances execution by one bytecode under the driver's state
     /// machine. Returns `true` when the program is done.
     ///
+    /// Always inlined, like the three `drive_*` steps it dispatches to:
+    /// it has two callers, [`PyPyVm::run`] and the chaos runner's step
+    /// loop, and with two callers the compiler would otherwise leave a
+    /// call per bytecode in the run loop.
+    ///
     /// # Errors
     ///
     /// Propagates guest run-time errors.
+    #[inline(always)]
     pub fn step_driver(&mut self) -> Result<bool, VmError> {
         match std::mem::replace(&mut self.state, DriverState::Interp) {
             DriverState::Interp => self.drive_interp(),
@@ -316,6 +286,7 @@ impl<S: OpSink> PyPyVm<S> {
         }
     }
 
+    #[inline(always)]
     fn drive_interp(&mut self) -> Result<bool, VmError> {
         // Entering a compiled loop?
         if self.cfg.enabled {
@@ -352,6 +323,7 @@ impl<S: OpSink> PyPyVm<S> {
         Ok(false)
     }
 
+    #[inline(always)]
     fn drive_recording(
         &mut self,
         header: Loc,
@@ -414,6 +386,7 @@ impl<S: OpSink> PyPyVm<S> {
         }
     }
 
+    #[inline(always)]
     fn drive_executing(&mut self, lp: usize, frag: usize, idx: usize) -> Result<bool, VmError> {
         let Some(loc) = self.vm.location() else { return Ok(true) };
         // Injected mid-trace abort: the compiled code hits a synthetic

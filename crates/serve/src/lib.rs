@@ -1,11 +1,11 @@
 //! Snapshot-fork multi-tenant serving over the QOA stack.
 //!
-//! Composes the stack's robustness primitives into a serving daemon on
-//! the "millions of users" path the ROADMAP names:
+//! Composes the stack's robustness primitives into a serving daemon:
 //!
-//! * [`pool`] — pre-warmed [`qoa_chaos::Snapshot`]s, one per
-//!   `(workload, tier)`, forked per request; chaos faults recover by
-//!   restoring the snapshot, so clients see slow answers, never wrong
+//! * [`pool`] — pre-warmed [`qoa_chaos::Snapshot`]s of a
+//!   [`qoa_core::Machine`], one per `(workload, tier)`, forked per
+//!   request; chaos faults recover through the chaos runner's own
+//!   restore-and-disarm loop, so clients see slow answers, never wrong
 //!   ones.
 //! * [`admission`] — per-tenant token buckets over virtual time.
 //! * [`arrivals`] — seeded open-loop Poisson arrivals, pure-integer.
@@ -59,7 +59,7 @@ pub use net::{
     ClusterReport, NetConfig, NetFaultKind, NetFaultPlan, NetOutcome, Reply, VirtualNet,
 };
 pub use arrivals::{generate, parse_plan, plan_line, ArrivalSpec, Request, SplitMix64, TenantMix};
-pub use pool::{hash_output, prewarm, serve_one, ForkRun, Machine, Tier};
+pub use pool::{hash_output, prewarm, serve_one, ForkRun, Tier};
 pub use server::{
     calibrate, fuel_cap, journal_line, render_journal, serve, standard_tenants,
     strip_fault_counters, CalibEntry, Calibration, ChaosConfig, Ladder, Outcome, RequestRecord,

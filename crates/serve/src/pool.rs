@@ -2,10 +2,12 @@
 //!
 //! A serving VM is expensive to construct (parse, compile, verify, load)
 //! but cheap to *clone*: every machine state in the stack is plain data
-//! behind `Clone`. The pool therefore pre-warms one machine per
-//! `(workload, tier)` pair, captures a [`qoa_chaos::Snapshot`] of it
-//! before the first guest bytecode runs, and serves each request from a
-//! fresh restore of that snapshot — a fork-style warm start.
+//! behind `Clone`. The pool therefore pre-warms one [`Machine`] per
+//! `(workload, tier)` pair, built from the tier's [`RuntimeConfig`]
+//! ([`Tier::runtime`]) exactly as the figures build theirs, captures a
+//! [`qoa_chaos::Snapshot`] of it before the first guest bytecode runs,
+//! and serves each request from a fresh restore of that snapshot — a
+//! fork-style warm start.
 //!
 //! Machines hold `Rc` internals and are deliberately not `Send`, so
 //! snapshots never cross threads. Each executor worker lazily warms its
@@ -13,11 +15,10 @@
 //! which worker serves a request, so determinism is unaffected.
 
 use qoa_chaos::{fnv1a, ChaosState, FaultKind, FaultPlan, Snapshot};
-use qoa_core::runtime::DEFAULT_FUEL;
-use qoa_core::QoaError;
-use qoa_jit::{JitConfig, PyPyVm};
-use qoa_model::CountingSink;
-use qoa_vm::{HeapMode, Vm, VmConfig};
+use qoa_core::chaos::{drive, ChaosOutcome, CHECKPOINT_EVERY};
+use qoa_core::runtime::Machine;
+use qoa_core::{QoaError, RuntimeConfig};
+use qoa_model::{CountingSink, RuntimeKind};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -49,6 +50,15 @@ impl Tier {
         }
     }
 
+    /// The run-time configuration this tier serves under.
+    pub fn runtime(self) -> RuntimeConfig {
+        match self {
+            Tier::Full => RuntimeConfig::new(RuntimeKind::PyPyJit),
+            Tier::NoJit => RuntimeConfig::new(RuntimeKind::PyPyNoJit),
+            Tier::Checked => RuntimeConfig::new(RuntimeKind::CPython).with_check_elision(false),
+        }
+    }
+
     /// Fault kinds a chaos plan may fire in this tier. Load-time
     /// corruption is excluded: serving forks restore post-load
     /// snapshots, so the load-path poll site is never reached.
@@ -66,64 +76,6 @@ impl Tier {
             Tier::Full => &JIT,
             Tier::NoJit | Tier::Checked => &INTERP,
         }
-    }
-}
-
-/// A pre-warmable serving machine: either the tracing-JIT runtime or the
-/// plain checked interpreter, both counting micro-ops as service cost.
-#[derive(Clone)]
-pub enum Machine {
-    /// `PyPyVm` (JIT on or off per [`JitConfig::enabled`]).
-    Jit(Box<PyPyVm<CountingSink>>),
-    /// Plain `Vm` with dynamic guards.
-    Interp(Box<Vm<CountingSink>>),
-}
-
-impl Machine {
-    fn set_fuel(&mut self, fuel: u64) {
-        match self {
-            Machine::Jit(m) => m.set_fuel(fuel),
-            Machine::Interp(m) => m.set_fuel(fuel),
-        }
-    }
-
-    fn arm_chaos(&mut self, chaos: ChaosState) {
-        match self {
-            Machine::Jit(m) => m.arm_chaos(chaos),
-            Machine::Interp(m) => m.arm_chaos(chaos),
-        }
-    }
-
-    fn take_injected(&mut self) -> Option<qoa_chaos::FaultRecord> {
-        match self {
-            Machine::Jit(m) => m.take_injected(),
-            Machine::Interp(m) => m.take_injected(),
-        }
-    }
-
-    fn run(&mut self) -> Result<(), qoa_vm::VmError> {
-        match self {
-            Machine::Jit(m) => m.run(),
-            Machine::Interp(m) => m.run(),
-        }
-    }
-
-    fn steps(&self) -> u64 {
-        match self {
-            Machine::Jit(m) => m.vm.steps(),
-            Machine::Interp(m) => m.steps(),
-        }
-    }
-
-    fn finish(self) -> (Option<String>, Vec<String>, CountingSink) {
-        let mut vm = match self {
-            Machine::Jit(m) => m.vm,
-            Machine::Interp(m) => *m,
-        };
-        let result = vm.global_display("result");
-        let output = vm.output().to_vec();
-        let (sink, _) = vm.finish();
-        (result, output, sink)
     }
 }
 
@@ -161,54 +113,32 @@ pub fn hash_output(lines: &[String]) -> u64 {
 /// # Errors
 ///
 /// Compile or verification failures of the workload source.
-pub fn prewarm(source: &str, tier: Tier) -> Result<Snapshot<Machine>, QoaError> {
-    let code = qoa_frontend::compile(source)?;
-    let machine = match tier {
-        Tier::Checked => {
-            let cfg = VmConfig {
-                heap: HeapMode::Rc,
-                max_steps: DEFAULT_FUEL,
-                deadline: None,
-                max_heap_bytes: 0,
-            };
-            let mut vm = Vm::new(cfg, CountingSink::default());
-            vm.load_program(&code);
-            Machine::Interp(Box::new(vm))
-        }
-        Tier::Full | Tier::NoJit => {
-            let verified = qoa_analysis::verify(&code)?;
-            let cfg = JitConfig {
-                enabled: tier == Tier::Full,
-                max_steps: DEFAULT_FUEL,
-                deadline: None,
-                ..JitConfig::default()
-            };
-            let mut vm = PyPyVm::new(cfg, CountingSink::default());
-            vm.load_verified(&verified);
-            Machine::Jit(Box::new(vm))
-        }
-    };
+pub fn prewarm(source: &str, tier: Tier) -> Result<Snapshot<Machine<CountingSink>>, QoaError> {
+    let machine = Machine::new(source, &tier.runtime(), CountingSink::default())?;
     Ok(Snapshot::capture(0, &machine))
 }
+
+/// A pre-warmed machine counting micro-ops as service cost.
+type Warm = Snapshot<Machine<CountingSink>>;
 
 thread_local! {
     /// Per-thread snapshot pool, keyed by workload identity and tier.
     /// Executor workers are born per batch; each warms lazily on first
     /// use and serves every subsequent fork of the same workload from
     /// the cached snapshot.
-    static POOL: RefCell<HashMap<(u64, Tier), Snapshot<Machine>>> =
-        RefCell::new(HashMap::new());
+    static POOL: RefCell<HashMap<(u64, Tier), Warm>> = RefCell::new(HashMap::new());
 }
 
 /// Serves one request: restores a clone of the pre-warmed snapshot for
 /// `(source, tier)`, caps its fuel at `fuel` guest bytecodes (0 =
 /// unlimited), optionally arms a chaos plan, and runs to completion.
 ///
-/// Recovery loop: when an armed fault fires, the partial execution is
-/// discarded, the snapshot is restored again with the consumed fault
-/// point disarmed, and the request re-runs. The client observes a
-/// slower response, never a wrong one — the clean pass is byte-for-byte
-/// the execution a fault-free serve would have produced.
+/// With a plan armed the request runs under [`drive`], the chaos
+/// runner's recovery loop: when an armed fault fires, the machine rewinds
+/// to its latest checkpoint with every consumed fault point disarmed and
+/// carries on. The client observes a slower response, never a wrong one —
+/// the clean pass is byte-for-byte the execution a fault-free serve would
+/// have produced. Without a plan the machine runs its own loop.
 ///
 /// # Errors
 ///
@@ -223,63 +153,37 @@ pub fn serve_one(
     plan: Option<&FaultPlan>,
 ) -> Result<ForkRun, QoaError> {
     let key = (fnv1a(source.bytes()), tier);
-    POOL.with(|cell| {
+    let mut machine = POOL.with(|cell| {
         let mut pool = cell.borrow_mut();
         let snap = match pool.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(e) => e.insert(prewarm(source, tier)?),
         };
-        run_from(snap, fuel, plan)
-    })
-}
-
-fn run_from(
-    snap: &Snapshot<Machine>,
-    fuel: u64,
-    plan: Option<&FaultPlan>,
-) -> Result<ForkRun, QoaError> {
-    let mut disarmed: Vec<usize> = Vec::new();
-    let mut faults = 0u64;
-    loop {
-        let mut machine = snap.restore().ok_or_else(|| QoaError::Guest {
+        snap.restore().ok_or_else(|| QoaError::Guest {
             message: "snapshot version mismatch on restore".into(),
             line: 0,
-        })?;
-        machine.set_fuel(fuel);
-        if let Some(plan) = plan {
-            if !plan.is_empty() {
-                let mut chaos = ChaosState::new(plan.clone());
-                for &idx in &disarmed {
-                    chaos.disarm(idx);
-                }
-                machine.arm_chaos(chaos);
-            }
+        })
+    })?;
+    machine.vm_mut().set_fuel(fuel);
+    let mut chaos = ChaosOutcome::default();
+    match plan.filter(|p| !p.is_empty()) {
+        Some(plan) => {
+            machine.vm_mut().arm_chaos(ChaosState::new(plan.clone()));
+            machine = drive(machine, CHECKPOINT_EVERY, &mut chaos)?;
         }
-        match machine.run() {
-            Ok(()) => {
-                let steps = machine.steps();
-                let (result, output, sink) = machine.finish();
-                return Ok(ForkRun {
-                    cost: sink.total(),
-                    steps,
-                    result,
-                    out_hash: hash_output(&output),
-                    output_lines: output.len() as u64,
-                    faults,
-                    restores: faults,
-                });
-            }
-            Err(err) => match machine.take_injected() {
-                Some(record) => {
-                    faults += 1;
-                    if !disarmed.contains(&record.index) {
-                        disarmed.push(record.index);
-                    }
-                }
-                None => return Err(QoaError::from(err)),
-            },
-        }
+        None => machine.run()?,
     }
+    let steps = machine.vm().steps();
+    let (sink, _, _, output, result) = machine.finish();
+    Ok(ForkRun {
+        cost: sink.total(),
+        steps,
+        result,
+        out_hash: hash_output(&output),
+        output_lines: output.len() as u64,
+        faults: chaos.restores,
+        restores: chaos.restores,
+    })
 }
 
 #[cfg(test)]

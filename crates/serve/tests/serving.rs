@@ -156,3 +156,42 @@ fn golden_journal_matches_committed() {
         "journal drifted from tests/golden/serve_smoke.jsonl — regenerate if intentional"
     );
 }
+
+#[test]
+fn each_tier_serves_exactly_its_runtime_config() {
+    use qoa_chaos::FaultPlan;
+    use qoa_core::{capture_chaos, run_with_sink, ChaosOptions};
+    use qoa_model::CountingSink;
+    use qoa_serve::{hash_output, serve_one, Tier};
+
+    for name in ["go", "float"] {
+        let source = qoa_workloads::by_name(name).expect("workload exists").source(Scale::Tiny);
+        for tier in Tier::ALL {
+            let rt = tier.runtime();
+            let label = format!("{name}/{}", tier.name());
+            let clean = serve_one(&source, tier, 0, None).expect("serves");
+            let (sink, stats, _, output, result) =
+                run_with_sink(&source, &rt, CountingSink::new()).expect("runs");
+            assert_eq!(
+                (clean.cost, clean.steps, &clean.result, clean.out_hash),
+                (sink.total(), stats.bytecodes, &result, hash_output(&output)),
+                "{label}: fault-free serve differs from its runtime config"
+            );
+            let mut faults = 0;
+            for seed in 0..8u64 {
+                let plan = FaultPlan::seeded(seed, clean.steps, 2, tier.fault_kinds());
+                let served = serve_one(&source, tier, 0, Some(&plan)).expect("serve recovers");
+                let (captured, outcome) =
+                    capture_chaos(&source, &rt, &ChaosOptions::new(plan)).expect("chaos recovers");
+                assert_eq!(
+                    (served.cost, &served.result, served.faults),
+                    (captured.trace.len() as u64, &captured.result, outcome.restores),
+                    "{label} seed {seed}: serving and the chaos runner disagree"
+                );
+                assert_eq!(served.cost, clean.cost, "{label} seed {seed}: clean pass diverged");
+                faults += served.faults;
+            }
+            assert!(faults > 0, "{label}: no fault fired across 8 seeds");
+        }
+    }
+}

@@ -167,11 +167,12 @@ impl DictObj {
         }
     }
 
-    /// Removes `key`, reporting probes. Returns the removed value.
+    /// Removes `key`, reporting probes. Returns the removed slot's stored
+    /// key object and value.
     ///
     /// Removal re-inserts the displaced cluster (simpler than tombstones
     /// and equivalent for cost accounting at our load factors).
-    pub fn remove(&mut self, key: &Key, probes: &mut Probes) -> Option<ObjRef> {
+    pub fn remove(&mut self, key: &Key, probes: &mut Probes) -> Option<(ObjRef, ObjRef)> {
         probes.clear();
         let hash = key.hash();
         let mut perturb = hash;
@@ -193,7 +194,7 @@ impl DictObj {
                         self.insert(e.key, e.key_obj, e.value, &mut scratch);
                         self.version = self.version.wrapping_sub(1);
                     }
-                    return Some(removed.value);
+                    return Some((removed.key_obj, removed.value));
                 }
                 _ => {
                     perturb >>= 5;
@@ -259,7 +260,7 @@ mod tests {
         assert_eq!(d.lookup(&k("a"), &mut probes), Some(ObjRef(10)));
         assert_eq!(d.lookup(&k("b"), &mut probes), Some(ObjRef(20)));
         assert_eq!(d.len(), 2);
-        assert_eq!(d.remove(&k("a"), &mut probes), Some(ObjRef(10)));
+        assert_eq!(d.remove(&k("a"), &mut probes).map(|(_, v)| v), Some(ObjRef(10)));
         assert_eq!(d.lookup(&k("a"), &mut probes), None);
         assert_eq!(d.len(), 1);
     }

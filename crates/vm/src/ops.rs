@@ -768,13 +768,6 @@ impl<S: OpSink> Vm<S> {
         key: &Key,
         cat: Category,
     ) -> Option<ObjRef> {
-        // Find the key object first so we can release it.
-        let key_obj = {
-            let ObjKind::Dict(d) = self.kind(dict) else { return None };
-            d.iter()
-                .find(|(k, _)| self.key_of(*k).map(|kk| kk == *key).unwrap_or(false))
-                .map(|(k, _)| k)
-        };
         let mut probes = std::mem::take(&mut self.probes);
         let removed = {
             let ObjKind::Dict(d) = &mut self.obj_mut(dict).kind else {
@@ -788,12 +781,9 @@ impl<S: OpSink> Vm<S> {
         }
         self.stats.dict_probes += probes.len() as u64;
         self.probes = probes;
-        if removed.is_some() {
-            if let Some(k) = key_obj {
-                self.decref(k);
-            }
-        }
-        removed
+        let (key_obj, value) = removed?;
+        self.decref(key_obj);
+        Some(value)
     }
 
     fn grow_dict_buffer(&mut self, dict: ObjRef, new_capacity: usize) {

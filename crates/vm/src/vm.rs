@@ -506,12 +506,6 @@ impl<S: OpSink> Vm<S> {
         self.cfg.max_steps = max_steps;
     }
 
-    /// Replaces the wall-clock deadline (`None` = unlimited), for the same
-    /// restored-clone use case as [`Vm::set_fuel`].
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.cfg.deadline = deadline;
-    }
-
     // ---- fault injection -----------------------------------------------------
 
     /// Arms a chaos plan. With chaos disarmed (the default) every hook

@@ -237,6 +237,44 @@ ks.sort()
     check_display(src, "ks", "['b', 'c']");
 }
 
+/// Guest objects still live at the end of a run: under refcounting what
+/// was never freed, under the collector what survives a full collection.
+fn live_objects(vm: &mut Vm<CountingSink>) -> u64 {
+    vm.minor_gc();
+    vm.major_gc();
+    let s = vm.stats();
+    match s.rc.allocs {
+        0 => s.allocations - s.gc.young_reclaimed - s.gc.old_reclaimed,
+        allocs => allocs - s.rc.frees,
+    }
+}
+
+#[test]
+fn dict_removal_releases_the_stored_key() {
+    // `del d[k]` and `d.pop(k)` on string and tuple keys built afresh at
+    // each removal, so the stored key object is not the one looked up.
+    let src = "
+d = {}
+for i in range(40):
+    d['k' + str(i)] = i
+    d[(i, 'x')] = i * 2
+s = 0
+for i in range(0, 40, 2):
+    del d['k' + str(i)]
+    s = s + d.pop((i, 'x'))
+for i in range(1, 40, 4):
+    s = s + d.pop('k' + str(i))
+    del d[(i, 'x')]
+n = len(d)
+";
+    let (mut rc, mut gen) = run_both(src);
+    let observed = |vm: &mut Vm<CountingSink>| {
+        (vm.global_int("s"), vm.global_int("n"), vm.stats().dict_probes, live_objects(vm))
+    };
+    assert_eq!(observed(&mut rc), (Some(950), Some(20), 833, 23), "rc heap");
+    assert_eq!(observed(&mut gen), (Some(950), Some(20), 833, 23), "gen heap");
+}
+
 #[test]
 fn dict_iteration_and_update() {
     let src = "
