@@ -28,7 +28,7 @@
 
 use qoa_chaos::{FaultKind, FaultPlan};
 use qoa_core::cli::{CliError, Flags};
-use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric};
+use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Sidecar};
 use qoa_core::report::Table;
 use qoa_core::runtime::{capture, CapturedRun, RuntimeConfig};
 use qoa_core::{
@@ -357,7 +357,7 @@ fn main() {
             CellVerdict::Ok { value: rep, .. } => {
                 for (key, outcome, chaos_metrics) in rep.records {
                     if let Some(j) = &mut journal {
-                        if let Err(e) = j.record_with_chaos(key, outcome, Some(chaos_metrics)) {
+                        if let Err(e) = j.record_with(key, outcome, Sidecar::Chaos, chaos_metrics) {
                             eprintln!("journal write failed (continuing): {e}");
                         }
                     }
@@ -371,8 +371,8 @@ fn main() {
             CellVerdict::Failed { kind, message, .. } => {
                 violations.push(format!("{}: pair sweep failed [{kind}]: {message}", c.key));
             }
-            CellVerdict::Shed { reason } => {
-                violations.push(format!("{}: pair sweep shed ({})", c.key, reason.name()));
+            CellVerdict::Shed => {
+                violations.push(format!("{}: pair sweep shed (budget)", c.key));
             }
             CellVerdict::Lost { .. } => {
                 violations.push(format!("{}: pair sweep lost to a hung worker", c.key));

@@ -21,7 +21,7 @@
 
 use qoa_analysis::StaticFacts;
 use qoa_core::cli::{CliError, Flags};
-use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric};
+use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Sidecar};
 use qoa_core::runtime::{capture_observed, RuntimeConfig};
 use qoa_model::{RuntimeKind, Tier};
 use qoa_obs::bridge::{
@@ -229,7 +229,8 @@ fn main() {
     let config = format!("scale={:?} sample_every={}", cli.scale, cli.sample_every);
     match Journal::open(&cli.journal_dir, "qoa-prof", config, false) {
         Ok(mut journal) => {
-            if let Err(e) = journal.record_with_obs(key, CellOutcome::Ok(metrics), Some(snapshot)) {
+            let outcome = CellOutcome::Ok(metrics);
+            if let Err(e) = journal.record_with(key, outcome, Sidecar::Obs, snapshot) {
                 eprintln!("journal write failed (continuing): {e}");
             } else {
                 println!("journal: {}", journal.path().display());

@@ -1,13 +1,11 @@
 //! The circuit-breaker state machine and the shared breaker bank.
 //!
-//! One breaker implementation serves every layer of the stack: the
-//! supervised executor keeps one per runtime group and advances it in
-//! the ordered commit pass; the serving daemon keeps one per tenant and
-//! advances it across admission windows; the cluster client keeps one
-//! per server node and advances it on acks and timeouts. All three used
-//! to duplicate the same "advance the machine, count the transition"
-//! loop — [`BreakerBank`] is that loop, extracted once: an indexed set
-//! of [`BreakerCore`]s with the transition counters every report wants.
+//! One breaker implementation serves both layers that shed on it: the
+//! serving daemon keeps one per tenant and advances it across admission
+//! windows; the cluster client keeps one per server node and advances it
+//! on acks and timeouts. [`BreakerBank`] is their shared "advance the
+//! machine, count the transition" loop: an indexed set of
+//! [`BreakerCore`]s with the transition counters every report wants.
 
 /// Circuit-breaker tuning for one protected entity.
 #[derive(Debug, Clone)]
@@ -29,21 +27,10 @@ impl Default for BreakerOptions {
 pub enum BreakerState {
     /// Healthy: cells run, consecutive failures are counted.
     Closed,
-    /// Tripped: cells of this runtime are shed without running.
+    /// Tripped: the entity's work is shed without running.
     Open,
     /// Cooled down: the next cell runs as a probe and decides.
     HalfOpen,
-}
-
-impl BreakerState {
-    /// The journal/metrics label (`closed`, `open`, `half-open`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half-open",
-        }
-    }
 }
 
 /// The breaker state machine itself, advanced strictly by committed
@@ -119,11 +106,10 @@ impl BreakerCore {
     }
 }
 
-/// An indexed set of breakers — one per runtime / tenant / node — with
-/// the three transition counters every layer reports. The `on_*`
-/// methods advance the indexed core, count the transition, and return
-/// it so callers can keep driving side effects (skip hints, journal
-/// notes) off the state change.
+/// An indexed set of breakers — one per tenant or node — with the three
+/// transition counters every layer reports. The `on_*` methods advance
+/// the indexed core, count the transition, and return it so callers can
+/// drive side effects off the state change.
 #[derive(Debug, Clone)]
 pub struct BreakerBank {
     cores: Vec<BreakerCore>,

@@ -3,7 +3,7 @@
 //! A figure is a grid of hundreds of independent (workload × runtime ×
 //! parameter) cells. [`run_supervised`] executes such a batch on a pool
 //! of N worker threads — each cell isolated through
-//! [`run_isolated`](crate::isolate::run_isolated) — under four layers of
+//! [`run_isolated`](crate::isolate::run_isolated) — under three layers of
 //! supervision:
 //!
 //! * **Retry with seeded backoff** — a cell whose failure is classified
@@ -13,19 +13,17 @@
 //!   attempts. The whole schedule is a pure function of the executor
 //!   seed and the cell key, so a rerun retries on exactly the same
 //!   schedule regardless of thread interleaving.
-//! * **Per-runtime circuit breakers** — K consecutive committed failures
-//!   for one runtime open its breaker; subsequent cells of that runtime
-//!   are shed (recorded as `shed`, not `failed`) until a cooldown has
-//!   passed, then a single probe cell runs half-open and decides whether
-//!   the breaker closes again.
 //! * **Admission control / load shedding** — when a batch cost budget is
 //!   configured, the gate admits cells highest-priority-first and sheds
-//!   the rest up front, again as `shed`, never `failed`.
+//!   the rest up front, recorded as `shed`, never `failed`.
 //! * **A watchdog** — when cells carry a wall-clock deadline, a watchdog
 //!   thread scans the worker pool; a worker stuck past its cell's
 //!   deadline plus a grace period has the cell marked **lost**, the
 //!   worker abandoned (never joined), and a replacement worker spawned —
 //!   the process and the rest of the sweep keep going.
+//!
+//! Every admitted cell runs, and its own verdict is what commits: one
+//! cell's failure never changes how a sibling is recorded.
 //!
 //! # Determinism contract
 //!
@@ -33,19 +31,13 @@
 //! identical regardless of `jobs` and of scheduling order. The executor
 //! achieves this by splitting *execution* from *commitment*: workers run
 //! cells speculatively in any order, but outcomes are **committed
-//! strictly in submission order**, and all supervision state that couples
-//! cells together — the circuit breakers — advances only at commit time,
-//! driven purely by the (deterministic) per-cell results. A worker may
-//! consult the committed breaker board to *skip* running a cell whose
-//! runtime looks open, but that is an execution-saving hint only: if the
-//! commit pass disagrees, the cell is re-dispatched and run for real. The
-//! one exception is the watchdog: losing a cell depends on wall-clock
-//! behaviour, which is inherently nondeterministic — watchdog supervision
-//! only activates when a wall-clock cell deadline is configured, which is
-//! itself a nondeterministic mode.
+//! strictly in submission order**, and each committed outcome is the
+//! (deterministic) result of that cell alone. The one exception is the
+//! watchdog: losing a cell depends on wall-clock behaviour, which is
+//! inherently nondeterministic — watchdog supervision only activates when
+//! a wall-clock cell deadline is configured, which is itself a
+//! nondeterministic mode.
 
-use crate::breaker::{BreakerBank, BreakerState};
-pub use crate::breaker::{BreakerCore, BreakerOptions};
 use crate::error::QoaError;
 use crate::isolate::run_isolated;
 use crate::journal::CellKey;
@@ -138,14 +130,6 @@ impl RetryPolicy {
     }
 }
 
-// ---- circuit breaker -------------------------------------------------------
-//
-// The breaker state machine lives in `crate::breaker` (shared with the
-// serving daemon's per-tenant breakers and the cluster client's
-// per-node breakers); the executor drives a `BreakerBank` of them in
-// the ordered commit pass below. `BreakerCore`/`BreakerOptions` are
-// re-exported here so existing import paths keep working.
-
 // ---- options, cells, verdicts ---------------------------------------------
 
 /// How to run one supervised batch.
@@ -157,8 +141,6 @@ pub struct ExecutorOptions {
     pub seed: u64,
     /// Retry policy for transient failures.
     pub retry: RetryPolicy,
-    /// Per-runtime circuit-breaker tuning.
-    pub breaker: BreakerOptions,
     /// Admission budget in cell cost units (`None` = admit everything).
     pub budget: Option<u64>,
     /// Per-attempt wall-clock deadline handed to each cell. Also arms
@@ -177,7 +159,6 @@ impl ExecutorOptions {
             jobs,
             seed: 0,
             retry: RetryPolicy::default(),
-            breaker: BreakerOptions::default(),
             budget: None,
             cell_deadline: None,
             watchdog_grace: Duration::from_secs(2),
@@ -199,8 +180,6 @@ pub type CellJobFn<T> = Box<dyn FnMut(Option<Instant>) -> Result<T, QoaError> + 
 pub struct SupervisedCell<T> {
     /// Journal identity of the cell.
     pub key: CellKey,
-    /// Circuit-breaker group (defaults to the key's runtime).
-    pub runtime: String,
     /// Admission priority: higher survives the budget gate longer.
     pub priority: i64,
     /// Admission cost in budget units.
@@ -210,14 +189,12 @@ pub struct SupervisedCell<T> {
 }
 
 impl<T> SupervisedCell<T> {
-    /// A cell with default priority 0 and cost 1, grouped by the key's
-    /// runtime.
+    /// A cell with default priority 0 and cost 1.
     pub fn new(
         key: CellKey,
         job: impl FnMut(Option<Instant>) -> Result<T, QoaError> + Send + 'static,
     ) -> SupervisedCell<T> {
-        let runtime = key.runtime.clone();
-        SupervisedCell { key, runtime, priority: 0, cost: 1, job: Box::new(job) }
+        SupervisedCell { key, priority: 0, cost: 1, job: Box::new(job) }
     }
 
     /// Returns the cell with its admission priority set.
@@ -237,29 +214,9 @@ impl<T> std::fmt::Debug for SupervisedCell<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SupervisedCell")
             .field("key", &self.key)
-            .field("runtime", &self.runtime)
             .field("priority", &self.priority)
             .field("cost", &self.cost)
             .finish_non_exhaustive()
-    }
-}
-
-/// Why a cell was shed instead of run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The admission budget was exhausted by higher-priority cells.
-    Budget,
-    /// The cell's runtime circuit breaker was open at commit time.
-    Breaker,
-}
-
-impl ShedReason {
-    /// The journal/metrics label.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShedReason::Budget => "budget",
-            ShedReason::Breaker => "breaker",
-        }
     }
 }
 
@@ -285,11 +242,9 @@ pub enum CellVerdict<T> {
         /// Times the cell ran.
         attempts: u32,
     },
-    /// Admission was denied; the cell never produced a result.
-    Shed {
-        /// Which gate declined it.
-        reason: ShedReason,
-    },
+    /// The admission budget was exhausted by higher-priority cells; the
+    /// cell never ran.
+    Shed,
     /// The watchdog declared the worker hung past the cell deadline.
     Lost {
         /// Attempts started before the worker was abandoned.
@@ -302,12 +257,8 @@ pub enum CellVerdict<T> {
 pub struct CommittedCell<T> {
     /// The cell's journal identity.
     pub key: CellKey,
-    /// Its breaker group.
-    pub runtime: String,
     /// The outcome.
     pub verdict: CellVerdict<T>,
-    /// The runtime breaker state the commit decision was made under.
-    pub breaker: BreakerState,
 }
 
 // ---- scheduler statistics --------------------------------------------------
@@ -326,28 +277,16 @@ pub struct ExecutorStats {
     pub cells_failed: u64,
     /// Cells shed by the admission budget gate.
     pub cells_shed_budget: u64,
-    /// Cells shed by an open circuit breaker.
-    pub cells_shed_breaker: u64,
     /// Cells lost to hung workers.
     pub cells_lost: u64,
     /// Total cell executions (first attempts + retries).
     pub attempts: u64,
     /// Retries alone.
     pub retries: u64,
-    /// Breaker transitions into open.
-    pub breaker_opened: u64,
-    /// Breaker transitions into half-open.
-    pub breaker_half_opened: u64,
-    /// Breaker transitions into closed (successful probes).
-    pub breaker_closed: u64,
     /// Deepest the bounded work queue got.
     pub queue_depth_peak: u64,
-    /// Speculative results discarded because the ordered commit shed or
-    /// lost the cell first.
+    /// Late results of cells the watchdog had already committed as lost.
     pub speculative_discards: u64,
-    /// Breaker-skip hints that the commit pass overruled (cell was
-    /// re-dispatched and run for real).
-    pub redispatches: u64,
 }
 
 impl ExecutorStats {
@@ -360,7 +299,6 @@ impl ExecutorStats {
             ("ok", self.cells_ok),
             ("failed", self.cells_failed),
             ("shed_budget", self.cells_shed_budget),
-            ("shed_breaker", self.cells_shed_breaker),
             ("lost", self.cells_lost),
         ] {
             let id = reg.labeled_counter(
@@ -376,19 +314,6 @@ impl ExecutorStats {
         reg.add(attempts, self.attempts);
         let retries = reg.counter("qoa_executor_retries_total", "Cell retries after transient failures");
         reg.add(retries, self.retries);
-        for (state, n) in [
-            ("open", self.breaker_opened),
-            ("half-open", self.breaker_half_opened),
-            ("closed", self.breaker_closed),
-        ] {
-            let id = reg.labeled_counter(
-                "qoa_executor_breaker_transitions_total",
-                "Circuit-breaker state transitions, by destination state",
-                "to",
-                state,
-            );
-            reg.add(id, n);
-        }
         let depth = reg.gauge(
             "qoa_executor_queue_depth_peak",
             "Deepest the bounded work queue got during the batch",
@@ -399,32 +324,19 @@ impl ExecutorStats {
             "Speculative results discarded by the ordered commit pass",
         );
         reg.add(discards, self.speculative_discards);
-        let redispatches = reg.counter(
-            "qoa_executor_redispatches_total",
-            "Breaker-skip hints overruled by the commit pass",
-        );
-        reg.add(redispatches, self.redispatches);
     }
 }
 
 // ---- shared executor state -------------------------------------------------
 
-/// Immutable per-cell metadata workers and the committer both read.
-struct CellMeta {
-    key: CellKey,
-    runtime: String,
-    runtime_idx: usize,
-}
-
-struct WorkItem {
+/// One admitted cell on its way to a worker.
+struct WorkItem<T> {
     index: usize,
-    /// A forced item must run even if the breaker board looks open (the
-    /// commit pass decided it needs the real result).
-    forced: bool,
+    job: CellJobFn<T>,
 }
 
-struct QueueState {
-    items: VecDeque<WorkItem>,
+struct QueueState<T> {
+    items: VecDeque<WorkItem<T>>,
     /// False once the batch is fully committed: workers drain and exit.
     open: bool,
     depth_peak: usize,
@@ -440,30 +352,17 @@ struct WatchSlot {
     abandoned: bool,
 }
 
-enum WorkerVerdict<T> {
-    Ok { value: T, attempts: u32 },
-    Failed { kind: String, message: String, location: Option<String>, attempts: u32 },
-    /// Skipped on an open-breaker hint; the job is still in its slot.
-    NotRun,
-    /// Declared hung by the watchdog.
-    Lost { attempts: u32 },
-}
-
+/// A worker's (or the watchdog's) verdict on one cell: never `Shed`.
 struct Report<T> {
     index: usize,
-    verdict: WorkerVerdict<T>,
+    verdict: CellVerdict<T>,
 }
 
 struct Shared<T> {
-    queue: Mutex<QueueState>,
+    queue: Mutex<QueueState<T>>,
     available: Condvar,
-    /// Each cell's job, taken by the worker that runs it.
-    slots: Vec<Mutex<Option<CellJobFn<T>>>>,
-    meta: Vec<CellMeta>,
-    /// Committed-state hint per runtime: true while the breaker is open.
-    breaker_open: Vec<AtomicBool>,
-    /// Set once a cell commits: a queued item for it is stale, skip it.
-    done: Vec<AtomicBool>,
+    /// Each cell's journal identity, by submission index.
+    keys: Vec<CellKey>,
     watch: Mutex<Vec<WatchSlot>>,
     attempts: AtomicU64,
     retries: AtomicU64,
@@ -508,7 +407,7 @@ fn worker_loop<T: Send>(
 ) {
     loop {
         // Pull the next work item from the bounded queue.
-        let item = {
+        let WorkItem { index, mut job } = {
             let mut q = lock(&shared.queue);
             loop {
                 if let Some(item) = q.items.pop_front() {
@@ -523,19 +422,7 @@ fn worker_loop<T: Send>(
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        let meta = &shared.meta[item.index];
-        if shared.done[item.index].load(Ordering::Acquire) {
-            continue; // committed (shed) while queued; nothing to do
-        }
-        // Work-saving hint only: the committed breaker may disagree, in
-        // which case the committer re-dispatches this cell as forced.
-        if !item.forced && shared.breaker_open[meta.runtime_idx].load(Ordering::Relaxed) {
-            let _ = tx.send(Report { index: item.index, verdict: WorkerVerdict::NotRun });
-            continue;
-        }
-        let Some(mut job) = lock(&shared.slots[item.index]).take() else {
-            continue; // another worker already ran it (stale duplicate)
-        };
+        let key = &shared.keys[index];
         let mut attempts = 0u32;
         let verdict = loop {
             attempts += 1;
@@ -544,7 +431,7 @@ fn worker_loop<T: Send>(
             {
                 let mut watch = lock(&shared.watch);
                 watch[wid].in_flight =
-                    Some((item.index, deadline.map(|d| d + opts.watchdog_grace), attempts));
+                    Some((index, deadline.map(|d| d + opts.watchdog_grace), attempts));
             }
             let outcome = run_isolated(|| job(deadline));
             {
@@ -552,14 +439,14 @@ fn worker_loop<T: Send>(
                 watch[wid].in_flight = None;
             }
             match outcome {
-                Ok(value) => break WorkerVerdict::Ok { value, attempts },
+                Ok(value) => break CellVerdict::Ok { value, attempts },
                 Err(failure) => {
                     if failure.error.is_transient() && attempts < opts.retry.max_attempts {
                         shared.retries.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(opts.retry.backoff(opts.seed, &meta.key, attempts));
+                        std::thread::sleep(opts.retry.backoff(opts.seed, key, attempts));
                         continue;
                     }
-                    break WorkerVerdict::Failed {
+                    break CellVerdict::Failed {
                         kind: failure.error.kind().to_string(),
                         message: failure.error.to_string(),
                         location: failure.error.location().map(str::to_string),
@@ -568,7 +455,7 @@ fn worker_loop<T: Send>(
                 }
             }
         };
-        let _ = tx.send(Report { index: item.index, verdict });
+        let _ = tx.send(Report { index, verdict });
         if lock(&shared.watch)[wid].abandoned {
             return; // a replacement already took over this worker's seat
         }
@@ -605,7 +492,7 @@ fn watchdog_loop<T: Send + 'static>(
             }
         }
         for (index, attempts) in lost {
-            let _ = tx.send(Report { index, verdict: WorkerVerdict::Lost { attempts } });
+            let _ = tx.send(Report { index, verdict: CellVerdict::Lost { attempts } });
             spawn_worker(shared, opts, tx, handles);
         }
     }
@@ -650,24 +537,14 @@ pub fn run_supervised<T: Send + 'static>(
         }
     }
 
-    // Runtime → breaker index.
-    let mut runtime_idx: BTreeMap<String, usize> = BTreeMap::new();
-    for cell in &cells {
-        let next = runtime_idx.len();
-        runtime_idx.entry(cell.runtime.clone()).or_insert(next);
-    }
-    let runtimes = runtime_idx.len();
-
-    // Split the cells into shared metadata + job slots.
-    let mut meta = Vec::with_capacity(n);
-    let mut slots = Vec::with_capacity(n);
-    for cell in cells {
-        meta.push(CellMeta {
-            runtime_idx: runtime_idx[&cell.runtime],
-            key: cell.key,
-            runtime: cell.runtime,
-        });
-        slots.push(Mutex::new(Some(cell.job)));
+    // Split the cells into their keys and the admitted cells' work.
+    let mut keys = Vec::with_capacity(n);
+    let mut pending = VecDeque::new();
+    for (index, cell) in cells.into_iter().enumerate() {
+        keys.push(cell.key);
+        if admitted[index] {
+            pending.push_back(WorkItem { index, job: cell.job });
+        }
     }
 
     let shared = Arc::new(Shared {
@@ -677,10 +554,7 @@ pub fn run_supervised<T: Send + 'static>(
             depth_peak: 0,
         }),
         available: Condvar::new(),
-        slots,
-        meta,
-        breaker_open: (0..runtimes).map(|_| AtomicBool::new(false)).collect(),
-        done: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        keys,
         watch: Mutex::new(Vec::new()),
         attempts: AtomicU64::new(0),
         retries: AtomicU64::new(0),
@@ -707,7 +581,8 @@ pub fn run_supervised<T: Send + 'static>(
     });
     drop(tx); // committer holds no sender: disconnect == all workers gone
 
-    let committed = commit_loop(&shared, &rx, &admitted, opts, &mut stats);
+    // The bounded work queue holds four cells per worker.
+    let committed = commit_loop(&shared, &rx, pending, &admitted, jobs * 4, &mut stats);
 
     // Shutdown: close the queue, wake everyone, stop the watchdog, and
     // join every worker that wasn't abandoned as hung.
@@ -729,6 +604,14 @@ pub fn run_supervised<T: Send + 'static>(
         }
     }
 
+    for cell in &committed {
+        match cell.verdict {
+            CellVerdict::Ok { .. } => stats.cells_ok += 1,
+            CellVerdict::Failed { .. } => stats.cells_failed += 1,
+            CellVerdict::Shed => stats.cells_shed_budget += 1,
+            CellVerdict::Lost { .. } => stats.cells_lost += 1,
+        }
+    }
     stats.attempts = shared.attempts.load(Ordering::Relaxed);
     stats.retries = shared.retries.load(Ordering::Relaxed);
     stats.queue_depth_peak = lock(&shared.queue).depth_peak as u64;
@@ -736,195 +619,85 @@ pub fn run_supervised<T: Send + 'static>(
 }
 
 /// The ordered commit pass: feeds the bounded queue, pumps worker
-/// reports, and commits outcomes strictly in submission order, advancing
-/// the circuit breakers only here.
+/// reports, and commits outcomes strictly in submission order — a cell
+/// the budget shed as `Shed`, every other cell as its own verdict.
 fn commit_loop<T: Send>(
-    shared: &Arc<Shared<T>>,
+    shared: &Shared<T>,
     rx: &Receiver<Report<T>>,
+    mut pending: VecDeque<WorkItem<T>>,
     admitted: &[bool],
-    opts: &ExecutorOptions,
+    capacity: usize,
     stats: &mut ExecutorStats,
 ) -> Vec<CommittedCell<T>> {
-    let n = shared.meta.len();
-    // The bounded work queue holds four cells per worker.
-    let capacity = opts.jobs.max(1) * 4;
-    let mut breakers = BreakerBank::new(shared.breaker_open.len(), &opts.breaker);
-    let mut committed: Vec<Option<CommittedCell<T>>> = (0..n).map(|_| None).collect();
-    let mut ready: BTreeMap<usize, WorkerVerdict<T>> = BTreeMap::new();
-    let mut pending_dispatch: VecDeque<usize> =
-        (0..n).filter(|&i| admitted[i]).collect();
-    let mut next = 0usize;
-
-    while next < n {
+    let n = admitted.len();
+    let mut committed = Vec::with_capacity(n);
+    let mut ready: BTreeMap<usize, CellVerdict<T>> = BTreeMap::new();
+    loop {
         // Top up the bounded queue without blocking.
-        {
+        if !pending.is_empty() {
             let mut q = lock(&shared.queue);
-            let mut fed = false;
-            while q.items.len() < capacity {
-                let Some(i) = pending_dispatch.pop_front() else { break };
-                if committed[i].is_some() {
-                    continue; // shed while still queued for dispatch
-                }
-                q.items.push_back(WorkItem { index: i, forced: false });
-                fed = true;
-            }
-            let depth = q.items.len();
-            q.depth_peak = q.depth_peak.max(depth);
+            let room = capacity.saturating_sub(q.items.len()).min(pending.len());
+            q.items.extend(pending.drain(..room));
+            q.depth_peak = q.depth_peak.max(q.items.len());
             drop(q);
-            if fed {
+            if room > 0 {
                 shared.available.notify_all();
             }
         }
 
         // Commit as far as the available results allow.
-        let mut blocked = false;
-        while next < n && !blocked {
-            let meta = &shared.meta[next];
-            let ridx = meta.runtime_idx;
-            if !admitted[next] {
-                committed[next] = Some(CommittedCell {
-                    key: meta.key.clone(),
-                    runtime: meta.runtime.clone(),
-                    verdict: CellVerdict::Shed { reason: ShedReason::Budget },
-                    breaker: breakers.state(ridx),
-                });
-                shared.done[next].store(true, Ordering::Release);
-                stats.cells_shed_budget += 1;
-                if ready.remove(&next).is_some() {
-                    stats.speculative_discards += 1;
-                }
-                next += 1;
-                continue;
-            }
-            match breakers.state(ridx) {
-                BreakerState::Open => {
-                    committed[next] = Some(CommittedCell {
-                        key: meta.key.clone(),
-                        runtime: meta.runtime.clone(),
-                        verdict: CellVerdict::Shed { reason: ShedReason::Breaker },
-                        breaker: BreakerState::Open,
-                    });
-                    shared.done[next].store(true, Ordering::Release);
-                    stats.cells_shed_breaker += 1;
-                    if matches!(
-                        ready.remove(&next),
-                        Some(WorkerVerdict::Ok { .. } | WorkerVerdict::Failed { .. })
-                    ) {
-                        stats.speculative_discards += 1;
-                    }
-                    let transition = breakers.on_shed(ridx);
-                    if transition == Some(BreakerState::HalfOpen) {
-                        shared.breaker_open[ridx].store(false, Ordering::Relaxed);
-                    }
-                    next += 1;
-                }
-                BreakerState::Closed | BreakerState::HalfOpen => {
-                    let state = breakers.state(ridx);
-                    match ready.remove(&next) {
-                        None => blocked = true,
-                        Some(WorkerVerdict::NotRun) => {
-                            // The skip hint was wrong (or the breaker has
-                            // since closed): run the cell for real.
-                            stats.redispatches += 1;
-                            let mut q = lock(&shared.queue);
-                            q.items.push_front(WorkItem { index: next, forced: true });
-                            let depth = q.items.len();
-                            q.depth_peak = q.depth_peak.max(depth);
-                            drop(q);
-                            shared.available.notify_all();
-                            blocked = true;
-                        }
-                        Some(WorkerVerdict::Ok { value, attempts }) => {
-                            breakers.on_success(ridx);
-                            committed[next] = Some(CommittedCell {
-                                key: meta.key.clone(),
-                                runtime: meta.runtime.clone(),
-                                verdict: CellVerdict::Ok { value, attempts },
-                                breaker: state,
-                            });
-                            shared.done[next].store(true, Ordering::Release);
-                            stats.cells_ok += 1;
-                            next += 1;
-                        }
-                        Some(WorkerVerdict::Failed { kind, message, location, attempts }) => {
-                            let transition = breakers.on_failure(ridx);
-                            if transition == Some(BreakerState::Open) {
-                                shared.breaker_open[ridx].store(true, Ordering::Relaxed);
-                            }
-                            committed[next] = Some(CommittedCell {
-                                key: meta.key.clone(),
-                                runtime: meta.runtime.clone(),
-                                verdict: CellVerdict::Failed { kind, message, location, attempts },
-                                breaker: state,
-                            });
-                            shared.done[next].store(true, Ordering::Release);
-                            stats.cells_failed += 1;
-                            next += 1;
-                        }
-                        Some(WorkerVerdict::Lost { attempts }) => {
-                            // A hung worker counts as a failure for the
-                            // breaker: a hanging runtime should trip it.
-                            let transition = breakers.on_failure(ridx);
-                            if transition == Some(BreakerState::Open) {
-                                shared.breaker_open[ridx].store(true, Ordering::Relaxed);
-                            }
-                            committed[next] = Some(CommittedCell {
-                                key: meta.key.clone(),
-                                runtime: meta.runtime.clone(),
-                                verdict: CellVerdict::Lost { attempts },
-                                breaker: state,
-                            });
-                            shared.done[next].store(true, Ordering::Release);
-                            stats.cells_lost += 1;
-                            next += 1;
-                        }
-                    }
-                }
-            }
+        while committed.len() < n {
+            let index = committed.len();
+            let verdict = if admitted[index] {
+                let Some(verdict) = ready.remove(&index) else { break };
+                verdict
+            } else {
+                CellVerdict::Shed
+            };
+            committed.push(CommittedCell { key: shared.keys[index].clone(), verdict });
         }
-        if next >= n {
-            break;
+        let next = committed.len();
+        if next == n {
+            return committed;
         }
 
         // Pump worker reports: block briefly for the one we need, then
         // drain whatever else arrived.
-        let mut absorb = |report: Report<T>, ready: &mut BTreeMap<usize, WorkerVerdict<T>>| {
-            if committed[report.index].is_some() {
-                if matches!(
-                    report.verdict,
-                    WorkerVerdict::Ok { .. } | WorkerVerdict::Failed { .. }
-                ) {
-                    stats.speculative_discards += 1;
-                }
-                return;
-            }
-            // First verdict wins (a real result racing a Lost marker is
-            // only possible in wall-clock deadline mode).
-            ready.entry(report.index).or_insert(report.verdict);
-        };
         match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(report) => absorb(report, &mut ready),
+            Ok(report) => absorb(report, next, &mut ready, stats),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
                 // Every worker died (all abandoned and exited). Nothing
                 // more can arrive: mark the rest lost so the sweep still
                 // terminates with a full journal.
-                for (i, slot) in committed.iter().enumerate().skip(next) {
-                    if slot.is_none() && !ready.contains_key(&i) {
-                        ready.insert(i, WorkerVerdict::Lost { attempts: 0 });
-                    }
+                for i in (next..n).filter(|&i| admitted[i]) {
+                    ready.entry(i).or_insert(CellVerdict::Lost { attempts: 0 });
                 }
             }
         }
         while let Ok(report) = rx.try_recv() {
-            absorb(report, &mut ready);
+            absorb(report, next, &mut ready, stats);
         }
     }
+}
 
-    stats.breaker_opened = breakers.opened;
-    stats.breaker_half_opened = breakers.half_opened;
-    stats.breaker_closed = breakers.closed;
-    committed.into_iter().flatten().collect()
+/// Files one worker report for the commit pass. The first verdict for a
+/// cell wins: a hung worker's real result races the watchdog's `Lost`
+/// marker, which is only possible in wall-clock deadline mode.
+fn absorb<T>(
+    report: Report<T>,
+    next: usize,
+    ready: &mut BTreeMap<usize, CellVerdict<T>>,
+    stats: &mut ExecutorStats,
+) {
+    if report.index < next {
+        // Committed lost already; this is the hung worker's late result.
+        if !matches!(report.verdict, CellVerdict::Lost { .. }) {
+            stats.speculative_discards += 1;
+        }
+        return;
+    }
+    ready.entry(report.index).or_insert(report.verdict);
 }
 
 #[cfg(test)]
@@ -953,10 +726,10 @@ mod tests {
                 let v = match &c.verdict {
                     CellVerdict::Ok { value, attempts } => format!("ok({value})x{attempts}"),
                     CellVerdict::Failed { kind, attempts, .. } => format!("fail({kind})x{attempts}"),
-                    CellVerdict::Shed { reason } => format!("shed({})", reason.name()),
+                    CellVerdict::Shed => "shed".to_string(),
                     CellVerdict::Lost { .. } => "lost".to_string(),
                 };
-                format!("{}={v}@{}", c.key, c.breaker.name())
+                format!("{}={v}", c.key)
             })
             .collect()
     }
@@ -1062,89 +835,16 @@ mod tests {
         assert_eq!(stats.cells_shed_budget, 2);
         // The two *last-submitted* low-priority cells are the ones shed.
         for c in &committed {
-            let shed = matches!(c.verdict, CellVerdict::Shed { reason: ShedReason::Budget });
+            let shed = matches!(c.verdict, CellVerdict::Shed);
             let expect_shed = c.key.workload == "low" && c.key.value.parse::<u32>().ok() >= Some(2);
             assert_eq!(shed, expect_shed, "unexpected admission for {}", c.key);
         }
     }
 
     #[test]
-    fn breaker_opens_sheds_probes_and_closes() {
-        // Runtime "flaky": 3 failures trip the breaker (threshold 3),
-        // 2 sheds cool it down, then the probe succeeds and closes it.
-        let mut cells: Vec<SupervisedCell<u64>> = Vec::new();
-        for i in 0..3u32 {
-            cells.push(SupervisedCell::new(key("w", "flaky", i), move |_| {
-                Err(QoaError::Guest { message: "bad".into(), line: 1 })
-            }));
-        }
-        for i in 3..5u32 {
-            cells.push(SupervisedCell::new(key("w", "flaky", i), move |_| Ok(u64::from(i))));
-        }
-        // Probe + one post-recovery cell.
-        for i in 5..7u32 {
-            cells.push(SupervisedCell::new(key("w", "flaky", i), move |_| Ok(u64::from(i))));
-        }
-        // An innocent bystander runtime is never affected.
-        cells.push(SupervisedCell::new(key("w", "steady", 0), move |_| Ok(100)));
-        let mut opts = ExecutorOptions::new(4);
-        opts.breaker = BreakerOptions { failure_threshold: 3, cooldown_sheds: 2 };
-        let (committed, stats) = run_supervised(cells, &opts);
-        let sig = signature(&committed);
-        assert_eq!(
-            sig,
-            vec![
-                "w/flaky p=0=fail(guest)x1@closed",
-                "w/flaky p=1=fail(guest)x1@closed",
-                "w/flaky p=2=fail(guest)x1@closed",
-                "w/flaky p=3=shed(breaker)@open",
-                "w/flaky p=4=shed(breaker)@open",
-                "w/flaky p=5=ok(5)x1@half-open",
-                "w/flaky p=6=ok(6)x1@closed",
-                "w/steady p=0=ok(100)x1@closed",
-            ],
-            "full breaker lifecycle"
-        );
-        assert_eq!(stats.breaker_opened, 1);
-        assert_eq!(stats.breaker_half_opened, 1);
-        assert_eq!(stats.breaker_closed, 1);
-        assert_eq!(stats.cells_shed_breaker, 2);
-    }
-
-    #[test]
-    fn failed_probe_reopens_the_breaker() {
-        let mut cells: Vec<SupervisedCell<u64>> = Vec::new();
-        for i in 0..2u32 {
-            cells.push(SupervisedCell::new(key("w", "rt", i), move |_| {
-                Err(QoaError::Guest { message: "bad".into(), line: 1 })
-            }));
-        }
-        cells.push(SupervisedCell::new(key("w", "rt", 2), move |_| Ok(0))); // shed
-        cells.push(SupervisedCell::new(key("w", "rt", 3), move |_| {
-            Err(QoaError::Guest { message: "still bad".into(), line: 1 }) // failing probe
-        }));
-        cells.push(SupervisedCell::new(key("w", "rt", 4), move |_| Ok(0))); // shed again
-        let mut opts = ExecutorOptions::new(2);
-        opts.breaker = BreakerOptions { failure_threshold: 2, cooldown_sheds: 1 };
-        let (committed, stats) = run_supervised(cells, &opts);
-        let sig = signature(&committed);
-        assert_eq!(
-            sig,
-            vec![
-                "w/rt p=0=fail(guest)x1@closed",
-                "w/rt p=1=fail(guest)x1@closed",
-                "w/rt p=2=shed(breaker)@open",
-                "w/rt p=3=fail(guest)x1@half-open",
-                "w/rt p=4=shed(breaker)@open",
-            ]
-        );
-        assert_eq!(stats.breaker_opened, 2, "initial trip + failed probe");
-    }
-
-    #[test]
     fn outcomes_are_identical_across_job_counts() {
-        // A mixed batch: successes, deterministic failures tripping a
-        // breaker, a second healthy runtime, and budget shedding.
+        // A mixed batch: successes, a runtime failing every cell, a
+        // second healthy runtime, and budget shedding.
         let build = || {
             let mut cells: Vec<SupervisedCell<u64>> = Vec::new();
             for i in 0..24u32 {
@@ -1164,7 +864,6 @@ mod tests {
             cells
         };
         let mut opts = ExecutorOptions::new(1);
-        opts.breaker = BreakerOptions { failure_threshold: 2, cooldown_sheds: 2 };
         opts.budget = Some(20);
         opts.seed = 7;
         let (sequential, seq_stats) = run_supervised(build(), &opts);
@@ -1175,12 +874,14 @@ mod tests {
             signature(&parallel),
             "jobs=1 and jobs=4 must commit identical outcomes"
         );
+        // Every admitted flaky cell commits its own failure; the budget
+        // sheds the four last-submitted priority-0 cells.
+        assert_eq!(seq_stats.cells_failed, 7);
+        assert_eq!(seq_stats.cells_shed_budget, 4);
         // Outcome counters agree too (speculation counters may differ).
         assert_eq!(seq_stats.cells_ok, par_stats.cells_ok);
         assert_eq!(seq_stats.cells_failed, par_stats.cells_failed);
         assert_eq!(seq_stats.cells_shed_budget, par_stats.cells_shed_budget);
-        assert_eq!(seq_stats.cells_shed_breaker, par_stats.cells_shed_breaker);
-        assert_eq!(seq_stats.breaker_opened, par_stats.breaker_opened);
     }
 
     #[test]
@@ -1214,30 +915,5 @@ mod tests {
         }
         assert_eq!(stats.cells_lost, 1);
         assert_eq!(stats.cells_ok, 3);
-    }
-
-    #[test]
-    fn stats_export_exposes_breaker_transitions() {
-        let cells: Vec<SupervisedCell<u64>> = (0..4)
-            .map(|i| {
-                SupervisedCell::new(key("w", "rt", i), move |_| {
-                    Err(QoaError::Guest { message: "storm".into(), line: 1 })
-                })
-            })
-            .collect();
-        let mut opts = ExecutorOptions::new(2);
-        opts.breaker = BreakerOptions { failure_threshold: 2, cooldown_sheds: 99 };
-        let (_, stats) = run_supervised(cells, &opts);
-        assert_eq!(stats.breaker_opened, 1);
-        let mut reg = Registry::new();
-        stats.export(&mut reg);
-        let text = reg.expose();
-        assert!(
-            text.contains("qoa_executor_breaker_transitions_total{to=\"open\"} 1"),
-            "breaker-open event must be observable in the exposition:\n{text}"
-        );
-        assert!(text.contains("qoa_executor_cells_total{outcome=\"failed\"} 2"), "{text}");
-        assert!(text.contains("qoa_executor_cells_total{outcome=\"shed_breaker\"} 2"), "{text}");
-        qoa_obs::parse_exposition(&text).expect("exposition round-trips");
     }
 }

@@ -28,7 +28,7 @@ use crate::executor::{
     cell_seed, run_supervised, CellVerdict, CommittedCell, ExecutorOptions, ExecutorStats,
     SupervisedCell,
 };
-use crate::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Supervision};
+use crate::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric};
 use crate::runtime::{capture, run_with_sink, CapturedRun, RuntimeConfig};
 use crate::sweeps::SweepParam;
 use crate::Breakdown;
@@ -93,9 +93,9 @@ pub struct Harness {
     cells_total: usize,
     cells_skipped: usize,
     failures: Vec<FailureNote>,
-    /// Cells the supervised executor declined (budget gate or open
-    /// circuit breaker), with the shed reason. Not failures: they don't
-    /// count toward the failure-rate exit gate.
+    /// Cells the supervised executor's budget gate declined, with the
+    /// shed reason. Not failures: they don't count toward the
+    /// failure-rate exit gate.
     shed: Vec<(CellKey, String)>,
     journal_error: Option<QoaError>,
 }
@@ -135,11 +135,10 @@ impl Harness {
     ///
     /// Outcome mapping into the journal:
     ///
-    /// * success → `ok` with the attempt count and breaker state;
+    /// * success → `ok` with the attempt count;
     /// * failure (after retries) → `failed`, same metadata;
-    /// * shed by the budget gate or an open breaker → `shed` (not a
-    ///   failure; excluded from the failure-rate exit gate, rerun with
-    ///   `--fresh` to measure);
+    /// * shed by the budget gate → `shed` (not a failure; excluded from
+    ///   the failure-rate exit gate, rerun with `--fresh` to measure);
     /// * lost to a hung worker → `failed` with kind `lost`.
     ///
     /// Failure and shed notes for [`Harness::finish`] are queued in
@@ -201,15 +200,12 @@ impl Harness {
     /// Journals one committed executor outcome and returns it as a
     /// journal outcome.
     fn commit(&mut self, cell: CommittedCell<CellMetrics>) -> (CellKey, CellOutcome) {
-        let breaker = cell.breaker.name().to_string();
         let (outcome, attempts) = match cell.verdict {
             CellVerdict::Ok { value, attempts } => (CellOutcome::Ok(value), attempts),
             CellVerdict::Failed { kind, message, location, attempts } => {
                 (CellOutcome::Failed { kind, message, location }, attempts)
             }
-            CellVerdict::Shed { reason } => {
-                (CellOutcome::Shed { reason: reason.name().to_string() }, 0)
-            }
+            CellVerdict::Shed => (CellOutcome::Shed { reason: "budget".to_string() }, 0),
             CellVerdict::Lost { attempts } => (
                 CellOutcome::Failed {
                     kind: "lost".to_string(),
@@ -222,9 +218,8 @@ impl Harness {
         };
         if self.journal_error.is_none() {
             // Already broken: keep measuring, report at the end.
-            let supervision = Supervision { attempts, breaker };
             if let Err(e) =
-                self.journal.record_supervised(cell.key.clone(), outcome.clone(), supervision)
+                self.journal.record_supervised(cell.key.clone(), outcome.clone(), attempts)
             {
                 self.journal_error = Some(e);
             }
@@ -247,7 +242,7 @@ impl Harness {
         &self.failures
     }
 
-    /// Cells the supervised executor shed (budget gate, open breaker).
+    /// Cells the supervised executor's budget gate shed.
     pub fn shed(&self) -> &[(CellKey, String)] {
         &self.shed
     }
@@ -721,9 +716,8 @@ mod tests {
         let path = killed.journal_dir.join("figtest.journal.jsonl");
         let mut j = Journal::open(&killed.journal_dir, "figtest", "cfg", false).expect("journal");
         for i in [2, 0, 1] {
-            let supervision = Supervision { attempts: 1, breaker: "closed".into() };
             let key = CellKey::new("w", "CPython", "p", i.to_string());
-            j.record_supervised(key, CellOutcome::Ok(x(i)), supervision).expect("record");
+            j.record_supervised(key, CellOutcome::Ok(x(i)), 1).expect("record");
         }
         drop(j);
         let mut file = std::fs::OpenOptions::new().append(true).open(&path).expect("append");

@@ -122,24 +122,53 @@ pub enum CellOutcome {
         location: Option<String>,
     },
     /// The supervised executor declined to run the cell: load shedding
-    /// under a budget gate, or a runtime whose circuit breaker was open.
-    /// Distinct from `Failed` — nothing about the cell itself is known to
-    /// be wrong, and a later run under a lighter load may measure it.
+    /// under a budget gate. Distinct from `Failed` — nothing about the
+    /// cell itself is known to be wrong, and a later run under a lighter
+    /// load may measure it.
     Shed {
-        /// Why admission was denied (`budget`, `breaker`).
+        /// Why admission was denied (`budget`).
         reason: String,
     },
 }
 
-/// Supervision metadata the parallel executor records beside a cell's
-/// outcome (the `"attempts"`/`"breaker"` fields).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Supervision {
-    /// Times the cell actually ran (1 = no retries; 0 = shed, never ran).
-    pub attempts: u32,
-    /// The cell's runtime circuit-breaker state at commit time
-    /// (`closed`, `open`, `half-open`).
-    pub breaker: String,
+/// A per-cell metrics object a line carries beside its outcome, named
+/// for the one tool that writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sidecar {
+    /// Observability snapshot (a flattened metrics-registry view), from
+    /// `qoa-prof`.
+    Obs,
+    /// Chaos-engine counters (faults injected, recoveries by kind,
+    /// checkpoints written, restores), from `qoa-chaos`.
+    Chaos,
+    /// Simulated-network counters (messages by fate, retries, hedges,
+    /// dedup hits, crashes), from `qoa-cluster`.
+    Net,
+}
+
+impl Sidecar {
+    /// Every sidecar, in the order a line's field is looked up.
+    const ALL: [Sidecar; 3] = [Sidecar::Obs, Sidecar::Chaos, Sidecar::Net];
+
+    /// The line's field name (`obs`, `chaos`, `net`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Sidecar::Obs => "obs",
+            Sidecar::Chaos => "chaos",
+            Sidecar::Net => "net",
+        }
+    }
+}
+
+/// Everything one journal line records about a cell.
+#[derive(Debug)]
+struct Entry {
+    outcome: CellOutcome,
+    /// Times the cell ran under the supervised executor (the
+    /// `"attempts"` field; 0 = shed, never ran).
+    attempts: Option<u32>,
+    /// The cell's sidecar metrics, kept beside the outcome's own.
+    sidecar: Option<(Sidecar, CellMetrics)>,
 }
 
 /// A figure binary's persistent record of completed cells.
@@ -148,19 +177,7 @@ pub struct Journal {
     path: PathBuf,
     figure: String,
     config: String,
-    entries: BTreeMap<CellKey, CellOutcome>,
-    /// Per-cell observability snapshots (the `"obs"` field), kept beside
-    /// the outcome's own metrics.
-    obs: BTreeMap<CellKey, CellMetrics>,
-    /// Per-cell chaos counters (the `"chaos"` field): faults injected,
-    /// recoveries by kind, checkpoints written, restores.
-    chaos: BTreeMap<CellKey, CellMetrics>,
-    /// Per-cell supervision metadata (the `"attempts"`/`"breaker"`
-    /// fields), written by the parallel executor.
-    supervision: BTreeMap<CellKey, Supervision>,
-    /// Per-cell simulated-network counters (the `"net"` field), written
-    /// by the cluster driver.
-    net: BTreeMap<CellKey, CellMetrics>,
+    entries: BTreeMap<CellKey, Entry>,
     /// Whether this journal has rewritten the file, so a record may
     /// append to it. Until then the file may hold stale, foreign or
     /// half-written lines, or (under `fresh`) prior contents to drop.
@@ -194,10 +211,6 @@ impl Journal {
             figure: figure.to_string(),
             config,
             entries: BTreeMap::new(),
-            obs: BTreeMap::new(),
-            chaos: BTreeMap::new(),
-            supervision: BTreeMap::new(),
-            net: BTreeMap::new(),
             rewritten: false,
             appended: false,
         };
@@ -210,13 +223,8 @@ impl Journal {
             // A malformed line (old format, manual edit) is skipped, not
             // fatal: the cell simply reruns.
             // An appended line may re-record a cell; the last one wins.
-            if let Some(parsed) = journal.parse_line(line) {
-                let key = parsed.key;
-                set(&mut journal.obs, &key, parsed.obs);
-                set(&mut journal.chaos, &key, parsed.chaos);
-                set(&mut journal.supervision, &key, parsed.supervision);
-                set(&mut journal.net, &key, parsed.net);
-                journal.entries.insert(key, parsed.outcome);
+            if let Some((key, entry)) = journal.parse_line(line) {
+                journal.entries.insert(key, entry);
             }
         }
         Ok(journal)
@@ -239,7 +247,7 @@ impl Journal {
 
     /// Looks up a completed cell.
     pub fn get(&self, key: &CellKey) -> Option<&CellOutcome> {
-        self.entries.get(key)
+        self.entries.get(key).map(|entry| &entry.outcome)
     }
 
     /// Records a completed cell and persists it (see the module docs).
@@ -249,51 +257,30 @@ impl Journal {
     /// Returns [`QoaError::Journal`] when the journal file cannot be
     /// written.
     pub fn record(&mut self, key: CellKey, outcome: CellOutcome) -> Result<(), QoaError> {
-        self.record_with_obs(key, outcome, None)
+        self.persist(key, Entry { outcome, attempts: None, sidecar: None })
     }
 
-    /// Records a completed cell with an optional observability snapshot
-    /// (a flattened metrics-registry view, embedded as the line's `"obs"`
-    /// object) and persists it (see the module docs).
+    /// Records a completed cell with its sidecar metrics (embedded as the
+    /// line's `sidecar.name()` object) and persists it (see the module
+    /// docs).
     ///
     /// # Errors
     ///
     /// Returns [`QoaError::Journal`] when the journal file cannot be
     /// written.
-    pub fn record_with_obs(
+    pub fn record_with(
         &mut self,
         key: CellKey,
         outcome: CellOutcome,
-        obs: Option<CellMetrics>,
+        sidecar: Sidecar,
+        metrics: CellMetrics,
     ) -> Result<(), QoaError> {
-        set(&mut self.obs, &key, obs);
-        self.entries.insert(key.clone(), outcome);
-        self.persist(&key)
+        self.persist(key, Entry { outcome, attempts: None, sidecar: Some((sidecar, metrics)) })
     }
 
-    /// Records a completed cell with chaos-engine counters (faults
-    /// injected, recoveries, checkpoints — the line's `"chaos"` object)
-    /// and persists it (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QoaError::Journal`] when the journal file cannot be
-    /// written.
-    pub fn record_with_chaos(
-        &mut self,
-        key: CellKey,
-        outcome: CellOutcome,
-        chaos: Option<CellMetrics>,
-    ) -> Result<(), QoaError> {
-        set(&mut self.chaos, &key, chaos);
-        self.entries.insert(key.clone(), outcome);
-        self.persist(&key)
-    }
-
-    /// Records a completed cell with the supervision metadata the
-    /// parallel executor tracked for it (attempt count and circuit-breaker
-    /// state — the line's `"attempts"`/`"breaker"` fields) and persists
-    /// it (see the module docs).
+    /// Records a completed cell with the number of times the parallel
+    /// executor ran it (the line's `"attempts"` field) and persists it
+    /// (see the module docs).
     ///
     /// # Errors
     ///
@@ -303,50 +290,20 @@ impl Journal {
         &mut self,
         key: CellKey,
         outcome: CellOutcome,
-        supervision: Supervision,
+        attempts: u32,
     ) -> Result<(), QoaError> {
-        self.supervision.insert(key.clone(), supervision);
-        self.entries.insert(key.clone(), outcome);
-        self.persist(&key)
+        self.persist(key, Entry { outcome, attempts: Some(attempts), sidecar: None })
     }
 
-    /// Records a completed cell with simulated-network counters
-    /// (messages by fate, retries, hedges, dedup hits, crashes — the
-    /// line's `"net"` object) and persists it (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QoaError::Journal`] when the journal file cannot be
-    /// written.
-    pub fn record_with_net(
-        &mut self,
-        key: CellKey,
-        outcome: CellOutcome,
-        net: Option<CellMetrics>,
-    ) -> Result<(), QoaError> {
-        set(&mut self.net, &key, net);
-        self.entries.insert(key.clone(), outcome);
-        self.persist(&key)
+    /// The executor attempt count recorded with a cell, if any.
+    pub fn attempts(&self, key: &CellKey) -> Option<u32> {
+        self.entries.get(key)?.attempts
     }
 
-    /// The observability snapshot recorded with a cell, if any.
-    pub fn obs_snapshot(&self, key: &CellKey) -> Option<&CellMetrics> {
-        self.obs.get(key)
-    }
-
-    /// The supervision metadata recorded with a cell, if any.
-    pub fn supervision(&self, key: &CellKey) -> Option<&Supervision> {
-        self.supervision.get(key)
-    }
-
-    /// The chaos counters recorded with a cell, if any.
-    pub fn chaos_snapshot(&self, key: &CellKey) -> Option<&CellMetrics> {
-        self.chaos.get(key)
-    }
-
-    /// The simulated-network counters recorded with a cell, if any.
-    pub fn net_snapshot(&self, key: &CellKey) -> Option<&CellMetrics> {
-        self.net.get(key)
+    /// The sidecar metrics recorded with a cell, if any.
+    pub fn sidecar(&self, key: &CellKey) -> Option<(Sidecar, &CellMetrics)> {
+        let (sidecar, metrics) = self.entries.get(key)?.sidecar.as_ref()?;
+        Some((*sidecar, metrics))
     }
 
     /// Rewrites the journal atomically in key order if records were
@@ -365,14 +322,16 @@ impl Journal {
         Ok(())
     }
 
-    /// Makes the record of `key` durable: appends its line, or rewrites
-    /// the whole file when this journal has not written it yet.
-    fn persist(&mut self, key: &CellKey) -> Result<(), QoaError> {
+    /// Records `entry` as `key`'s line, replacing any earlier one, and
+    /// makes it durable: appends the line, or rewrites the whole file
+    /// when this journal has not written it yet.
+    fn persist(&mut self, key: CellKey, entry: Entry) -> Result<(), QoaError> {
+        let mut line = String::new();
+        self.encode_line(&mut line, &key, &entry);
+        self.entries.insert(key, entry);
         if !self.rewritten {
             return self.rewrite();
         }
-        let mut line = String::new();
-        self.encode_line(&mut line, key, &self.entries[key]);
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .open(&self.path)
@@ -389,8 +348,8 @@ impl Journal {
                 .map_err(|e| QoaError::journal(format!("creating {}", dir.display()), e))?;
         }
         let mut text = String::new();
-        for (key, outcome) in &self.entries {
-            self.encode_line(&mut text, key, outcome);
+        for (key, entry) in &self.entries {
+            self.encode_line(&mut text, key, entry);
         }
         let tmp = self.path.with_extension("jsonl.tmp");
         std::fs::write(&tmp, text)
@@ -404,7 +363,7 @@ impl Journal {
 
     // ---- encoding --------------------------------------------------------
 
-    fn encode_line(&self, out: &mut String, key: &CellKey, outcome: &CellOutcome) {
+    fn encode_line(&self, out: &mut String, key: &CellKey, entry: &Entry) {
         out.push('{');
         for (name, value) in [
             ("figure", self.figure.as_str()),
@@ -427,7 +386,7 @@ impl Journal {
             encode_str(out, value);
             out.push(',');
         }
-        match outcome {
+        match &entry.outcome {
             CellOutcome::Ok(metrics) => {
                 out.push_str("\"status\":\"ok\",\"metrics\":");
                 encode_metrics(out, metrics);
@@ -447,29 +406,19 @@ impl Journal {
                 encode_str(out, reason);
             }
         }
-        if let Some(sup) = self.supervision.get(key) {
-            let _ = write!(out, ",\"attempts\":{},", sup.attempts);
-            out.push_str("\"breaker\":");
-            encode_str(out, &sup.breaker);
+        if let Some(attempts) = entry.attempts {
+            let _ = write!(out, ",\"attempts\":{attempts}");
         }
-        if let Some(snapshot) = self.obs.get(key) {
-            out.push_str(",\"obs\":");
-            encode_metrics(out, snapshot);
-        }
-        if let Some(counters) = self.chaos.get(key) {
-            out.push_str(",\"chaos\":");
-            encode_metrics(out, counters);
-        }
-        if let Some(counters) = self.net.get(key) {
-            out.push_str(",\"net\":");
-            encode_metrics(out, counters);
+        if let Some((sidecar, metrics)) = &entry.sidecar {
+            let _ = write!(out, ",\"{}\":", sidecar.name());
+            encode_metrics(out, metrics);
         }
         out.push_str("}\n");
     }
 
     // ---- decoding --------------------------------------------------------
 
-    fn parse_line(&self, line: &str) -> Option<ParsedLine> {
+    fn parse_line(&self, line: &str) -> Option<(CellKey, Entry)> {
         let Ok(Value::Object(fields)) = json::parse(line) else { return None };
         let str_of = |name: &str| fields.get(name)?.as_str();
         // The journal is a cache: a line written under any other format
@@ -506,47 +455,24 @@ impl Journal {
             "shed" => CellOutcome::Shed { reason: str_of("reason")?.to_string() },
             _ => return None,
         };
-        let supervision = match (fields.get("attempts"), fields.get("breaker")) {
-            (Some(Value::Int(n)), Some(b)) => Some(Supervision {
-                attempts: u32::try_from(*n).ok()?,
-                breaker: b.as_str()?.to_string(),
-            }),
-            (None, None) => None,
-            // A line carrying only half the supervision pair (or a
-            // mistyped field) is malformed; skip it so the cell reruns.
-            _ => return None,
+        let attempts = match fields.get("attempts") {
+            Some(Value::Int(n)) => Some(u32::try_from(*n).ok()?),
+            None => None,
+            // A mistyped field is malformed; skip the line so the cell
+            // reruns.
+            Some(_) => return None,
         };
-        Some(ParsedLine {
-            key,
-            outcome,
-            obs: metrics_of("obs")?,
-            chaos: metrics_of("chaos")?,
-            supervision,
-            net: metrics_of("net")?,
-        })
-    }
-}
-
-/// Sets or clears `key`'s entry in a per-cell side map.
-fn set<T>(map: &mut BTreeMap<CellKey, T>, key: &CellKey, value: Option<T>) {
-    match value {
-        Some(v) => {
-            map.insert(key.clone(), v);
+        // A line carries at most one sidecar: more is malformed.
+        let mut sidecar = None;
+        for side in Sidecar::ALL {
+            if let Some(metrics) = metrics_of(side.name())? {
+                if sidecar.replace((side, metrics)).is_some() {
+                    return None;
+                }
+            }
         }
-        None => {
-            map.remove(key);
-        }
+        Some((key, Entry { outcome, attempts, sidecar }))
     }
-}
-
-/// One successfully decoded journal line.
-struct ParsedLine {
-    key: CellKey,
-    outcome: CellOutcome,
-    obs: Option<CellMetrics>,
-    chaos: Option<CellMetrics>,
-    supervision: Option<Supervision>,
-    net: Option<CellMetrics>,
 }
 
 fn encode_metrics(out: &mut String, metrics: &CellMetrics) {
@@ -660,16 +586,16 @@ mod tests {
         let mut obs = CellMetrics::new();
         obs.insert("qoa_sim_cycles_total".into(), Metric::Num(1.0));
         let mut j = Journal::open(&dir, "prof", "cfg", false).expect("open");
-        j.record_with_obs(key.clone(), CellOutcome::Ok(CellMetrics::new()), Some(obs))
+        j.record_with(key.clone(), CellOutcome::Ok(CellMetrics::new()), Sidecar::Obs, obs)
             .expect("record");
         j.record(other.clone(), CellOutcome::Ok(CellMetrics::new())).expect("append");
-        j.record_with_obs(key.clone(), CellOutcome::Ok(sample_metrics()), None).expect("append");
+        j.record(key.clone(), CellOutcome::Ok(sample_metrics())).expect("append");
         let appended = std::fs::read_to_string(j.path()).expect("read");
         assert_eq!(appended.lines().count(), 3, "{appended}");
 
         let reread = Journal::open(&dir, "prof", "cfg", false).expect("reopen");
         assert_eq!(reread.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
-        assert_eq!(reread.obs_snapshot(&key), None);
+        assert_eq!(reread.sidecar(&key), None);
         assert_eq!(reread.len(), 2);
         j.compact().expect("compact");
         let compacted = std::fs::read_to_string(j.path()).expect("read");
@@ -722,114 +648,72 @@ mod tests {
     }
 
     #[test]
-    fn obs_snapshots_round_trip() {
-        let dir = tmp_dir("obs");
-        let key = CellKey::new("go", "CPython", "scale", "small");
-        let mut obs = CellMetrics::new();
-        obs.insert("qoa_sim_cycles_total".into(), Metric::Num(123456.0));
-        obs.insert("qoa_vm_dispatch_total{opcode=\"BinaryAdd\"}".into(), Metric::Num(7.0));
-        {
-            let mut j = Journal::open(&dir, "prof", "cfg", false).expect("open");
-            j.record_with_obs(key.clone(), CellOutcome::Ok(sample_metrics()), Some(obs.clone()))
-                .expect("record");
+    fn sidecars_round_trip() {
+        let dir = tmp_dir("sidecars");
+        let mut metrics = CellMetrics::new();
+        metrics.insert("qoa_sim_cycles_total".into(), Metric::Num(123456.0));
+        metrics.insert("recoveries_total{kind=\"fuel\"}".into(), Metric::Int(2));
+        for sidecar in Sidecar::ALL {
+            let key = CellKey::new("go", "CPython", "seed", sidecar.name());
+            {
+                let mut j = Journal::open(&dir, sidecar.name(), "cfg", false).expect("open");
+                let outcome = CellOutcome::Ok(sample_metrics());
+                j.record_with(key.clone(), outcome, sidecar, metrics.clone()).expect("record");
+            }
+            let j = Journal::open(&dir, sidecar.name(), "cfg", false).expect("reopen");
+            assert_eq!(j.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
+            assert_eq!(j.sidecar(&key), Some((sidecar, &metrics)));
+            // The line self-describes with the current version.
+            let text = std::fs::read_to_string(j.path()).expect("read");
+            assert!(text.contains("\"version\":5,"), "line: {text}");
+            assert!(text.contains(&format!(",\"{}\":{{", sidecar.name())), "line: {text}");
         }
-        let j = Journal::open(&dir, "prof", "cfg", false).expect("reopen");
-        assert_eq!(j.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
-        assert_eq!(j.obs_snapshot(&key), Some(&obs));
-        // The line self-describes with the current version.
-        let text = std::fs::read_to_string(j.path()).expect("read");
-        assert!(text.contains("\"version\":5,"), "line: {text}");
-        assert!(text.contains("\"obs\":{"), "line: {text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn chaos_snapshots_round_trip() {
-        let dir = tmp_dir("chaos");
-        let key = CellKey::new("go", "CPython", "seed", "7");
-        let mut chaos = CellMetrics::new();
-        chaos.insert("faults_injected_total".into(), Metric::Int(3));
-        chaos.insert("recoveries_total{kind=\"fuel\"}".into(), Metric::Int(2));
-        chaos.insert("checkpoints_written_total".into(), Metric::Int(11));
-        {
-            let mut j = Journal::open(&dir, "chaos", "cfg", false).expect("open");
-            j.record_with_chaos(key.clone(), CellOutcome::Ok(sample_metrics()), Some(chaos.clone()))
-                .expect("record");
-        }
-        let j = Journal::open(&dir, "chaos", "cfg", false).expect("reopen");
-        assert_eq!(j.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
-        assert_eq!(j.chaos_snapshot(&key), Some(&chaos));
-        let text = std::fs::read_to_string(j.path()).expect("read");
-        assert!(text.contains("\"chaos\":{"), "line: {text}");
+    fn a_line_with_two_sidecars_is_skipped() {
+        let dir = tmp_dir("twosidecars");
+        let line = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":5,\
+                    \"workload\":\"go\",\"runtime\":\"CPython\",\"param\":\"p\",\
+                    \"value\":\"1\",\"status\":\"ok\",\"metrics\":{},\"obs\":{},\"net\":{}}\n";
+        std::fs::write(dir.join("fig10.journal.jsonl"), line).expect("write");
+        let j = Journal::open(&dir, "fig10", "cfg", false).expect("open");
+        assert!(j.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn net_counters_round_trip() {
-        let dir = tmp_dir("net");
-        let key = CellKey::new("cluster", "qoa-serve", "net-seed", "7");
-        let mut net = CellMetrics::new();
-        net.insert("qoa_net_msgs_total{fate=\"dropped\"}".into(), Metric::Int(4));
-        net.insert("qoa_net_retries_total".into(), Metric::Int(9));
-        net.insert("qoa_net_dedup_hits_total".into(), Metric::Int(2));
-        {
-            let mut j = Journal::open(&dir, "cluster", "cfg", false).expect("open");
-            j.record_with_net(key.clone(), CellOutcome::Ok(sample_metrics()), Some(net.clone()))
-                .expect("record");
-        }
-        let j = Journal::open(&dir, "cluster", "cfg", false).expect("reopen");
-        assert_eq!(j.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
-        assert_eq!(j.net_snapshot(&key), Some(&net));
-        let text = std::fs::read_to_string(j.path()).expect("read");
-        assert!(text.contains("\"net\":{"), "line: {text}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shed_and_supervision_fields_round_trip() {
-        let dir = tmp_dir("v4roundtrip");
+    fn shed_and_attempts_fields_round_trip() {
+        let dir = tmp_dir("attempts");
         let shed_key = CellKey::new("go", "PyPyJit", "nursery", "4096");
         let ok_key = CellKey::new("float", "PyPyJit", "nursery", "4096");
         {
             let mut j = Journal::open(&dir, "fig10", "cfg", false).expect("open");
-            j.record_supervised(
-                shed_key.clone(),
-                CellOutcome::Shed { reason: "breaker".into() },
-                Supervision { attempts: 0, breaker: "open".into() },
-            )
-            .expect("record shed");
-            j.record_supervised(
-                ok_key.clone(),
-                CellOutcome::Ok(sample_metrics()),
-                Supervision { attempts: 3, breaker: "closed".into() },
-            )
-            .expect("record ok");
+            j.record_supervised(shed_key.clone(), CellOutcome::Shed { reason: "budget".into() }, 0)
+                .expect("record shed");
+            j.record_supervised(ok_key.clone(), CellOutcome::Ok(sample_metrics()), 3)
+                .expect("record ok");
         }
         let j = Journal::open(&dir, "fig10", "cfg", false).expect("reopen");
-        assert_eq!(j.get(&shed_key), Some(&CellOutcome::Shed { reason: "breaker".into() }));
-        assert_eq!(
-            j.supervision(&shed_key),
-            Some(&Supervision { attempts: 0, breaker: "open".into() })
-        );
+        assert_eq!(j.get(&shed_key), Some(&CellOutcome::Shed { reason: "budget".into() }));
+        assert_eq!(j.attempts(&shed_key), Some(0));
         assert_eq!(j.get(&ok_key), Some(&CellOutcome::Ok(sample_metrics())));
-        assert_eq!(
-            j.supervision(&ok_key),
-            Some(&Supervision { attempts: 3, breaker: "closed".into() })
-        );
+        assert_eq!(j.attempts(&ok_key), Some(3));
         let text = std::fs::read_to_string(j.path()).expect("read");
-        assert!(text.contains("\"status\":\"shed\",\"reason\":\"breaker\""), "line: {text}");
-        assert!(text.contains("\"attempts\":3,\"breaker\":\"closed\""), "line: {text}");
+        assert!(text.contains("\"reason\":\"budget\",\"attempts\":0}"), "line: {text}");
+        assert!(text.contains("},\"attempts\":3}"), "line: {text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn half_written_supervision_fields_invalidate_the_line() {
-        let dir = tmp_dir("v4half");
+    fn mistyped_attempts_field_invalidates_the_line() {
+        let dir = tmp_dir("badattempts");
         let path = dir.join("fig10.journal.jsonl");
-        // "attempts" without "breaker": malformed, must rerun not misread.
+        // A string where the count belongs: malformed, must rerun not misread.
         let bad = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":5,\
                    \"workload\":\"go\",\"runtime\":\"CPython\",\"param\":\"p\",\
-                   \"value\":\"1\",\"status\":\"ok\",\"metrics\":{},\"attempts\":2}\n";
+                   \"value\":\"1\",\"status\":\"ok\",\"metrics\":{},\"attempts\":\"2\"}\n";
         std::fs::write(&path, bad).expect("write");
         let j = Journal::open(&dir, "fig10", "cfg", false).expect("open");
         assert!(j.is_empty());

@@ -63,7 +63,7 @@ pub use breaker::{BreakerBank, BreakerCore, BreakerOptions, BreakerState};
 pub use error::QoaError;
 pub use executor::{
     available_jobs, cell_seed, run_supervised, CellVerdict, CommittedCell, ExecutorOptions,
-    ExecutorStats, RetryPolicy, ShedReason, SupervisedCell,
+    ExecutorStats, RetryPolicy, SupervisedCell,
 };
 pub use transport::VirtualRetryPolicy;
 pub use harness::{
@@ -71,7 +71,7 @@ pub use harness::{
     Harness, HarnessOptions, NurseryCell, SharedTraceCache, SweepCellPoint,
 };
 pub use isolate::{run_isolated, RunFailure, RunOutcome};
-pub use journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, JOURNAL_VERSION};
+pub use journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Sidecar, JOURNAL_VERSION};
 pub use report::Table;
 pub use runtime::{capture, capture_observed, run_with_sink, CapturedRun, Machine, RuntimeConfig};
 pub use sweeps::{

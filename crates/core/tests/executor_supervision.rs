@@ -2,16 +2,14 @@
 //! (optionally under seeded per-cell chaos plans) through the parallel
 //! executor, and the resulting journal must be byte-identical for any
 //! `jobs` count — the executor's determinism contract, observed at the
-//! persistence layer rather than the API. A breaker storm must land in
-//! the journal as `shed` outcomes and in the Prometheus exposition as
-//! breaker transitions.
+//! persistence layer rather than the API. A runtime failing every cell
+//! must land in the journal and the Prometheus exposition as that many
+//! failures, and trip the harness's exit gate.
 
 use qoa_core::harness::{capture_cell, CellChaos};
 use qoa_core::journal::{CellKey, CellMetrics, Metric};
 use qoa_core::runtime::RuntimeConfig;
-use qoa_core::{
-    BreakerOptions, ExecutorOptions, Harness, HarnessOptions, QoaError, SupervisedCell,
-};
+use qoa_core::{ExecutorOptions, Harness, HarnessOptions, QoaError, SupervisedCell};
 use qoa_model::RuntimeKind;
 use std::path::{Path, PathBuf};
 
@@ -74,59 +72,50 @@ fn batch_journals_identically_for_any_jobs_count() {
 }
 
 #[test]
-fn breaker_storm_is_journaled_and_observable() {
-    let dir = temp_dir("storm");
-    let mut opts = HarnessOptions::new("storm", "itest");
+fn a_broken_runtime_fails_every_cell_and_trips_the_exit_gate() {
+    let dir = temp_dir("broken-runtime");
+    let mut opts = HarnessOptions::new("broken", "itest");
     opts.journal_dir = dir.clone();
-    // 12 deterministic failures would otherwise trip the harness's own
-    // failure-rate gate in finish(); this test only inspects the journal.
-    opts.max_failure_rate = 1.0;
     let mut h = Harness::open(opts).expect("open harness");
-    let specs: Vec<SupervisedCell<CellMetrics>> = (0..12)
-        .map(|i| {
-            let key = CellKey::new(format!("w{i}"), "flaky-rt", "cell", i.to_string());
-            SupervisedCell::new(key, move |_| {
-                Err(QoaError::Guest { message: format!("storm {i}"), line: 1 })
-            })
-        })
-        .collect();
-    let mut exec = ExecutorOptions::new(4);
-    exec.breaker = BreakerOptions { failure_threshold: 3, cooldown_sheds: 4 };
-    let (results, stats) = h.run(specs, &exec);
+    // A figure-shaped batch: 20 workloads x 3 runtimes, one runtime
+    // failing every cell.
+    let mut specs: Vec<SupervisedCell<CellMetrics>> = Vec::new();
+    for w in 0..20 {
+        for rt in ["CPython", "PyPyNoJit", "PyPyJit"] {
+            let key = CellKey::new(format!("w{w}"), rt, "cell", "0");
+            specs.push(SupervisedCell::new(key, move |_| {
+                if rt == "PyPyJit" {
+                    return Err(QoaError::Guest { message: format!("broken {w}"), line: 1 });
+                }
+                let mut m = CellMetrics::new();
+                m.insert("w".into(), Metric::Int(w));
+                Ok(m)
+            }));
+        }
+    }
+    let (results, stats) = h.run(specs, &ExecutorOptions::new(4));
 
-    // 3 failures open the breaker; 4 sheds half-open it; the probe fails
-    // and reopens it; 4 more sheds half-open it again.
-    assert_eq!(stats.cells_failed, 4, "3 to open + 1 failed probe");
-    assert_eq!(stats.cells_shed_breaker, 8);
-    assert_eq!(stats.breaker_opened, 2);
-    assert_eq!(stats.breaker_half_opened, 2);
-    assert!(results.iter().all(Option::is_none), "no storm cell yields metrics");
-    assert_eq!(h.shed().len(), 8, "the batch surfaces its shed cells in order");
-    assert_eq!(h.shed()[0].0, CellKey::new("w3", "flaky-rt", "cell", "3"));
-
-    // Re-presenting a shed cell answers from the journal — no re-run —
-    // and surfaces the shed note for finish() accounting.
-    let replay = SupervisedCell::new(
-        CellKey::new("w11", "flaky-rt", "cell", "11"),
-        |_| -> Result<CellMetrics, QoaError> { panic!("journaled shed cells must not re-run") },
-    );
-    let (replayed, _) = h.run(vec![replay], &exec);
-    assert!(replayed[0].is_none());
-    assert_eq!(h.cells_skipped(), 1);
-    assert_eq!(h.shed().len(), 9, "harness must surface shed cells distinctly");
-    assert_eq!(h.shed()[8].0, CellKey::new("w11", "flaky-rt", "cell", "11"));
+    assert_eq!(stats.cells_failed, 20, "every cell of the broken runtime is recorded failed");
+    assert_eq!(stats.cells_ok, 40);
+    assert_eq!(stats.cells_shed_budget, 0);
+    assert!(h.shed().is_empty(), "no cell is shed");
+    assert_eq!(h.failures().len(), 20);
+    assert!(h.failures().iter().all(|f| f.key.runtime == "PyPyJit" && f.kind == "guest"));
+    for (i, r) in results.iter().enumerate() {
+        assert_eq!(r.is_none(), i % 3 == 2, "cell {i}");
+    }
 
     let mut reg = qoa_obs::metrics::Registry::new();
     stats.export(&mut reg);
     let text = reg.expose();
-    assert!(
-        text.contains("qoa_executor_breaker_transitions_total{to=\"open\"} 2"),
-        "breaker-open events must be observable in the exposition:\n{text}"
-    );
+    assert!(text.contains("qoa_executor_cells_total{outcome=\"failed\"} 20"), "{text}");
     qoa_obs::parse_exposition(&text).expect("exposition round-trips");
 
-    let journal = std::fs::read_to_string(dir.join("storm.journal.jsonl")).expect("journal");
-    assert!(journal.contains("\"status\":\"shed\""), "shed is a first-class outcome:\n{journal}");
-    assert!(journal.contains("breaker"), "shed reason must be recorded:\n{journal}");
+    let journal = std::fs::read_to_string(dir.join("broken.journal.jsonl")).expect("journal");
+    assert_eq!(journal.matches("\"status\":\"failed\"").count(), 20, "{journal}");
+    assert!(!journal.contains("\"status\":\"shed\""), "{journal}");
+
+    // 20 of 60 cells failed: above the default 25% gate.
+    assert_eq!(h.finish(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

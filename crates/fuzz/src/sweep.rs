@@ -369,7 +369,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, QoaError> {
                     CellOutcome::Failed { kind, message, location },
                 )?;
             }
-            CellVerdict::Shed { .. } | CellVerdict::Lost { .. } => {}
+            CellVerdict::Shed | CellVerdict::Lost { .. } => {}
         }
     }
     journal.compact()?;

@@ -13,7 +13,7 @@
 use qoa_core::cli::{CliError, Flags};
 use qoa_core::{
     run_supervised, write_bench_json, BenchEntry, CellKey, CellOutcome, CellVerdict, Journal,
-    Metric, QoaError, SupervisedCell,
+    Metric, QoaError, Sidecar, SupervisedCell,
 };
 use qoa_obs::Registry;
 use qoa_serve::net::{NetConfig, NetFaultKind, NetFaultPlan};
@@ -121,6 +121,26 @@ fn parse(f: &mut Flags) -> Result<Cli, CliError> {
     Ok(cli)
 }
 
+/// The `--journal-dir` configuration fingerprint: every flag that shapes
+/// a seed's cell, so cells journaled under other flags rerun instead of
+/// being reused under the same `net-seed` keys.
+fn journal_config(cli: &Cli) -> String {
+    let faults: Vec<&str> = cli.faults.iter().map(|k| k.name()).collect();
+    format!(
+        "seed_base={} requests={} nodes={} workloads={} scale={:?} load_pct={} per_mille={} \
+         faults={} hedge_after={:?}",
+        cli.seed_base,
+        cli.requests,
+        cli.nodes,
+        cli.workloads.join(","),
+        cli.scale,
+        cli.load_pct,
+        cli.per_mille,
+        faults.join("+"),
+        cli.hedge_after,
+    )
+}
+
 /// Everything one seed's cell hands back to the supervisor.
 struct SeedRun {
     seed: u64,
@@ -208,9 +228,9 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
     let (committed, stats) = run_supervised(cells, &opts);
 
     let mut journal = match &cli.journal_dir {
-        Some(dir) => {
-            Some(Journal::open(dir, "cluster", "net", false).map_err(|e| e.to_string())?)
-        }
+        Some(dir) => Some(
+            Journal::open(dir, "cluster", journal_config(cli), false).map_err(|e| e.to_string())?,
+        ),
         None => None,
     };
 
@@ -228,10 +248,11 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
                         "p99_ack_vcycles".into(),
                         Metric::Int(value.report.latency_permille(990) as i64),
                     );
-                    j.record_with_net(
+                    j.record_with(
                         cell.key.clone(),
                         CellOutcome::Ok(m),
-                        Some(value.report.net_metrics()),
+                        Sidecar::Net,
+                        value.report.net_metrics(),
                     )
                     .map_err(|e| e.to_string())?;
                 }
@@ -241,15 +262,11 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
                 cell_failures += 1;
                 eprintln!("qoa-cluster: cell {} failed ({kind}): {message}", cell.key);
                 if let Some(j) = journal.as_mut() {
-                    j.record_with_net(
-                        cell.key.clone(),
-                        CellOutcome::Failed { kind, message, location: None },
-                        None,
-                    )
-                    .map_err(|e| e.to_string())?;
+                    let outcome = CellOutcome::Failed { kind, message, location: None };
+                    j.record(cell.key.clone(), outcome).map_err(|e| e.to_string())?;
                 }
             }
-            CellVerdict::Shed { .. } | CellVerdict::Lost { .. } => cell_failures += 1,
+            CellVerdict::Shed | CellVerdict::Lost { .. } => cell_failures += 1,
         }
     }
     if let Some(j) = journal.as_mut() {
@@ -338,6 +355,36 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("qoa-cluster: {msg}");
             ExitCode::from(2)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config_of(args: &[&str]) -> String {
+        let mut flags = Flags::new(args.iter().map(|a| (*a).to_string()).collect());
+        journal_config(&parse(&mut flags).expect("flags parse"))
+    }
+
+    #[test]
+    fn journal_config_tracks_the_flags_that_shape_a_cell() {
+        let base = config_of(&["--requests", "24", "--nodes", "3"]);
+        assert_eq!(base, config_of(&["--requests", "24", "--nodes", "3", "--jobs", "4"]));
+        assert_eq!(base, config_of(&["--nodes", "3", "--seeds", "6", "--quiet"]));
+        for other in [
+            &["--requests", "25"][..],
+            &["--nodes", "4"],
+            &["--workloads", "go,float"],
+            &["--scale", "small"],
+            &["--load-pct", "130"],
+            &["--per-mille", "50"],
+            &["--faults", "drop+crash"],
+            &["--hedge-after", "900"],
+            &["--seed-base", "2"],
+        ] {
+            assert_ne!(base, config_of(other), "{other:?} must change the journal config");
         }
     }
 }

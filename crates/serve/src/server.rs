@@ -442,16 +442,11 @@ fn fold_stats(total: &mut ExecutorStats, s: &ExecutorStats) {
     total.cells_ok += s.cells_ok;
     total.cells_failed += s.cells_failed;
     total.cells_shed_budget += s.cells_shed_budget;
-    total.cells_shed_breaker += s.cells_shed_breaker;
     total.cells_lost += s.cells_lost;
     total.attempts += s.attempts;
     total.retries += s.retries;
-    total.breaker_opened += s.breaker_opened;
-    total.breaker_half_opened += s.breaker_half_opened;
-    total.breaker_closed += s.breaker_closed;
     total.queue_depth_peak = total.queue_depth_peak.max(s.queue_depth_peak);
     total.speculative_discards += s.speculative_discards;
-    total.redispatches += s.redispatches;
 }
 
 fn invalid(context: String) -> QoaError {
@@ -594,16 +589,13 @@ pub fn serve(
         let mut xopts = ExecutorOptions::new(cfg.jobs.max(1));
         xopts.seed = cfg.seed;
         xopts.retry = RetryPolicy::none();
-        // Tenant breakers live in this loop across windows; the
-        // executor's per-batch breakers are parked out of the way.
-        xopts.breaker = BreakerOptions { failure_threshold: u32::MAX, cooldown_sheds: u32::MAX };
         xopts.budget = Some(slots);
         let (committed, stats) = run_supervised(cells, &xopts);
         fold_stats(&mut report.exec, &stats);
 
         for ((pos, req), cell) in admitted.iter().zip(committed) {
             let outcome = match cell.verdict {
-                CellVerdict::Shed { .. } => Outcome::Shed { cause: ShedCause::Queue },
+                CellVerdict::Shed => Outcome::Shed { cause: ShedCause::Queue },
                 CellVerdict::Ok { value: run, .. } => {
                     breakers.on_success(req.tenant);
                     place(&mut worker_free, req, run)
