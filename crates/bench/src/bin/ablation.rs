@@ -61,9 +61,11 @@ fn specs(cli: &Cli) -> Vec<SupervisedCell<CellMetrics>> {
             specs.push(SupervisedCell::new(key, move |deadline| {
                 let uarch = UarchConfig::skylake();
                 let cfg = JitConfig { deadline, ..cfg };
-                let code = qoa_frontend::compile(&w.source(scale))?;
+                // Verified code loads with the dispatch guards elided, as
+                // `Machine::load` loads it for every other figure.
+                let code = qoa_analysis::verify(&qoa_frontend::compile(&w.source(scale))?)?;
                 let mut vm = qoa_jit::PyPyVm::new(cfg, qoa_uarch::TraceBuffer::new());
-                vm.load_program(&code);
+                vm.load_verified(&code);
                 vm.run()?;
                 let (trace, _) = vm.vm.finish();
                 let cycles = trace.simulate_ooo(&uarch).cycles;

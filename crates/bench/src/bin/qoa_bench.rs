@@ -1,22 +1,18 @@
-//! `qoa-bench`: the perf-trajectory regression harness.
+//! `qoa-bench`: the perf-trajectory snapshot.
 //!
 //! Runs a fixed workload panel — go / float / richards, each at opt
 //! level 0 and [`qoa_analysis::MAX_OPT_LEVEL`], each under the
-//! interpreter (CPython) and the JIT run-time (PyPy-JIT) — and emits a
+//! interpreter (CPython) and the JIT run-time (PyPy-JIT) — and writes a
 //! versioned `BENCH_trajectory.json` snapshot through
-//! [`qoa_core::benchsnap`]. Simulated cycles are deterministic replay
-//! counts and compare *exactly* against the committed baseline, so the
-//! snapshot is a host-independent golden. Host wall time is measured by
-//! the layered benchmark (`benchmark/`), not here.
+//! [`qoa_core::benchsnap`] to `--out` (default
+//! `results/BENCH_trajectory.json`). Simulated cycles are deterministic
+//! replay counts, so the snapshot is a host-independent golden: CI
+//! regenerates it and diffs it against the committed file. Host wall
+//! time is measured by the layered benchmark (`benchmark/`), not here.
 //!
-//! Exit status: nonzero when any class's simulated cycles regressed (or
-//! a baseline class disappeared from the panel), zero otherwise —
-//! improvements print a "refresh the baseline" hint but do not fail.
-//! `--write-baseline` regenerates the baseline file instead of diffing.
+//! Exit status: nonzero only when a panel cell fails.
 
-use qoa_core::benchsnap::{
-    diff_snapshots, parse_bench_json, render_bench_json, BenchEntry, BenchSnapshot,
-};
+use qoa_core::benchsnap::{render_bench_json, BenchEntry};
 use qoa_core::cli::{CliError, Flags};
 use qoa_core::runtime::RuntimeConfig;
 use qoa_model::RuntimeKind;
@@ -36,24 +32,16 @@ const TIERS: [(&str, RuntimeKind); 2] =
 #[derive(Debug)]
 struct BenchCli {
     scale: Scale,
-    baseline: PathBuf,
-    write_baseline: bool,
-    out: Option<PathBuf>,
+    out: PathBuf,
 }
 
 impl Default for BenchCli {
     fn default() -> Self {
-        BenchCli {
-            scale: Scale::Small,
-            baseline: PathBuf::from("results/BENCH_trajectory.json"),
-            write_baseline: false,
-            out: None,
-        }
+        BenchCli { scale: Scale::Small, out: PathBuf::from("results/BENCH_trajectory.json") }
     }
 }
 
-const USAGE: &str =
-    "flags: --scale tiny|small|full  --baseline FILE  --write-baseline  --out FILE";
+const USAGE: &str = "flags: --scale tiny|small|full  --out FILE";
 
 /// The snapshot's `seed` field. The panel draws nothing at random, so
 /// it is a constant.
@@ -64,9 +52,7 @@ fn parse_cli(f: &mut Flags) -> Result<BenchCli, CliError> {
     while let Some(flag) = f.next_flag()? {
         match flag.as_str() {
             "--scale" => out.scale = f.value()?,
-            "--baseline" => out.baseline = f.value()?,
-            "--write-baseline" => out.write_baseline = true,
-            "--out" => out.out = Some(f.value()?),
+            "--out" => out.out = f.value()?,
             _ => return Err(f.unknown()),
         }
     }
@@ -108,17 +94,6 @@ fn write_snapshot(path: &std::path::Path, body: &str) {
     println!("snapshot: {} ({} bytes)", path.display(), body.len());
 }
 
-fn load_baseline(path: &std::path::Path) -> BenchSnapshot {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!(
-            "reading baseline {}: {e}\n(run `qoa-bench --write-baseline` to create it)",
-            path.display()
-        )
-    });
-    parse_bench_json(&text)
-        .unwrap_or_else(|e| panic!("parsing baseline {}: {e}", path.display()))
-}
-
 fn main() {
     let cli = qoa_core::cli::parse_args(USAGE, parse_cli);
     eprintln!(
@@ -129,26 +104,5 @@ fn main() {
         cli.scale
     );
     let entries = measure_panel(cli.scale);
-    let body = render_bench_json("trajectory", "qoa-bench", SEED, &entries);
-
-    if let Some(out) = &cli.out {
-        write_snapshot(out, &body);
-    }
-    if cli.write_baseline {
-        write_snapshot(&cli.baseline, &body);
-        return;
-    }
-
-    let baseline = load_baseline(&cli.baseline);
-    let current = parse_bench_json(&body).expect("own snapshot parses");
-    let diff = diff_snapshots(&baseline, &current);
-    print!("{}", diff.render());
-    if diff.gate_failed() {
-        eprintln!(
-            "perf trajectory gate failed against {} (cycles are deterministic; \
-             an increase is a real regression)",
-            cli.baseline.display()
-        );
-        std::process::exit(1);
-    }
+    write_snapshot(&cli.out, &render_bench_json("trajectory", "qoa-bench", SEED, &entries));
 }

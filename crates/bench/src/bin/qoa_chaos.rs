@@ -28,7 +28,7 @@
 
 use qoa_chaos::{FaultKind, FaultPlan};
 use qoa_core::cli::{CliError, Flags};
-use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Sidecar};
+use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric};
 use qoa_core::report::Table;
 use qoa_core::runtime::{capture, CapturedRun, RuntimeConfig};
 use qoa_core::{
@@ -357,7 +357,7 @@ fn main() {
             CellVerdict::Ok { value: rep, .. } => {
                 for (key, outcome, chaos_metrics) in rep.records {
                     if let Some(j) = &mut journal {
-                        if let Err(e) = j.record_with(key, outcome, Sidecar::Chaos, chaos_metrics) {
+                        if let Err(e) = j.record_with_chaos(key, outcome, chaos_metrics) {
                             eprintln!("journal write failed (continuing): {e}");
                         }
                     }

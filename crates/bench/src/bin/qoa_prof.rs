@@ -16,12 +16,10 @@
 //! `--check` re-parses everything just written through the crate's own
 //! round-trip parsers and verifies the sampled per-category shares agree
 //! with the exact Fig. 4 attribution within 2 percentage points; any
-//! violation exits nonzero. A journal line (with the metrics snapshot
-//! embedded as the v2 `"obs"` field) is recorded under `--journal-dir`.
+//! violation exits nonzero.
 
 use qoa_analysis::StaticFacts;
 use qoa_core::cli::{CliError, Flags};
-use qoa_core::journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Sidecar};
 use qoa_core::runtime::{capture_observed, RuntimeConfig};
 use qoa_model::{RuntimeKind, Tier};
 use qoa_obs::bridge::{
@@ -47,7 +45,6 @@ struct ProfCli {
     annotate: Option<PathBuf>,
     jobs: usize,
     check: bool,
-    journal_dir: PathBuf,
 }
 
 impl Default for ProfCli {
@@ -64,7 +61,6 @@ impl Default for ProfCli {
             annotate: None,
             jobs: 1,
             check: false,
-            journal_dir: PathBuf::from("results"),
         }
     }
 }
@@ -72,7 +68,7 @@ impl Default for ProfCli {
 const USAGE: &str = "flags: --workload NAME  --runtime cpython|pypy-nojit|pypy-jit|v8  \
      --scale tiny|small|full  --sample-every N  --trace FILE  \
      --metrics FILE  --folded FILE  --folded-lines FILE  --annotate FILE  \
-     --jobs N  --check  --journal-dir DIR";
+     --jobs N  --check";
 
 fn parse_cli(f: &mut Flags) -> Result<ProfCli, CliError> {
     let mut out = ProfCli::default();
@@ -94,7 +90,6 @@ fn parse_cli(f: &mut Flags) -> Result<ProfCli, CliError> {
                 }
             }
             "--check" => out.check = true,
-            "--journal-dir" => out.journal_dir = f.value()?,
             _ => return Err(f.unknown()),
         }
     }
@@ -207,36 +202,6 @@ fn main() {
         let facts = facts.as_ref().expect("facts computed when --annotate is set");
         let text = qoa_core::render_annotated(&guest_file, &source, &report.profile, facts);
         write_output(path, "annotated source", &text);
-    }
-
-    // Journal line with the registry snapshot embedded (v2 "obs" field).
-    let key = CellKey::new(
-        workload.name,
-        format!("{:?}", cli.runtime),
-        "sample_every",
-        cli.sample_every.to_string(),
-    );
-    let mut metrics = CellMetrics::new();
-    metrics.insert("cycles".into(), Metric::Int(report.stats.cycles as i64));
-    metrics.insert("instructions".into(), Metric::Int(report.stats.instructions as i64));
-    metrics.insert("samples".into(), Metric::Int(report.profile.total_samples as i64));
-    let snapshot: CellMetrics = obs
-        .registry
-        .snapshot()
-        .into_iter()
-        .map(|(name, value)| (name, Metric::Num(value)))
-        .collect();
-    let config = format!("scale={:?} sample_every={}", cli.scale, cli.sample_every);
-    match Journal::open(&cli.journal_dir, "qoa-prof", config, false) {
-        Ok(mut journal) => {
-            let outcome = CellOutcome::Ok(metrics);
-            if let Err(e) = journal.record_with(key, outcome, Sidecar::Obs, snapshot) {
-                eprintln!("journal write failed (continuing): {e}");
-            } else {
-                println!("journal: {}", journal.path().display());
-            }
-        }
-        Err(e) => eprintln!("journal open failed (continuing): {e}"),
     }
 
     if cli.check {

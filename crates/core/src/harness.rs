@@ -206,15 +206,7 @@ impl Harness {
                 (CellOutcome::Failed { kind, message, location }, attempts)
             }
             CellVerdict::Shed => (CellOutcome::Shed { reason: "budget".to_string() }, 0),
-            CellVerdict::Lost { attempts } => (
-                CellOutcome::Failed {
-                    kind: "lost".to_string(),
-                    message: "worker hung past the cell deadline; abandoned by the watchdog"
-                        .to_string(),
-                    location: None,
-                },
-                attempts,
-            ),
+            CellVerdict::Lost { attempts } => (CellOutcome::lost(), attempts),
         };
         if self.journal_error.is_none() {
             // Already broken: keep measuring, report at the end.

@@ -15,12 +15,18 @@
 //! cell. A crash can leave at most one half-written line, at the end of
 //! the file: it fails to parse, so opening skips it and its cell reruns.
 //! Until a later record rewrites the file, the cells appended after
-//! that crash stay unsorted but are still honoured. There is no
-//! `serde` in the dependency tree: lines are rendered by hand and read
-//! back through the stack's one JSON codec, [`qoa_obs::perfetto::json`],
-//! whose exact integers keep cycle counts exact. Floats are written with
-//! Rust's shortest round-trip `Display`, which makes a resumed figure
-//! byte-identical to an uninterrupted one.
+//! that crash stay unsorted but are still honoured.
+//!
+//! Besides its outcome, a line may carry the executor's attempt count
+//! (`"attempts"`, written by [`Journal::record_supervised`]) and, from
+//! `qoa-chaos` only, the cell's chaos-engine counters (`"chaos"`, written
+//! by [`Journal::record_with_chaos`]).
+//!
+//! There is no `serde` in the dependency tree: lines are rendered by hand
+//! and read back through the stack's one JSON codec,
+//! [`qoa_obs::perfetto::json`], whose exact integers keep cycle counts
+//! exact. Floats are written with Rust's shortest round-trip `Display`,
+//! which makes a resumed figure byte-identical to an uninterrupted one.
 
 use crate::error::QoaError;
 use qoa_obs::perfetto::json::{self, encode_str, Value};
@@ -131,31 +137,14 @@ pub enum CellOutcome {
     },
 }
 
-/// A per-cell metrics object a line carries beside its outcome, named
-/// for the one tool that writes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sidecar {
-    /// Observability snapshot (a flattened metrics-registry view), from
-    /// `qoa-prof`.
-    Obs,
-    /// Chaos-engine counters (faults injected, recoveries by kind,
-    /// checkpoints written, restores), from `qoa-chaos`.
-    Chaos,
-    /// Simulated-network counters (messages by fate, retries, hedges,
-    /// dedup hits, crashes), from `qoa-cluster`.
-    Net,
-}
-
-impl Sidecar {
-    /// Every sidecar, in the order a line's field is looked up.
-    const ALL: [Sidecar; 3] = [Sidecar::Obs, Sidecar::Chaos, Sidecar::Net];
-
-    /// The line's field name (`obs`, `chaos`, `net`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Sidecar::Obs => "obs",
-            Sidecar::Chaos => "chaos",
-            Sidecar::Net => "net",
+impl CellOutcome {
+    /// A cell the executor's watchdog abandoned: journaled as failed with
+    /// kind `lost`.
+    pub fn lost() -> CellOutcome {
+        CellOutcome::Failed {
+            kind: "lost".to_string(),
+            message: "worker hung past the cell deadline; abandoned by the watchdog".to_string(),
+            location: None,
         }
     }
 }
@@ -167,8 +156,10 @@ struct Entry {
     /// Times the cell ran under the supervised executor (the
     /// `"attempts"` field; 0 = shed, never ran).
     attempts: Option<u32>,
-    /// The cell's sidecar metrics, kept beside the outcome's own.
-    sidecar: Option<(Sidecar, CellMetrics)>,
+    /// The cell's chaos-engine counters (faults injected, recoveries by
+    /// kind, checkpoints written, restores), kept beside the outcome's
+    /// own metrics. Only `qoa-chaos` writes them.
+    chaos: Option<CellMetrics>,
 }
 
 /// A figure binary's persistent record of completed cells.
@@ -257,25 +248,24 @@ impl Journal {
     /// Returns [`QoaError::Journal`] when the journal file cannot be
     /// written.
     pub fn record(&mut self, key: CellKey, outcome: CellOutcome) -> Result<(), QoaError> {
-        self.persist(key, Entry { outcome, attempts: None, sidecar: None })
+        self.persist(key, Entry { outcome, attempts: None, chaos: None })
     }
 
-    /// Records a completed cell with its sidecar metrics (embedded as the
-    /// line's `sidecar.name()` object) and persists it (see the module
+    /// Records a completed cell with its chaos-engine counters (embedded
+    /// as the line's `"chaos"` object) and persists it (see the module
     /// docs).
     ///
     /// # Errors
     ///
     /// Returns [`QoaError::Journal`] when the journal file cannot be
     /// written.
-    pub fn record_with(
+    pub fn record_with_chaos(
         &mut self,
         key: CellKey,
         outcome: CellOutcome,
-        sidecar: Sidecar,
-        metrics: CellMetrics,
+        chaos: CellMetrics,
     ) -> Result<(), QoaError> {
-        self.persist(key, Entry { outcome, attempts: None, sidecar: Some((sidecar, metrics)) })
+        self.persist(key, Entry { outcome, attempts: None, chaos: Some(chaos) })
     }
 
     /// Records a completed cell with the number of times the parallel
@@ -292,7 +282,7 @@ impl Journal {
         outcome: CellOutcome,
         attempts: u32,
     ) -> Result<(), QoaError> {
-        self.persist(key, Entry { outcome, attempts: Some(attempts), sidecar: None })
+        self.persist(key, Entry { outcome, attempts: Some(attempts), chaos: None })
     }
 
     /// The executor attempt count recorded with a cell, if any.
@@ -300,10 +290,9 @@ impl Journal {
         self.entries.get(key)?.attempts
     }
 
-    /// The sidecar metrics recorded with a cell, if any.
-    pub fn sidecar(&self, key: &CellKey) -> Option<(Sidecar, &CellMetrics)> {
-        let (sidecar, metrics) = self.entries.get(key)?.sidecar.as_ref()?;
-        Some((*sidecar, metrics))
+    /// The chaos-engine counters recorded with a cell, if any.
+    pub fn chaos(&self, key: &CellKey) -> Option<&CellMetrics> {
+        self.entries.get(key)?.chaos.as_ref()
     }
 
     /// Rewrites the journal atomically in key order if records were
@@ -409,9 +398,9 @@ impl Journal {
         if let Some(attempts) = entry.attempts {
             let _ = write!(out, ",\"attempts\":{attempts}");
         }
-        if let Some((sidecar, metrics)) = &entry.sidecar {
-            let _ = write!(out, ",\"{}\":", sidecar.name());
-            encode_metrics(out, metrics);
+        if let Some(chaos) = &entry.chaos {
+            out.push_str(",\"chaos\":");
+            encode_metrics(out, chaos);
         }
         out.push_str("}\n");
     }
@@ -462,16 +451,8 @@ impl Journal {
             // reruns.
             Some(_) => return None,
         };
-        // A line carries at most one sidecar: more is malformed.
-        let mut sidecar = None;
-        for side in Sidecar::ALL {
-            if let Some(metrics) = metrics_of(side.name())? {
-                if sidecar.replace((side, metrics)).is_some() {
-                    return None;
-                }
-            }
-        }
-        Some((key, Entry { outcome, attempts, sidecar }))
+        let chaos = metrics_of("chaos")?;
+        Some((key, Entry { outcome, attempts, chaos }))
     }
 }
 
@@ -583,10 +564,10 @@ mod tests {
         let dir = tmp_dir("rerecord");
         let key = CellKey::new("go", "CPython", "scale", "small");
         let other = CellKey::new("float", "CPython", "scale", "small");
-        let mut obs = CellMetrics::new();
-        obs.insert("qoa_sim_cycles_total".into(), Metric::Num(1.0));
+        let mut chaos = CellMetrics::new();
+        chaos.insert("restores".into(), Metric::Int(1));
         let mut j = Journal::open(&dir, "prof", "cfg", false).expect("open");
-        j.record_with(key.clone(), CellOutcome::Ok(CellMetrics::new()), Sidecar::Obs, obs)
+        j.record_with_chaos(key.clone(), CellOutcome::Ok(CellMetrics::new()), chaos)
             .expect("record");
         j.record(other.clone(), CellOutcome::Ok(CellMetrics::new())).expect("append");
         j.record(key.clone(), CellOutcome::Ok(sample_metrics())).expect("append");
@@ -595,7 +576,7 @@ mod tests {
 
         let reread = Journal::open(&dir, "prof", "cfg", false).expect("reopen");
         assert_eq!(reread.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
-        assert_eq!(reread.sidecar(&key), None);
+        assert_eq!(reread.chaos(&key), None);
         assert_eq!(reread.len(), 2);
         j.compact().expect("compact");
         let compacted = std::fs::read_to_string(j.path()).expect("read");
@@ -648,38 +629,24 @@ mod tests {
     }
 
     #[test]
-    fn sidecars_round_trip() {
-        let dir = tmp_dir("sidecars");
-        let mut metrics = CellMetrics::new();
-        metrics.insert("qoa_sim_cycles_total".into(), Metric::Num(123456.0));
-        metrics.insert("recoveries_total{kind=\"fuel\"}".into(), Metric::Int(2));
-        for sidecar in Sidecar::ALL {
-            let key = CellKey::new("go", "CPython", "seed", sidecar.name());
-            {
-                let mut j = Journal::open(&dir, sidecar.name(), "cfg", false).expect("open");
-                let outcome = CellOutcome::Ok(sample_metrics());
-                j.record_with(key.clone(), outcome, sidecar, metrics.clone()).expect("record");
-            }
-            let j = Journal::open(&dir, sidecar.name(), "cfg", false).expect("reopen");
-            assert_eq!(j.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
-            assert_eq!(j.sidecar(&key), Some((sidecar, &metrics)));
-            // The line self-describes with the current version.
-            let text = std::fs::read_to_string(j.path()).expect("read");
-            assert!(text.contains("\"version\":5,"), "line: {text}");
-            assert!(text.contains(&format!(",\"{}\":{{", sidecar.name())), "line: {text}");
+    fn chaos_counters_round_trip() {
+        let dir = tmp_dir("chaos");
+        let key = CellKey::new("go", "CPython", "seed", "7");
+        let mut chaos = CellMetrics::new();
+        chaos.insert("faults_injected".into(), Metric::Int(3));
+        chaos.insert("recoveries_total{kind=\"fuel\"}".into(), Metric::Int(2));
+        {
+            let mut j = Journal::open(&dir, "qoa-chaos", "cfg", false).expect("open");
+            let outcome = CellOutcome::Ok(sample_metrics());
+            j.record_with_chaos(key.clone(), outcome, chaos.clone()).expect("record");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_line_with_two_sidecars_is_skipped() {
-        let dir = tmp_dir("twosidecars");
-        let line = "{\"figure\":\"fig10\",\"config\":\"cfg\",\"version\":5,\
-                    \"workload\":\"go\",\"runtime\":\"CPython\",\"param\":\"p\",\
-                    \"value\":\"1\",\"status\":\"ok\",\"metrics\":{},\"obs\":{},\"net\":{}}\n";
-        std::fs::write(dir.join("fig10.journal.jsonl"), line).expect("write");
-        let j = Journal::open(&dir, "fig10", "cfg", false).expect("open");
-        assert!(j.is_empty());
+        let j = Journal::open(&dir, "qoa-chaos", "cfg", false).expect("reopen");
+        assert_eq!(j.get(&key), Some(&CellOutcome::Ok(sample_metrics())));
+        assert_eq!(j.chaos(&key), Some(&chaos));
+        // The line self-describes with the current version.
+        let text = std::fs::read_to_string(j.path()).expect("read");
+        assert!(text.contains("\"version\":5,"), "line: {text}");
+        assert!(text.contains(",\"chaos\":{"), "line: {text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,10 +52,7 @@ pub mod transport;
 
 pub use annotate::render_annotated;
 pub use attribution::{attribute_workload, average_shares, Breakdown};
-pub use benchsnap::{
-    diff_snapshots, parse_bench_json, render_bench_json, write_bench_json, BenchDiff, BenchEntry,
-    BenchSnapshot, ClassDelta, BENCH_SCHEMA_VERSION,
-};
+pub use benchsnap::{render_bench_json, write_bench_json, BenchEntry, BENCH_SCHEMA_VERSION};
 pub use chaos::{
     capture_chaos, fault_kinds_for, oracle_check, stats_divergence, ChaosOptions, ChaosOutcome,
 };
@@ -71,7 +68,7 @@ pub use harness::{
     Harness, HarnessOptions, NurseryCell, SharedTraceCache, SweepCellPoint,
 };
 pub use isolate::{run_isolated, RunFailure, RunOutcome};
-pub use journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, Sidecar, JOURNAL_VERSION};
+pub use journal::{CellKey, CellMetrics, CellOutcome, Journal, Metric, JOURNAL_VERSION};
 pub use report::Table;
 pub use runtime::{capture, capture_observed, run_with_sink, CapturedRun, Machine, RuntimeConfig};
 pub use sweeps::{

@@ -12,7 +12,10 @@
 //! with the rest of the sweep) and surfaces as a
 //! [`CellOutcome::Failed`] journal entry with kind `"divergence"`; after
 //! the batch commits, [`run_sweep`] writes a self-contained repro
-//! artifact per divergence under the artifacts directory.
+//! artifact per divergence under the artifacts directory. A harness
+//! failure is journaled under its own kind, and a cell the watchdog
+//! abandoned as `lost`; the summary counts every failed cell as a
+//! divergence, on the run that journals it and on every resume.
 
 use std::path::{Path, PathBuf};
 
@@ -295,30 +298,16 @@ pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, QoaError> {
     // Resume: answer already-journaled cells without re-running them.
     let mut pending = Vec::new();
     for cand in all {
-        let key = cell_key(&cand);
-        match journal.get(&key) {
-            Some(CellOutcome::Ok(metrics)) => {
+        match journal.get(&cell_key(&cand)) {
+            Some(outcome @ (CellOutcome::Ok(_) | CellOutcome::Failed { .. })) => {
                 summary.resumed += 1;
-                match metrics.get("status") {
-                    Some(Metric::Str(s)) if s == "inconclusive" => summary.inconclusive += 1,
-                    _ => summary.agreed += 1,
-                }
-            }
-            Some(CellOutcome::Failed { message, .. }) => {
-                summary.resumed += 1;
-                summary.divergences.push(DivergenceRecord {
-                    name: cand.name.clone(),
-                    seed: cand.seed,
-                    tier: "<journaled>".to_string(),
-                    detail: message.clone(),
-                    shrunk: None,
-                    command: repro_command(opts, &cand.name),
-                });
+                tally(&mut summary, opts, &cand.name, cand.seed, outcome, None);
             }
             Some(CellOutcome::Shed { .. }) | None => pending.push(cand),
         }
     }
 
+    let ids: Vec<(String, u64)> = pending.iter().map(|c| (c.name.clone(), c.seed)).collect();
     let opts_for_cells = opts.clone();
     let cells: Vec<SupervisedCell<ProgramOutcome>> = pending
         .into_iter()
@@ -334,43 +323,33 @@ pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, QoaError> {
     exec_opts.seed = opts.seed;
     let (committed, _stats) = run_supervised(cells, &exec_opts);
 
-    for cell in committed {
-        match cell.verdict {
-            CellVerdict::Ok { value, .. } => {
-                let metrics = metrics_of(&value);
-                match value.divergence {
-                    Some(rec) => {
-                        write_artifacts(&opts.artifacts_dir, &rec)?;
-                        journal.record(
-                            cell.key,
-                            CellOutcome::Failed {
-                                kind: "divergence".to_string(),
-                                message: divergence_message(&rec),
-                                location: None,
-                            },
-                        )?;
-                        summary.divergences.push(rec);
-                    }
-                    None => {
-                        if value.status == "inconclusive" {
-                            summary.inconclusive += 1;
-                        } else {
-                            summary.agreed += 1;
-                        }
-                        journal.record(cell.key, CellOutcome::Ok(metrics))?;
-                    }
+    // Committed cells come back in submission order, one per pending
+    // candidate.
+    for (cell, (name, seed)) in committed.into_iter().zip(ids) {
+        let (outcome, live) = match cell.verdict {
+            CellVerdict::Ok { value, .. } => match value.divergence {
+                Some(rec) => {
+                    write_artifacts(&opts.artifacts_dir, &rec)?;
+                    let outcome = CellOutcome::Failed {
+                        kind: "divergence".to_string(),
+                        message: divergence_message(&rec),
+                        location: None,
+                    };
+                    (outcome, Some(rec))
                 }
-            }
+                None => (CellOutcome::Ok(metrics_of(&value)), None),
+            },
+            // The oracle never errors by itself; anything here is a
+            // harness failure worth keeping in the journal.
             CellVerdict::Failed { kind, message, location, .. } => {
-                // The oracle never errors by itself; anything here is a
-                // harness failure worth keeping in the journal.
-                journal.record(
-                    cell.key,
-                    CellOutcome::Failed { kind, message, location },
-                )?;
+                (CellOutcome::Failed { kind, message, location }, None)
             }
-            CellVerdict::Shed | CellVerdict::Lost { .. } => {}
-        }
+            CellVerdict::Lost { .. } => (CellOutcome::lost(), None),
+            // A shed cell is not journaled, so the next run retries it.
+            CellVerdict::Shed => continue,
+        };
+        tally(&mut summary, opts, &name, seed, &outcome, live);
+        journal.record(cell.key, outcome)?;
     }
     journal.compact()?;
 
@@ -378,6 +357,38 @@ pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, QoaError> {
         .divergences
         .sort_by(|a, b| a.name.cmp(&b.name));
     Ok(summary)
+}
+
+/// Counts one program's outcome as journaled. A live cell and one
+/// answered from the journal both go through here, so a resumed sweep
+/// reports what the run that journaled it reported. Every failed cell is
+/// a divergence: `live` carries the shrunk record when this run found
+/// it, and a record is rebuilt from the journal line otherwise.
+fn tally(
+    summary: &mut SweepSummary,
+    opts: &SweepOptions,
+    name: &str,
+    seed: u64,
+    outcome: &CellOutcome,
+    live: Option<DivergenceRecord>,
+) {
+    match outcome {
+        CellOutcome::Ok(metrics) => match metrics.get("status") {
+            Some(Metric::Str(s)) if s == "inconclusive" => summary.inconclusive += 1,
+            _ => summary.agreed += 1,
+        },
+        CellOutcome::Failed { kind, message, .. } => {
+            summary.divergences.push(live.unwrap_or_else(|| DivergenceRecord {
+                name: name.to_string(),
+                seed,
+                tier: if kind == "divergence" { "<journaled>".into() } else { format!("<{kind}>") },
+                detail: message.clone(),
+                shrunk: None,
+                command: repro_command(opts, name),
+            }));
+        }
+        CellOutcome::Shed { .. } => {}
+    }
 }
 
 fn cell_key(cand: &Candidate) -> CellKey {
@@ -438,6 +449,33 @@ mod tests {
         assert_eq!(second.resumed, second.programs);
         assert_eq!(first.agreed, second.agreed);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_cell_counts_as_a_divergence_live_and_resumed() {
+        let opts = SweepOptions::new(3);
+        let mut summary = SweepSummary {
+            programs: 2,
+            agreed: 0,
+            inconclusive: 0,
+            resumed: 0,
+            divergences: Vec::new(),
+            journal_path: PathBuf::new(),
+        };
+        let panicked = CellOutcome::Failed {
+            kind: "panic".to_string(),
+            message: "boom".to_string(),
+            location: None,
+        };
+        // The run that journals a failed cell and the run that reads it
+        // back both count it, so --deny-divergence fails on either.
+        tally(&mut summary, &opts, "gen-00000", 9, &panicked, None);
+        tally(&mut summary, &opts, "gen-00001", 9, &CellOutcome::lost(), None);
+        assert_eq!(summary.divergences.len(), 2);
+        assert_eq!(summary.divergences[0].tier, "<panic>");
+        assert_eq!(summary.divergences[0].detail, "boom");
+        assert_eq!(summary.divergences[1].tier, "<lost>");
+        assert_eq!(summary.agreed + summary.inconclusive, 0);
     }
 
     #[test]

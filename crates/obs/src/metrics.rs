@@ -335,34 +335,6 @@ impl Registry {
         }
         out
     }
-
-    /// Flattens the registry into `(sample name, value)` pairs —
-    /// histograms contribute their `_sum` and `_count`. This is what gets
-    /// embedded into journal records.
-    pub fn snapshot(&self) -> BTreeMap<String, f64> {
-        let mut map = BTreeMap::new();
-        for fam in &self.families {
-            for s in &fam.series {
-                let base = match (&fam.label_key, &s.label) {
-                    (Some(k), Some(v)) => format!("{}{{{}={}}}", fam.name, k, quote_label(v)),
-                    _ => fam.name.clone(),
-                };
-                match &s.value {
-                    Value::Counter(v) => {
-                        map.insert(base, *v as f64);
-                    }
-                    Value::Gauge(v) => {
-                        map.insert(base, *v);
-                    }
-                    Value::Histogram(h) => {
-                        map.insert(format!("{base}_sum"), h.sum as f64);
-                        map.insert(format!("{base}_count"), h.count as f64);
-                    }
-                }
-            }
-        }
-        map
-    }
 }
 
 fn valid_name(name: &str) -> bool {
@@ -639,11 +611,6 @@ mod tests {
         assert_eq!(parsed.get("qoa_share{category=\"Dispatch\"}"), Some(0.07));
         assert_eq!(parsed.get("qoa_batch_cycles_count"), Some(2.0));
         assert_eq!(parsed.get("qoa_batch_cycles_sum"), Some(70_300.0));
-
-        // Snapshot agrees with the exposition for scalar samples.
-        let snap = reg.snapshot();
-        assert_eq!(snap["qoa_cycles_total"], 123_456_789.0);
-        assert_eq!(snap["qoa_batch_cycles_count"], 2.0);
     }
 
     #[test]

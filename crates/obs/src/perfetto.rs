@@ -154,8 +154,8 @@ pub fn parse_trace(text: &str) -> Result<Vec<SpanEvent>, String> {
 /// The stack's one JSON codec: a parser for the full value grammar plus
 /// the string encoder every hand-rendered JSON line uses. It lives in
 /// this leaf crate so everything above it shares it: the trace
-/// round-trip check here, and in `qoa-core` the run journal and the
-/// benchsnap reader.
+/// round-trip check here, the run journal in `qoa-core`, and the
+/// request-plan reader in `qoa-serve`.
 pub mod json {
     use std::collections::BTreeMap;
     use std::fmt::Write as _;

@@ -8,6 +8,7 @@
 //! relies on.
 
 use qoa_core::QoaError;
+use qoa_obs::perfetto::json::{self, encode_str, Value};
 
 /// `SplitMix64`, the stack's standard seedable generator.
 pub use qoa_chaos::SplitMix64;
@@ -120,10 +121,12 @@ fn weighted_pick(mut roll: u64, weights: impl Iterator<Item = u64>) -> usize {
 
 /// Renders one request as a plan line (names resolved by the caller).
 pub fn plan_line(req: &Request, tenant: &str, workload: &str) -> String {
-    format!(
-        "{{\"arrival\":{},\"tenant\":\"{}\",\"workload\":\"{}\",\"priority\":{},\"deadline\":{}}}",
-        req.arrival, tenant, workload, req.priority, req.deadline
-    )
+    let mut out = format!("{{\"arrival\":{},\"tenant\":", req.arrival);
+    encode_str(&mut out, tenant);
+    out.push_str(",\"workload\":");
+    encode_str(&mut out, workload);
+    out.push_str(&format!(",\"priority\":{},\"deadline\":{}}}", req.priority, req.deadline));
+    out
 }
 
 fn bad_plan(lineno: usize, what: &str) -> QoaError {
@@ -133,23 +136,10 @@ fn bad_plan(lineno: usize, what: &str) -> QoaError {
     }
 }
 
-/// Extracts a raw JSON scalar (`"key":<value>`) from a single-line
-/// object. Quoted values are returned without the quotes.
-pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
 /// Parses a plan file body back into requests, resolving tenant and
-/// workload names against the server's tables.
+/// workload names against the server's tables. Each non-blank line that
+/// does not start with `#` is one JSON object, read through the stack's
+/// JSON codec, so any valid spacing and escaping is accepted.
 ///
 /// # Errors
 ///
@@ -165,34 +155,29 @@ pub fn parse_plan(
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let arrival = json_field(line, "arrival")
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or_else(|| bad_plan(lineno + 1, "missing arrival"))?;
-        let tenant_name =
-            json_field(line, "tenant").ok_or_else(|| bad_plan(lineno + 1, "missing tenant"))?;
-        let workload_name = json_field(line, "workload")
-            .ok_or_else(|| bad_plan(lineno + 1, "missing workload"))?;
-        let priority = json_field(line, "priority")
-            .and_then(|v| v.parse::<i64>().ok())
-            .ok_or_else(|| bad_plan(lineno + 1, "missing priority"))?;
-        let deadline = json_field(line, "deadline")
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or_else(|| bad_plan(lineno + 1, "missing deadline"))?;
-        let tenant = tenant_names
-            .iter()
-            .position(|n| n == tenant_name)
-            .ok_or_else(|| bad_plan(lineno + 1, "unknown tenant"))?;
-        let workload = workload_names
-            .iter()
-            .position(|n| n == workload_name)
-            .ok_or_else(|| bad_plan(lineno + 1, "unknown workload"))?;
+        let bad = |what: String| bad_plan(lineno + 1, &what);
+        let Ok(Value::Object(fields)) = json::parse(line) else {
+            return Err(bad("not a JSON object".into()));
+        };
+        let int = |key: &str| {
+            fields.get(key).and_then(Value::as_i64).ok_or_else(|| bad(format!("missing {key}")))
+        };
+        let unsigned =
+            |key: &str| u64::try_from(int(key)?).map_err(|_| bad(format!("negative {key}")));
+        let index = |key: &str, names: &[String]| {
+            let name = fields
+                .get(key)
+                .and_then(Value::as_str)
+                .ok_or_else(|| bad(format!("missing {key}")))?;
+            names.iter().position(|n| n == name).ok_or_else(|| bad(format!("unknown {key}")))
+        };
         out.push(Request {
             id: out.len() as u64,
-            arrival,
-            tenant,
-            workload,
-            priority,
-            deadline,
+            arrival: unsigned("arrival")?,
+            tenant: index("tenant", tenant_names)?,
+            workload: index("workload", workload_names)?,
+            priority: int("priority")?,
+            deadline: unsigned("deadline")?,
         });
     }
     out.sort_by_key(|r| (r.arrival, r.id));
@@ -259,5 +244,20 @@ mod tests {
         )
         .expect_err("unknown tenant");
         assert_eq!(err.kind(), "journal");
+    }
+
+    #[test]
+    fn spaced_plan_lines_parse() {
+        // Python `json.dumps` spacing, and a nested object that holds the
+        // same key as the top level.
+        let body = "{\"arrival\": 5, \"meta\": {\"tenant\": \"free\"}, \"tenant\": \"pro\", \
+                    \"workload\": \"float\", \"priority\": -1, \"deadline\": 900}\n";
+        let tenants = ["free".to_string(), "pro".to_string()];
+        let workloads = ["go".to_string(), "float".to_string()];
+        let parsed = parse_plan(body, &tenants, &workloads).expect("spaced line parses");
+        assert_eq!(
+            parsed,
+            vec![Request { id: 0, arrival: 5, tenant: 1, workload: 1, priority: -1, deadline: 900 }]
+        );
     }
 }

@@ -4,16 +4,15 @@
 //! Runs one deterministic cluster simulation per network-fault seed —
 //! a single seeded client driving N replicated serve nodes over a
 //! [`qoa_serve::NetFaultPlan`]-governed virtual network — and fans the
-//! seeds through the journaled supervised executor, so `--jobs`
-//! parallelism never touches per-seed determinism. Every acked answer
+//! seeds through the supervised executor, so `--jobs` parallelism
+//! never touches per-seed determinism. Every acked answer
 //! is checked against the fault-free baseline and every commit against
 //! the exactly-once ledger; `--deny-failures` turns a violation (or any
 //! hard-failed request) into exit 3.
 
 use qoa_core::cli::{CliError, Flags};
 use qoa_core::{
-    run_supervised, write_bench_json, BenchEntry, CellKey, CellOutcome, CellVerdict, Journal,
-    Metric, QoaError, Sidecar, SupervisedCell,
+    run_supervised, write_bench_json, BenchEntry, CellKey, CellVerdict, QoaError, SupervisedCell,
 };
 use qoa_obs::Registry;
 use qoa_serve::net::{NetConfig, NetFaultKind, NetFaultPlan};
@@ -38,7 +37,6 @@ struct Cli {
     faults: Vec<NetFaultKind>,
     hedge_after: Option<u64>,
     jobs: usize,
-    journal_dir: Option<PathBuf>,
     cluster_journal: Option<PathBuf>,
     metrics: Option<PathBuf>,
     bench_out: Option<PathBuf>,
@@ -58,10 +56,9 @@ const USAGE: &str = "usage: qoa-cluster [flags]\n\
   --faults a+b+c        drop|duplicate|reorder|delay|partition|crash (default all)\n\
   --hedge-after N       hedge unanswered requests after N vcycles\n\
   --jobs N              seeds run in parallel (default 2)\n\
-  --journal-dir PATH    record per-seed cells in a qoa journal (v5, net counters)\n\
   --cluster-journal P   write the concatenated deterministic cluster journal\n\
   --metrics PATH        write aggregated Prometheus exposition\n\
-  --bench-out DIR       write BENCH_net.json (benchsnap v2)\n\
+  --bench-out DIR       write BENCH_net.json (benchsnap v3)\n\
   --deny-failures       exit 3 on any hard failure, oracle breach, or duplicate commit\n\
   --quiet               suppress per-seed summaries\n";
 
@@ -78,7 +75,6 @@ fn parse(f: &mut Flags) -> Result<Cli, CliError> {
         faults: NetFaultKind::ALL.to_vec(),
         hedge_after: None,
         jobs: 2,
-        journal_dir: None,
         cluster_journal: None,
         metrics: None,
         bench_out: None,
@@ -106,7 +102,6 @@ fn parse(f: &mut Flags) -> Result<Cli, CliError> {
             }
             "--hedge-after" => cli.hedge_after = Some(f.value()?),
             "--jobs" => cli.jobs = f.value()?,
-            "--journal-dir" => cli.journal_dir = Some(f.value()?),
             "--cluster-journal" => cli.cluster_journal = Some(f.value()?),
             "--metrics" => cli.metrics = Some(f.value()?),
             "--bench-out" => cli.bench_out = Some(f.value()?),
@@ -119,26 +114,6 @@ fn parse(f: &mut Flags) -> Result<Cli, CliError> {
         return Err(CliError::Misuse("--seeds must be at least 1".into()));
     }
     Ok(cli)
-}
-
-/// The `--journal-dir` configuration fingerprint: every flag that shapes
-/// a seed's cell, so cells journaled under other flags rerun instead of
-/// being reused under the same `net-seed` keys.
-fn journal_config(cli: &Cli) -> String {
-    let faults: Vec<&str> = cli.faults.iter().map(|k| k.name()).collect();
-    format!(
-        "seed_base={} requests={} nodes={} workloads={} scale={:?} load_pct={} per_mille={} \
-         faults={} hedge_after={:?}",
-        cli.seed_base,
-        cli.requests,
-        cli.nodes,
-        cli.workloads.join(","),
-        cli.scale,
-        cli.load_pct,
-        cli.per_mille,
-        faults.join("+"),
-        cli.hedge_after,
-    )
 }
 
 /// Everything one seed's cell hands back to the supervisor.
@@ -227,50 +202,17 @@ fn run(cli: &Cli) -> Result<ExitCode, String> {
     let opts = qoa_core::ExecutorOptions::new(cli.jobs.max(1));
     let (committed, stats) = run_supervised(cells, &opts);
 
-    let mut journal = match &cli.journal_dir {
-        Some(dir) => Some(
-            Journal::open(dir, "cluster", journal_config(cli), false).map_err(|e| e.to_string())?,
-        ),
-        None => None,
-    };
-
     let mut runs: Vec<SeedRun> = Vec::new();
     let mut cell_failures = 0u64;
     for cell in committed {
         match cell.verdict {
-            CellVerdict::Ok { value, .. } => {
-                if let Some(j) = journal.as_mut() {
-                    let mut m = qoa_core::CellMetrics::new();
-                    m.insert("acked_ok".into(), Metric::Int(value.report.acked_ok() as i64));
-                    m.insert("shed".into(), Metric::Int(value.report.shed_total() as i64));
-                    m.insert("failed".into(), Metric::Int(value.report.failed() as i64));
-                    m.insert(
-                        "p99_ack_vcycles".into(),
-                        Metric::Int(value.report.latency_permille(990) as i64),
-                    );
-                    j.record_with(
-                        cell.key.clone(),
-                        CellOutcome::Ok(m),
-                        Sidecar::Net,
-                        value.report.net_metrics(),
-                    )
-                    .map_err(|e| e.to_string())?;
-                }
-                runs.push(value);
-            }
+            CellVerdict::Ok { value, .. } => runs.push(value),
             CellVerdict::Failed { kind, message, .. } => {
                 cell_failures += 1;
                 eprintln!("qoa-cluster: cell {} failed ({kind}): {message}", cell.key);
-                if let Some(j) = journal.as_mut() {
-                    let outcome = CellOutcome::Failed { kind, message, location: None };
-                    j.record(cell.key.clone(), outcome).map_err(|e| e.to_string())?;
-                }
             }
             CellVerdict::Shed | CellVerdict::Lost { .. } => cell_failures += 1,
         }
-    }
-    if let Some(j) = journal.as_mut() {
-        j.compact().map_err(|e| e.to_string())?;
     }
     runs.sort_by_key(|r| r.seed);
 
@@ -355,36 +297,6 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("qoa-cluster: {msg}");
             ExitCode::from(2)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn config_of(args: &[&str]) -> String {
-        let mut flags = Flags::new(args.iter().map(|a| (*a).to_string()).collect());
-        journal_config(&parse(&mut flags).expect("flags parse"))
-    }
-
-    #[test]
-    fn journal_config_tracks_the_flags_that_shape_a_cell() {
-        let base = config_of(&["--requests", "24", "--nodes", "3"]);
-        assert_eq!(base, config_of(&["--requests", "24", "--nodes", "3", "--jobs", "4"]));
-        assert_eq!(base, config_of(&["--nodes", "3", "--seeds", "6", "--quiet"]));
-        for other in [
-            &["--requests", "25"][..],
-            &["--nodes", "4"],
-            &["--workloads", "go,float"],
-            &["--scale", "small"],
-            &["--load-pct", "130"],
-            &["--per-mille", "50"],
-            &["--faults", "drop+crash"],
-            &["--hedge-after", "900"],
-            &["--seed-base", "2"],
-        ] {
-            assert_ne!(base, config_of(other), "{other:?} must change the journal config");
         }
     }
 }

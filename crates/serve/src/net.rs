@@ -33,7 +33,7 @@
 //! by `(virtual time, class, sequence)`: byte-determinism is by construction,
 //! and `qoa-cluster` gets `--jobs` parallelism by fanning *seeds*
 //! through the supervised executor, whose ordered commit keeps the
-//! batch journal identical at any job count. See DESIGN §17 for the
+//! concatenated cluster journal identical at any job count. See DESIGN §17 for the
 //! full exactly-once argument.
 
 use crate::admission::TokenBucket;
@@ -43,7 +43,7 @@ use crate::server::{
     fuel_cap, json_str, opt_str, Calibration, Outcome, ServeConfig, ShedCause,
 };
 use qoa_chaos::{seeded_schedule, Snapshot};
-use qoa_core::{BreakerBank, BreakerOptions, CellMetrics, Metric, QoaError, VirtualRetryPolicy};
+use qoa_core::{BreakerBank, BreakerOptions, QoaError, VirtualRetryPolicy};
 use qoa_obs::Registry;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -1482,35 +1482,6 @@ impl ClusterReport {
                 }
             }
         }
-    }
-
-    /// The v5 journal `"net"` object for one cluster cell.
-    pub fn net_metrics(&self) -> CellMetrics {
-        let mut m = CellMetrics::new();
-        let mut put = |k: &str, v: u64| {
-            m.insert(k.to_string(), Metric::Int(v as i64));
-        };
-        put("msgs_sent", self.net.sent);
-        put("msgs_delivered", self.net.delivered);
-        put("msgs_dropped", self.net.dropped);
-        put("msgs_duplicated", self.net.duplicated);
-        put("msgs_reordered", self.net.reordered);
-        put("msgs_delayed", self.net.delayed);
-        put("msgs_partition_blocked", self.net.partition_blocked);
-        put("retries", self.client.retries);
-        put("hedges", self.client.hedges);
-        put("timeouts", self.client.timeouts);
-        put("late_acks", self.client.late_acks);
-        put("cancels", self.client.cancels);
-        put("dedup_hits", self.nodes.iter().map(|n| n.dedup_hits).sum());
-        put("crashes", self.crashes());
-        put("executions", self.executed_total());
-        put("duplicate_executions", self.duplicate_executions);
-        put("cross_node_executions", self.cross_node_executions);
-        put("acked_ok", self.acked_ok());
-        put("shed", self.shed_total());
-        put("failed", self.failed());
-        m
     }
 
     /// Human-readable run summary.
