@@ -329,7 +329,9 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// (the op sink is part of the machine), so restoring rewinds the entire
 /// simulation — including any micro-ops a failed recovery attempt emitted —
 /// to the checkpoint. Deterministic re-execution from there reproduces the
-/// fault-free trace byte for byte.
+/// fault-free trace byte for byte. The chaos runner captures its machine
+/// with an empty stand-in sink and rewinds the live sink itself, so a
+/// checkpoint never copies the trace.
 #[derive(Debug, Clone)]
 pub struct Snapshot<M> {
     version: u32,

@@ -4,15 +4,17 @@
 //! [`capture_chaos`] runs a workload exactly like
 //! [`crate::runtime::capture`], on the same [`Machine`], but with a
 //! [`FaultPlan`] armed and the machine driven step by step ([`drive`]) so
-//! it can be snapshotted every `checkpoint_every` bytecodes. When an
-//! *injected* fault surfaces, the runner restores the most recent
-//! [`Snapshot`] — interpreter, heap, JIT driver, *and* attribution state
-//! all rewind together — disarms the consumed fault point, and resumes.
+//! it can be snapshotted every `checkpoint_every` bytecodes. A snapshot
+//! clones the machine but only *marks* its sink ([`RewindSink`]), so no
+//! checkpoint copies the trace recorded so far. When an *injected* fault
+//! surfaces, the runner restores the most recent [`Snapshot`] —
+//! interpreter, heap and JIT driver rewind together, and the live sink
+//! rewinds to its mark — disarms the consumed fault point, and resumes.
 //! Because execution is deterministic (the fault clock counts simulated
 //! steps, never wall time), the recovered run re-executes the rewound
-//! span identically and finishes with a trace **byte-identical** to the
-//! fault-free baseline: that is the differential oracle [`oracle_check`]
-//! asserts.
+//! span identically and finishes with a trace **identical** to the
+//! fault-free baseline, record for record: that is the differential
+//! oracle [`oracle_check`] asserts.
 //!
 //! Organic errors (guest faults, real fuel/deadline/OOM) are *not*
 //! recovered — they surface as the same typed [`QoaError`] the plain
@@ -23,10 +25,11 @@ use crate::journal::{CellMetrics, Metric};
 use crate::runtime::{trace_buffer, CapturedRun, Machine, RuntimeConfig};
 use qoa_chaos::{ChaosState, FaultKind, FaultPlan, Snapshot};
 use qoa_frontend::CodeObject;
-use qoa_model::{OpSink, RuntimeKind};
+use qoa_model::{RewindSink, RuntimeKind};
 use qoa_obs::metrics::Registry;
-use qoa_uarch::{ExecutionStats, UarchConfig};
+use qoa_uarch::{ExecutionStats, TraceBuffer, UarchConfig};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// The default snapshot cadence of [`drive`], in executed bytecodes.
 pub const CHECKPOINT_EVERY: u64 = 4096;
@@ -165,17 +168,24 @@ impl ChaosOutcome {
 /// restore-and-disarm. This is the stack's one recovery loop: the chaos
 /// runner and fault-injected serving both call it.
 ///
+/// A checkpoint snapshots the machine while an empty stand-in sink takes
+/// the live sink's place, and marks the live sink. A restore rewinds the
+/// live sink to that mark and moves it into the restored machine, so
+/// neither copies what the sink has consumed.
+///
 /// # Errors
 ///
 /// The organic (not injected) error that stopped the run, or
 /// [`QoaError::Injected`] when no snapshot can be restored.
-pub fn drive<S: OpSink + Clone>(
+pub fn drive<S: RewindSink>(
     mut machine: Machine<S>,
     every: u64,
     out: &mut ChaosOutcome,
 ) -> Result<Machine<S>, QoaError> {
     let every = every.max(1);
-    let mut snap: Option<Snapshot<Machine<S>>> = None;
+    // The latest checkpoint: the machine with an empty stand-in sink, and
+    // the live sink's mark at that moment.
+    let mut snap: Option<(Snapshot<Machine<S>>, S::Mark)> = None;
     // Every fault point recovered so far. A snapshot captured *before* a
     // fault fired knows nothing of its consumption, so each restore must
     // re-disarm the full set — otherwise two faults inside one checkpoint
@@ -192,10 +202,14 @@ pub fn drive<S: OpSink + Clone>(
         let pending = vm.chaos().is_some_and(|c| !c.exhausted());
         let due = match &snap {
             None => true,
-            Some(s) => vm.steps().saturating_sub(s.steps()) >= every,
+            Some((s, _)) => vm.steps().saturating_sub(s.steps()) >= every,
         };
         if pending && due && !vm.has_pending_fault() {
-            snap = Some(Snapshot::capture(vm.steps(), &machine));
+            let steps = vm.steps();
+            let live = std::mem::take(machine.vm_mut().sink_mut());
+            let mark = live.mark();
+            snap = Some((Snapshot::capture(steps, &machine), mark));
+            *machine.vm_mut().sink_mut() = live;
             out.checkpoints_written += 1;
         }
         match machine.step() {
@@ -218,9 +232,14 @@ pub fn drive<S: OpSink + Clone>(
                     // A fault can only fire during a step, and a snapshot
                     // is guaranteed before any step with pending faults;
                     // restore() is None only on a version mismatch.
-                    let Some(mut restored) = snap.as_ref().and_then(Snapshot::restore) else {
+                    let Some((mut restored, mark)) =
+                        snap.as_ref().and_then(|(s, mark)| Some((s.restore()?, mark)))
+                    else {
                         return Err(QoaError::Injected { what: rec.kind.name(), steps: rec.tick });
                     };
+                    let mut live = std::mem::take(machine.vm_mut().sink_mut());
+                    live.rewind(mark);
+                    *restored.vm_mut().sink_mut() = live;
                     disarmed.push(rec.index);
                     if let Some(chaos) = restored.vm_mut().chaos_mut() {
                         for &i in &disarmed {
@@ -278,9 +297,26 @@ pub fn capture_chaos(
     rt: &RuntimeConfig,
     opts: &ChaosOptions,
 ) -> Result<(CapturedRun, ChaosOutcome), QoaError> {
-    let mut out = ChaosOutcome::default();
     let code = qoa_frontend::compile(source)?;
+    let (prepared, verified) = crate::runtime::prepare(Rc::clone(&code), rt)?;
+    let machine = Machine::load(&prepared, verified.as_ref(), rt, trace_buffer(rt));
+    capture_chaos_loaded(&code, machine, opts)
+}
 
+/// Runs `machine`, freshly loaded from the compiler's output `code` or
+/// from its optimized form, with the fault plan in `opts` armed; the rest
+/// of [`capture_chaos`], for callers that compile and verify once for
+/// several runs.
+///
+/// # Errors
+///
+/// As [`capture_chaos`], less the compile and verify errors.
+pub fn capture_chaos_loaded(
+    code: &CodeObject,
+    mut machine: Machine<TraceBuffer>,
+    opts: &ChaosOptions,
+) -> Result<(CapturedRun, ChaosOutcome), QoaError> {
+    let mut out = ChaosOutcome::default();
     let mut chaos = ChaosState::new(opts.plan.clone());
     if opts.degrade_jit {
         chaos = chaos.with_degrade_jit();
@@ -289,14 +325,14 @@ pub fn capture_chaos(
     // Load-time faults: present a corrupted code object; the verifier is
     // the recovery path. Whether or not it catches the corruption, the
     // pristine code is what loads — the oracle must hold — but a miss is
-    // counted so the verifier's coverage gap is visible.
+    // counted so the verifier's coverage gap is visible. The drill
+    // exercises the pristine compiler output, while the code that loaded
+    // may be the optimized form, so the chaos oracle also covers the
+    // optimizer.
     let mut corrupt_salt = 0u64;
-    while let Some(rec) = {
-        let c = &mut chaos;
-        c.poll_at_load(FaultKind::BytecodeCorrupt)
-    } {
+    while let Some(rec) = chaos.poll_at_load(FaultKind::BytecodeCorrupt) {
         corrupt_salt = corrupt_salt.wrapping_add(1);
-        let bad = corrupt_code(&code, opts.plan.seed.wrapping_add(corrupt_salt));
+        let bad = corrupt_code(code, opts.plan.seed.wrapping_add(corrupt_salt));
         match qoa_analysis::verify_code(&bad) {
             Err(_) => out.verifier_caught += 1,
             Ok(_) => out.verifier_missed += 1,
@@ -307,12 +343,6 @@ pub fn capture_chaos(
         let _ = chaos.take_last_injected();
     }
 
-    // Optimization happens after the load-time corruption probes: the
-    // corruption/verifier drill exercises the pristine compiler output,
-    // while the code that actually loads is the optimized form, so the
-    // chaos oracle also covers the optimizer.
-    let (code, verified) = crate::runtime::prepare(code, rt)?;
-    let mut machine = Machine::load(&code, verified.as_ref(), rt, trace_buffer(rt));
     machine.vm_mut().arm_chaos(chaos);
     let run = drive(machine, opts.checkpoint_every, &mut out)?.finish();
     Ok((CapturedRun::from(run), out))
@@ -323,10 +353,12 @@ pub fn capture_chaos(
 /// holds, or a description of the first divergence.
 ///
 /// "Byte-identical" covers the guest-visible results (value of `result`,
-/// printed output), the micro-op trace length, and the full
-/// [`ExecutionStats`] of simulating both traces on the same core model —
-/// every counter, including per-category and per-phase attribution,
-/// compared exactly.
+/// printed output) and both traces, record for record: every micro-op and
+/// every captured frame event at the same position. Identical traces
+/// replay to identical [`ExecutionStats`] on any core, so the check
+/// replays nothing. On a trace divergence the report names the first
+/// differing op and adds, for context, [`stats_divergence`] of the two
+/// traces replayed on the simple core built from `uarch`.
 pub fn oracle_check(
     baseline: &CapturedRun,
     recovered: &CapturedRun,
@@ -341,16 +373,29 @@ pub fn oracle_check(
     if baseline.output != recovered.output {
         return Some("guest output diverged".to_string());
     }
-    if baseline.trace.len() != recovered.trace.len() {
+    let (a, b) = (&baseline.trace, &recovered.trace);
+    if let Some(i) = a.first_difference(b) {
+        let op =
+            |t: &TraceBuffer| t.ops().nth(i).map_or("end of trace".into(), |op| format!("{op:?}"));
+        let stats = stats_divergence(&a.simulate_simple(uarch), &b.simulate_simple(uarch));
         return Some(format!(
-            "micro-op count diverged: {} vs {}",
-            baseline.trace.len(),
-            recovered.trace.len()
+            "micro-op {i} of {} vs {} diverged: {} vs {}; simple core: {}",
+            a.len(),
+            b.len(),
+            op(a),
+            op(b),
+            stats.as_deref().unwrap_or("identical stats")
         ));
     }
-    let a = baseline.trace.simulate_simple(uarch);
-    let b = recovered.trace.simulate_simple(uarch);
-    stats_divergence(&a, &b)
+    if a.frame_events() != b.frame_events() {
+        let i = a.frame_events().iter().zip(b.frame_events()).take_while(|(x, y)| x == y).count();
+        return Some(format!(
+            "frame event {i} diverged: {:?} vs {:?}",
+            a.frame_events().get(i),
+            b.frame_events().get(i)
+        ));
+    }
+    None
 }
 
 /// Compares two [`ExecutionStats`] exactly, returning a description of
@@ -374,4 +419,46 @@ pub fn stats_divergence(a: &ExecutionStats, b: &ExecutionStats) -> Option<String
         }
     }
     Some("cache/branch/phase counters diverged".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::capture;
+    use qoa_model::{OpKind, OpSink};
+
+    #[test]
+    fn the_oracle_tells_apart_two_loads_on_one_cache_line() {
+        let src = "t = 0\nfor i in range(50):\n    t = t + i\nresult = t\n";
+        let base = capture(src, &RuntimeConfig::new(RuntimeKind::CPython)).expect("runs");
+        // Move the first load whose line has room by one word.
+        let at = base
+            .trace
+            .ops()
+            .position(|op| matches!(op.kind, OpKind::Load { addr, size: 8 } if addr % 64 < 56))
+            .expect("a load");
+        let mut trace = TraceBuffer::new();
+        for (i, mut op) in base.trace.ops().enumerate() {
+            if let (true, OpKind::Load { addr, .. }) = (i == at, &mut op.kind) {
+                *addr += 8;
+            }
+            trace.op(op);
+        }
+        let uarch = UarchConfig::skylake();
+        assert_eq!(
+            stats_divergence(&base.trace.simulate_simple(&uarch), &trace.simulate_simple(&uarch)),
+            None,
+            "the simple core cannot see a move within a line"
+        );
+        let moved = CapturedRun {
+            trace,
+            vm: base.vm.clone(),
+            jit: base.jit,
+            output: base.output.clone(),
+            result: base.result.clone(),
+        };
+        let report = oracle_check(&base, &moved, &uarch).expect("the traces differ");
+        assert!(report.starts_with(&format!("micro-op {at} ")), "{report}");
+        assert!(report.ends_with("simple core: identical stats"), "{report}");
+    }
 }

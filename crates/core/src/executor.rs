@@ -683,21 +683,21 @@ fn commit_loop<T: Send>(
 
 /// Files one worker report for the commit pass. The first verdict for a
 /// cell wins: a hung worker's real result races the watchdog's `Lost`
-/// marker, which is only possible in wall-clock deadline mode.
+/// marker, which is only possible in wall-clock deadline mode. A real
+/// result that loses, whether its cell's `Lost` marker is committed or
+/// still waiting in `ready`, counts as a speculative discard.
 fn absorb<T>(
     report: Report<T>,
     next: usize,
     ready: &mut BTreeMap<usize, CellVerdict<T>>,
     stats: &mut ExecutorStats,
 ) {
-    if report.index < next {
-        // Committed lost already; this is the hung worker's late result.
-        if !matches!(report.verdict, CellVerdict::Lost { .. }) {
-            stats.speculative_discards += 1;
-        }
-        return;
+    let late = report.index < next || ready.contains_key(&report.index);
+    if !late {
+        ready.insert(report.index, report.verdict);
+    } else if !matches!(report.verdict, CellVerdict::Lost { .. }) {
+        stats.speculative_discards += 1;
     }
-    ready.entry(report.index).or_insert(report.verdict);
 }
 
 #[cfg(test)]
@@ -882,6 +882,27 @@ mod tests {
         assert_eq!(seq_stats.cells_ok, par_stats.cells_ok);
         assert_eq!(seq_stats.cells_failed, par_stats.cells_failed);
         assert_eq!(seq_stats.cells_shed_budget, par_stats.cells_shed_budget);
+    }
+
+    #[test]
+    fn a_late_result_behind_a_pending_lost_marker_is_a_discard() {
+        let lost = || Report { index: 1, verdict: CellVerdict::Lost { attempts: 1 } };
+        let late = || Report { index: 1, verdict: CellVerdict::Ok { value: 7u64, attempts: 1 } };
+        let mut ready = BTreeMap::new();
+        let mut stats = ExecutorStats::default();
+        // The watchdog's marker for cell 1 waits behind uncommitted cell 0.
+        absorb(lost(), 0, &mut ready, &mut stats);
+        absorb(late(), 0, &mut ready, &mut stats);
+        assert!(matches!(ready[&1], CellVerdict::Lost { .. }), "the first verdict wins");
+        assert_eq!(stats.speculative_discards, 1);
+        // Once cell 1 is committed, a late result still counts.
+        ready.clear();
+        absorb(late(), 2, &mut ready, &mut stats);
+        assert!(ready.is_empty());
+        assert_eq!(stats.speculative_discards, 2);
+        // A late `Lost` marker is not a result.
+        absorb(lost(), 2, &mut ready, &mut stats);
+        assert_eq!(stats.speculative_discards, 2);
     }
 
     #[test]

@@ -240,7 +240,15 @@ impl<S: OpSink> Machine<S> {
     ///
     /// The compile error, or the verifier's rejection of the code.
     pub fn new(source: &str, rt: &RuntimeConfig, sink: S) -> Result<Self, QoaError> {
-        let code = qoa_frontend::compile(source)?;
+        Machine::from_code(qoa_frontend::compile(source)?, rt, sink)
+    }
+
+    /// Optimizes and/or verifies compiled `code` per `rt`, and loads it.
+    ///
+    /// # Errors
+    ///
+    /// The verifier's rejection of the code.
+    pub fn from_code(code: Rc<CodeObject>, rt: &RuntimeConfig, sink: S) -> Result<Self, QoaError> {
         let (code, verified) = prepare(code, rt)?;
         Ok(Machine::load(&code, verified.as_ref(), rt, sink))
     }

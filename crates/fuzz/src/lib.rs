@@ -21,9 +21,9 @@
 //! * [`oracle`] — runs one program through the six-tier configuration
 //!   matrix and compares guest-visible outcomes (the `result` global,
 //!   printed output, and error identity) against the checked-interpreter
-//!   baseline; the chaos tier is additionally held to the full PR-4
-//!   byte-identity oracle (trace length + every [`ExecutionStats`]
-//!   counter) against its fault-free twin.
+//!   baseline; the chaos tier is additionally held to the strict
+//!   oracle against its fault-free twin: both traces identical record
+//!   for record, so every [`ExecutionStats`] counter agrees too.
 //! * [`shrink`] — a delta-debugging minimizer: block-level ddmin over
 //!   every statement body, then single-step statement and expression
 //!   reductions to a fixpoint, so the final repro is locally 1-minimal

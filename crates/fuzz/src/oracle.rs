@@ -14,15 +14,20 @@
 //! Agreement demands identical guest-visible outcomes against the
 //! checked-interpreter baseline: the rendered `result` global, the
 //! printed output, and — when a tier fails — the same typed error. The
-//! chaos tier is additionally held to the strict PR-4 oracle against its
-//! fault-free twin (`interp-elided`): identical micro-op trace length and
-//! every [`ExecutionStats`] counter, byte for byte. Cross-tier
-//! *ExecutionStats* equality is deliberately **not** demanded — guard
-//! elision, the optimizer, and the JIT legitimately change the micro-op
-//! stream; what they may never change is what the program computes.
+//! chaos tier is additionally held to the strict oracle against its
+//! fault-free twin (`interp-elided`): both micro-op traces identical
+//! record for record, frame events included, which implies equal
+//! [`ExecutionStats`] on any core. Cross-tier trace or *ExecutionStats*
+//! equality is deliberately **not** demanded — guard elision, the
+//! optimizer, and the JIT legitimately change the micro-op stream; what
+//! they may never change is what the program computes.
+//!
+//! Each program is parsed and compiled once, and every tier but a planted
+//! `opt2` loads the same code; the three tiers at opt level 0 with checks
+//! elided (`interp-elided`, `jit`, `chaos`) also share one verification.
 //!
 //! Only two tiers record a micro-op trace, because only their traces are
-//! replayed: the `interp-elided` twin (which also supplies the chaos
+//! compared: the `interp-elided` twin (which also supplies the chaos
 //! horizon and the reported bytecode count) and the `chaos` tier, the
 //! two sides of [`oracle_check`]. The other four compare guest-visible
 //! outcomes alone, so they run straight into a [`NullSink`] and never
@@ -39,15 +44,20 @@
 //! [`Inconclusive`]: FuzzVerdict::Inconclusive
 //! [`ExecutionStats`]: qoa_uarch::ExecutionStats
 
+use qoa_analysis::Verified;
 use qoa_chaos::FaultPlan;
+use qoa_core::chaos::capture_chaos_loaded;
+use qoa_core::runtime::SinkRun;
 use qoa_core::{
-    capture, capture_chaos, fault_kinds_for, oracle_check, run_isolated, run_with_sink,
-    CapturedRun, ChaosOptions, RunFailure, RunOutcome, RuntimeConfig,
+    fault_kinds_for, oracle_check, run_isolated, CapturedRun, ChaosOptions, Machine, QoaError,
+    RunFailure, RuntimeConfig,
 };
 use qoa_frontend::ast::{Expr, ExprKind, Module, Stmt, StmtKind};
 use qoa_frontend::render::render_module;
-use qoa_model::{NullSink, RuntimeKind};
-use qoa_uarch::UarchConfig;
+use qoa_frontend::CodeObject;
+use qoa_model::{NullSink, OpSink, RuntimeKind};
+use qoa_uarch::{TraceBuffer, UarchConfig};
+use std::rc::Rc;
 
 /// The six tier labels, in evaluation order.
 pub const TIER_NAMES: [&str; 6] =
@@ -237,6 +247,10 @@ impl FuzzVerdict {
 /// failure carries the typed error identity.
 type TierOutcome = Result<(Option<String>, Vec<String>), String>;
 
+/// A program compiled or verified once for several tiers, or the failure
+/// text each of those tiers reports.
+type Shared<T> = Result<T, String>;
+
 /// The oracle's configuration for `kind`: elided checks, opt0, and the
 /// oracle's fuel ceiling.
 fn oracle_rt(kind: RuntimeKind) -> RuntimeConfig {
@@ -249,28 +263,70 @@ fn failure_text(failure: RunFailure) -> String {
     format!("{}: {}", failure.error.kind(), failure.error)
 }
 
-/// Runs an outcome-only tier straight into a [`NullSink`]: nothing
-/// replays its micro-ops, so none are recorded.
-fn run_tier(source: &str, rt: &RuntimeConfig) -> TierOutcome {
-    run_isolated(|| run_with_sink(source, rt, NullSink))
-        .map(|(_, _, _, output, result)| (result, output))
-        .map_err(failure_text)
+/// Parses and compiles `source`, isolated like a tier run.
+fn compile(source: &str) -> Shared<Rc<CodeObject>> {
+    run_isolated(|| Ok(qoa_frontend::compile(source)?)).map_err(failure_text)
 }
 
-/// Splits an isolated capture into its outcome and, on success, the run
-/// whose trace [`oracle_check`] replays.
-fn recorded(run: RunOutcome<CapturedRun>) -> (TierOutcome, Option<CapturedRun>) {
+/// Runs `f` on a program compiled or verified once for several tiers,
+/// isolated. A failure to compile or verify the program is `f`'s failure.
+fn isolated<T, R>(shared: &Shared<T>, f: impl FnOnce(&T) -> Result<R, QoaError>) -> Shared<R> {
+    let shared = shared.as_ref().map_err(Clone::clone)?;
+    run_isolated(|| f(shared)).map_err(failure_text)
+}
+
+/// Verifies `code` for the tiers that load it at opt level 0 with checks
+/// elided.
+fn verify(code: &Shared<Rc<CodeObject>>) -> Shared<Verified<Rc<CodeObject>>> {
+    isolated(code, |c| Ok(qoa_analysis::verify(c)?))
+}
+
+fn run_to_end<S: OpSink>(mut machine: Machine<S>) -> Result<SinkRun<S>, QoaError> {
+    machine.run()?;
+    Ok(machine.finish())
+}
+
+/// The outcome of a tier that runs straight into a [`NullSink`]: nothing
+/// replays its micro-ops, so none are recorded.
+fn outcome(run: Shared<SinkRun<NullSink>>) -> TierOutcome {
+    run.map(|(_, _, _, output, result)| (result, output))
+}
+
+/// An outcome-only tier that loads `code` through [`Machine::from_code`].
+fn from_code(code: &Shared<Rc<CodeObject>>, rt: &RuntimeConfig) -> TierOutcome {
+    outcome(isolated(code, |c| run_to_end(Machine::from_code(Rc::clone(c), rt, NullSink)?)))
+}
+
+/// An outcome-only tier that loads the shared verified code.
+fn from_verified(verified: &Shared<Verified<Rc<CodeObject>>>, rt: &RuntimeConfig) -> TierOutcome {
+    outcome(isolated(verified, |v| run_to_end(Machine::load(v.get(), Some(v), rt, NullSink))))
+}
+
+/// Splits a recorded run into its outcome and, on success, the run whose
+/// trace [`oracle_check`] compares.
+fn recorded(run: Shared<CapturedRun>) -> (TierOutcome, Option<CapturedRun>) {
     match run {
         Ok(r) => (Ok((r.result.clone(), r.output.clone())), Some(r)),
-        Err(failure) => (Err(failure_text(failure)), None),
+        Err(e) => (Err(e), None),
     }
 }
 
-/// Captures the chaos tier: seeded interpreter faults with snapshot
-/// recovery. The horizon comes from the elided twin so faults land
-/// mid-run.
+/// Captures the fault-free `interp-elided` twin from the shared verified
+/// code.
+fn twin_tier(
+    verified: &Shared<Verified<Rc<CodeObject>>>,
+    rt: &RuntimeConfig,
+) -> (TierOutcome, Option<CapturedRun>) {
+    recorded(isolated(verified, |v| {
+        run_to_end(Machine::load(v.get(), Some(v), rt, TraceBuffer::new())).map(CapturedRun::from)
+    }))
+}
+
+/// Captures the chaos tier from the shared verified code: seeded
+/// interpreter faults with snapshot recovery. The horizon comes from the
+/// elided twin so faults land mid-run.
 fn chaos_tier(
-    source: &str,
+    verified: &Shared<Verified<Rc<CodeObject>>>,
     rt: &RuntimeConfig,
     chaos_seed: u64,
     twin: Option<&CapturedRun>,
@@ -278,7 +334,10 @@ fn chaos_tier(
     let horizon = twin.map_or(1024, |r| r.vm.bytecodes.max(1));
     let plan = FaultPlan::seeded(chaos_seed, horizon, 6, fault_kinds_for(RuntimeKind::CPython));
     let opts = ChaosOptions::new(plan).with_checkpoint_every((horizon / 4).max(64));
-    recorded(run_isolated(|| capture_chaos(source, rt, &opts).map(|(run, _outcome)| run)))
+    recorded(isolated(verified, |v| {
+        let machine = Machine::load(v.get(), Some(v), rt, TraceBuffer::new());
+        capture_chaos_loaded(v.get(), machine, &opts).map(|(run, _outcome)| run)
+    }))
 }
 
 /// The strict oracle between the chaos run and its fault-free twin, when
@@ -300,33 +359,51 @@ fn is_fuel(outcome: &TierOutcome) -> bool {
     matches!(outcome, Err(e) if e.starts_with("fuel"))
 }
 
+/// The `opt2` tier: the planted program, compiled on its own, when `plant`
+/// applies to `source`; otherwise the shared code.
+fn opt2_tier(
+    source: &str,
+    code: &Shared<Rc<CodeObject>>,
+    plant: Option<BugPlant>,
+    rt: &RuntimeConfig,
+) -> TierOutcome {
+    match plant.and_then(|p| plant_bug(source, p)) {
+        Some(planted) => from_code(&compile(&planted), rt),
+        None => from_code(code, rt),
+    }
+}
+
 /// Runs the full six-tier differential oracle on `source`.
 ///
 /// `chaos_seed` seeds the chaos tier's fault plan. When `plant` is set,
 /// the planted program text is what the `opt2` tier executes — modeling
 /// a miscompile confined to that tier.
+///
+/// The program is parsed and compiled once for the other five tiers, and
+/// verified once for the three at opt level 0 with checks elided
+/// (`interp-elided`, `jit`, `chaos`). A program that fails to compile or
+/// verify fails identically in each tier that shares the step.
 pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> FuzzVerdict {
     let rt_checked = oracle_rt(RuntimeKind::CPython).with_check_elision(false);
     let rt_elided = oracle_rt(RuntimeKind::CPython);
 
     // Baseline: the checked interpreter.
-    let baseline = run_tier(source, &rt_checked);
+    let code = compile(source);
+    let baseline = from_code(&code, &rt_checked);
     if is_fuel(&baseline) {
         return FuzzVerdict::Inconclusive;
     }
 
-    let planted_source = plant.and_then(|p| plant_bug(source, p));
-    let opt2_source: &str = planted_source.as_deref().unwrap_or(source);
-
     // The fault-free elided twin records: it sets the chaos horizon and is
     // the reference the chaos trace is held to.
-    let (elided, twin) = recorded(run_isolated(|| capture(source, &rt_elided)));
-    let (chaos, chaos_run) = chaos_tier(source, &rt_elided, chaos_seed, twin.as_ref());
+    let verified = verify(&code);
+    let (elided, twin) = twin_tier(&verified, &rt_elided);
+    let (chaos, chaos_run) = chaos_tier(&verified, &rt_elided, chaos_seed, twin.as_ref());
     let tiers: [(&str, TierOutcome); 5] = [
         ("interp-elided", elided),
-        ("opt1", run_tier(source, &rt_elided.with_opt_level(1))),
-        ("opt2", run_tier(opt2_source, &rt_elided.with_opt_level(2))),
-        ("jit", run_tier(source, &oracle_rt(RuntimeKind::PyPyJit))),
+        ("opt1", from_code(&code, &rt_elided.with_opt_level(1))),
+        ("opt2", opt2_tier(source, &code, plant, &rt_elided.with_opt_level(2))),
+        ("jit", from_verified(&verified, &oracle_rt(RuntimeKind::PyPyJit))),
         ("chaos", chaos),
     ];
 
@@ -346,8 +423,8 @@ pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> F
             });
         }
     }
-    // The chaos tier must additionally be byte-identical to its
-    // fault-free twin: trace length and every ExecutionStats counter.
+    // The chaos tier must additionally be identical to its fault-free
+    // twin: both traces, record for record.
     if let Some(div) = strict_divergence(twin.as_ref(), chaos_run.as_ref()) {
         return FuzzVerdict::Diverge(Divergence {
             tier: "chaos".to_string(),
@@ -371,10 +448,12 @@ pub fn differential(source: &str, chaos_seed: u64, plant: Option<BugPlant>) -> F
 /// multiply the wall-clock cost for no information. Fuel exhaustion in
 /// either run yields `false`: inconclusive candidates never count as
 /// still-failing. An unknown tier name falls back to the full oracle.
+/// Like [`differential`], it compiles the program once.
 pub fn tier_diverges(source: &str, tier: &str, chaos_seed: u64, plant: Option<BugPlant>) -> bool {
     let rt_elided = oracle_rt(RuntimeKind::CPython);
 
-    let baseline = run_tier(source, &rt_elided.with_check_elision(false));
+    let code = compile(source);
+    let baseline = from_code(&code, &rt_elided.with_check_elision(false));
     if is_fuel(&baseline) {
         return false;
     }
@@ -382,22 +461,19 @@ pub fn tier_diverges(source: &str, tier: &str, chaos_seed: u64, plant: Option<Bu
     let outcome = match tier {
         // The baseline cannot diverge from itself.
         "interp-checked" => return false,
-        "interp-elided" => run_tier(source, &rt_elided),
-        "opt1" => run_tier(source, &rt_elided.with_opt_level(1)),
-        "opt2" => {
-            let planted = plant.and_then(|p| plant_bug(source, p));
-            let opt2_source: &str = planted.as_deref().unwrap_or(source);
-            run_tier(opt2_source, &rt_elided.with_opt_level(2))
-        }
-        "jit" => run_tier(source, &oracle_rt(RuntimeKind::PyPyJit)),
+        "interp-elided" => from_verified(&verify(&code), &rt_elided),
+        "opt1" => from_code(&code, &rt_elided.with_opt_level(1)),
+        "opt2" => opt2_tier(source, &code, plant, &rt_elided.with_opt_level(2)),
+        "jit" => from_verified(&verify(&code), &oracle_rt(RuntimeKind::PyPyJit)),
         "chaos" => {
             // The chaos tier needs its fault-free elided twin for the
             // fault horizon and the strict oracle.
-            let (twin_outcome, twin) = recorded(run_isolated(|| capture(source, &rt_elided)));
+            let verified = verify(&code);
+            let (twin_outcome, twin) = twin_tier(&verified, &rt_elided);
             if is_fuel(&twin_outcome) {
                 return false;
             }
-            let (outcome, run) = chaos_tier(source, &rt_elided, chaos_seed, twin.as_ref());
+            let (outcome, run) = chaos_tier(&verified, &rt_elided, chaos_seed, twin.as_ref());
             if is_fuel(&outcome) {
                 return false;
             }
@@ -458,6 +534,23 @@ mod tests {
         let planted =
             plant_bug("x = 5 - 2\n", BugPlant::SwapSubOperands).expect("has a sub site");
         assert!(planted.contains("2 - 5"), "{planted}");
+    }
+
+    #[test]
+    fn programs_that_do_not_compile_agree_on_the_error() {
+        // A parse error, and a compile error in a program the plant
+        // rewrites: every tier fails the same way, so the tiers agree.
+        for (src, plant) in [
+            ("x = (\n", None),
+            ("x = 5 - 2\nbreak\n", None),
+            ("x = 5 - 2\nbreak\n", Some(BugPlant::SwapSubOperands)),
+        ] {
+            let verdict = differential(src, 5, plant);
+            assert_eq!(verdict, FuzzVerdict::Agree { result: None, bytecodes: 0 }, "{src:?}");
+            for tier in TIER_NAMES {
+                assert!(!tier_diverges(src, tier, 5, plant), "{tier} on {src:?}");
+            }
+        }
     }
 
     #[test]

@@ -62,11 +62,14 @@ pub struct GcConfig {
 }
 
 impl GcConfig {
-    /// PyPy-like defaults with the given nursery size.
+    /// PyPy-like defaults with the given nursery size. Objects above an
+    /// eighth of the nursery, or above 32 kB, go to the large-object
+    /// space; the threshold never exceeds the nursery itself, so every
+    /// object bump-allocated in the nursery fits in an empty one.
     pub fn with_nursery(nursery_size: u64) -> Self {
         GcConfig {
             nursery_size,
-            large_threshold: (nursery_size / 8).max(32 << 10),
+            large_threshold: (nursery_size / 8).max(32 << 10).min(nursery_size),
             major_threshold: 16 << 20,
             major_growth_num: 18,
             major_growth_den: 10,

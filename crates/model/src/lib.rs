@@ -41,7 +41,7 @@ pub use category::{Category, CategoryMap, Group};
 pub use emit::Emitter;
 pub use feature::{Feature, Tier};
 pub use mem::Segment;
-pub use op::{CountingSink, FrameEvent, MicroOp, NullSink, OpKind, OpSink, Pc};
+pub use op::{CountingSink, FrameEvent, MicroOp, NullSink, OpKind, OpSink, Pc, RewindSink};
 pub use phase::{Phase, PhaseMap};
 
 /// Identifies which modeled run-time produced a measurement.

@@ -172,6 +172,25 @@ pub trait OpSink {
     fn frame_event(&mut self, _event: &FrameEvent) {}
 }
 
+/// A sink that a checkpoint marks and a restore rewinds, so a snapshot of
+/// a running machine never copies what the sink has consumed.
+///
+/// While a machine is snapshotted, its live sink steps aside for an empty
+/// stand-in, the [`Default`] value, which must hold no storage. A restore
+/// rewinds the live sink to the checkpoint's mark and moves it into the
+/// restored machine.
+pub trait RewindSink: OpSink + Clone + Default {
+    /// What a mark records of the sink's contents.
+    type Mark;
+
+    /// Marks the sink's current contents.
+    fn mark(&self) -> Self::Mark;
+
+    /// Drops everything consumed since `mark` was taken, leaving the sink
+    /// as it was then.
+    fn rewind(&mut self, mark: &Self::Mark);
+}
+
 /// A sink that counts ops per category and kind but models no timing.
 ///
 /// # Example
@@ -232,6 +251,19 @@ impl OpSink for CountingSink {
             }
             _ => {}
         }
+    }
+}
+
+/// A counting sink marks a copy of itself.
+impl RewindSink for CountingSink {
+    type Mark = CountingSink;
+
+    fn mark(&self) -> CountingSink {
+        self.clone()
+    }
+
+    fn rewind(&mut self, mark: &CountingSink) {
+        self.clone_from(mark);
     }
 }
 

@@ -55,14 +55,14 @@
 //! starts with the second. The recorded outcomes sit behind a
 //! `Mutex` of `Arc`s, locked only to look up and to store, so workers that
 //! share one trace replay concurrently. A trace that grows after recording
-//! starts over, and a clone starts with none.
+//! starts over, a rewound one drops them, and a clone starts with none.
 //!
 //! [`mem::CODE_END`]: qoa_model::mem::CODE_END
 
 use crate::memo::{BranchKey, BranchLog, BranchSide, CacheKey, CacheLog, CacheSide, Side};
 use crate::stats::ExecutionStats;
 use crate::{OooCore, SimpleCore, UarchConfig};
-use qoa_model::{Category, FrameEvent, MicroOp, OpKind, OpSink, Pc, Phase};
+use qoa_model::{Category, FrameEvent, MicroOp, OpKind, OpSink, Pc, Phase, RewindSink};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -92,10 +92,13 @@ pub struct TraceBuffer {
     memo: Mutex<ReplayMemo>,
 }
 
+/// An empty trace on unallocated storage. Unlike [`TraceBuffer::new`], it
+/// leaves the thread's spare buffer where it is, so it can stand in for a
+/// live trace while a machine is snapshotted (see [`RewindSink`]).
 impl Default for TraceBuffer {
     fn default() -> Self {
         TraceBuffer {
-            ops: SPARE.try_with(Cell::take).unwrap_or_default(),
+            ops: Vec::new(),
             frames: Vec::new(),
             capture_frames: false,
             memo: Mutex::default(),
@@ -177,21 +180,23 @@ impl Drop for TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// Creates an empty trace.
+    /// Creates an empty trace on the thread's spare buffer.
     pub fn new() -> Self {
-        Self::default()
+        let mut t = Self::default();
+        t.ops = SPARE.try_with(Cell::take).unwrap_or_default();
+        t
     }
 
     /// Creates an empty trace with pre-reserved capacity.
     pub fn with_capacity(ops: usize) -> Self {
-        let mut t = Self::default();
+        let mut t = Self::new();
         t.ops.reserve(ops);
         t
     }
 
     /// Creates an empty trace that also records guest frame events.
     pub fn with_frame_capture() -> Self {
-        let mut t = Self::default();
+        let mut t = Self::new();
         t.capture_frames = true;
         t
     }
@@ -209,6 +214,19 @@ impl TraceBuffer {
     /// The captured ops, decoded in order.
     pub fn ops(&self) -> impl ExactSizeIterator<Item = MicroOp> + '_ {
         self.ops.iter().map(Record::decode)
+    }
+
+    /// The index of the first op at which `self` and `other` differ, or
+    /// the shorter length when one is a prefix of the other; `None` when
+    /// both hold the same ops record for record. Frame events are not
+    /// compared.
+    pub fn first_difference(&self, other: &TraceBuffer) -> Option<usize> {
+        match self.ops.iter().zip(&other.ops).position(|(a, b)| a != b) {
+            Some(i) => Some(i),
+            None => {
+                (self.ops.len() != other.ops.len()).then(|| self.ops.len().min(other.ops.len()))
+            }
+        }
     }
 
     /// The captured guest frame events, as `(op_index, event)` pairs.
@@ -318,8 +336,24 @@ impl OpSink for TraceBuffer {
     }
 }
 
+/// A mark is the op and frame-event counts; a rewind truncates to them and
+/// drops the recorded replay outcomes, which belong to the longer trace.
+impl RewindSink for TraceBuffer {
+    type Mark = (usize, usize);
+
+    fn mark(&self) -> (usize, usize) {
+        (self.ops.len(), self.frames.len())
+    }
+
+    fn rewind(&mut self, &(ops, frames): &(usize, usize)) {
+        self.ops.truncate(ops);
+        self.frames.truncate(frames);
+        *self.memo.get_mut().unwrap_or_else(PoisonError::into_inner) = ReplayMemo::default();
+    }
+}
+
 /// The operational class of a [`Record`]: [`OpKind`] without its fields.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 enum Tag {
     Alu,
@@ -339,7 +373,7 @@ const TAKEN: u8 = 1;
 const INDIRECT: u8 = 2;
 
 /// One [`MicroOp`] in 16 bytes; see the module docs for the layout.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Record {
     /// Data address of a load or store; target of a branch or call.
     payload: u64,
@@ -596,6 +630,55 @@ mod tests {
             reuse.op(MicroOp { category: Category::CLibrary, ..op });
         }
         assert_same_replay(&snapshot, &reference);
+    }
+
+    #[test]
+    fn a_rewound_and_regrown_trace_replays_like_a_fresh_one() {
+        let half = sample_trace();
+        // The same ops with every load on a line the first half never
+        // touched: cold misses where the first half's loads would hit.
+        let moved = |op: MicroOp| match op.kind {
+            OpKind::Load { addr, size } => {
+                MicroOp { kind: OpKind::Load { addr: addr + (1 << 20), size }, ..op }
+            }
+            _ => op,
+        };
+        let mut t = TraceBuffer::with_frame_capture();
+        half.ops().for_each(|op| t.op(op));
+        let mark = t.mark();
+        t.frame_event(&FrameEvent::Pop);
+        half.ops().map(moved).for_each(|op| t.op(op));
+        // Two out-of-order replays record outcomes for a trace of this
+        // length; the rewind must drop them.
+        let cfg = UarchConfig::skylake();
+        let before = t.simulate_ooo(&cfg);
+        t.simulate_ooo(&cfg);
+        t.rewind(&mark);
+        assert_eq!(t.len(), half.len());
+        assert!(t.frame_events().is_empty());
+        half.ops().for_each(|op| t.op(op));
+
+        let mut fresh = TraceBuffer::with_frame_capture();
+        half.ops().chain(half.ops()).for_each(|op| fresh.op(op));
+        assert_ne!(fresh.simulate_ooo(&cfg), before, "the regrown ops must replay differently");
+        assert_eq!(t.first_difference(&fresh), None);
+        assert_same_replay(&t, &fresh);
+        assert_eq!(t.simulate_ooo(&cfg), fresh.simulate_ooo(&cfg));
+    }
+
+    #[test]
+    fn first_difference_finds_the_first_unequal_op() {
+        let a = sample_trace();
+        assert_eq!(a.first_difference(&sample_trace()), None);
+        let mut b = TraceBuffer::new();
+        for (i, op) in a.ops().enumerate() {
+            b.op(if i == 42 { MicroOp { pc: Pc(op.pc.0 + 4), ..op } } else { op });
+        }
+        assert_eq!(a.first_difference(&b), Some(42));
+        let mut prefix = TraceBuffer::new();
+        a.ops().take(60).for_each(|op| prefix.op(op));
+        assert_eq!(a.first_difference(&prefix), Some(60));
+        assert_eq!(prefix.first_difference(&a), Some(60));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! equality needs no VM context.
 
 use crate::object::ObjRef;
+use qoa_chaos::fnv1a;
 use std::rc::Rc;
 
 /// A self-contained hashable key.
@@ -29,17 +30,9 @@ pub enum Key {
 impl Key {
     /// A stable 64-bit hash (FNV-1a based).
     pub fn hash(&self) -> u64 {
-        fn fnv(bytes: impl Iterator<Item = u8>, seed: u64) -> u64 {
-            let mut h = seed;
-            for b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            h
-        }
         match self {
-            Key::Int(v) => fnv(v.to_le_bytes().into_iter(), 0xcbf2_9ce4_8422_2325),
-            Key::Str(s) => fnv(s.bytes(), 0xcbf2_9ce4_8422_2325),
+            Key::Int(v) => fnv1a(v.to_le_bytes()),
+            Key::Str(s) => fnv1a(s.bytes()),
             Key::None => 0x517c_c1b7_2722_0a95,
             Key::Tuple(items) => {
                 let mut h = 0x345b_91d1_c2f1_a7a3u64;
@@ -336,6 +329,10 @@ mod tests {
         assert_ne!(Key::Int(7).hash(), Key::Int(8).hash());
         assert_ne!(k("a").hash(), k("b").hash());
         assert_ne!(Key::Int(0).hash(), Key::None.hash());
+        // Slots feed simulated addresses, so the FNV-1a values are pinned.
+        assert_eq!(k("abc").hash(), 0xe71f_a219_0541_574b);
+        assert_eq!(Key::Int(7).hash(), 0x4bd7_a317_074c_5b62);
+        assert_eq!(Key::Int(-1).hash(), 0x8cf5_1a8b_fca3_883d);
     }
 
     #[test]

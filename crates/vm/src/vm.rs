@@ -472,6 +472,12 @@ impl<S: OpSink> Vm<S> {
         (self.sink, self.stats)
     }
 
+    /// The micro-op sink, for a checkpoint that moves it aside while the
+    /// rest of the machine is cloned.
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
+    }
+
     /// Current statistics (heap counters refreshed).
     pub fn stats(&mut self) -> VmStats {
         self.refresh_stats();

@@ -212,3 +212,19 @@ fn old_space_collection_keeps_the_object_being_allocated() {
         }
     }
 }
+
+#[test]
+fn a_nursery_smaller_than_the_large_object_floor_runs_to_the_end() {
+    // pickle_list allocates objects larger than a 4 kB nursery but under
+    // 32 kB; they must go to the large-object space, not the nursery.
+    let src = by_name("pickle_list").expect("workload").source(Scale::Tiny);
+    let (_, _, _, _, expected) =
+        run_with_sink(&src, &RuntimeConfig::new(RuntimeKind::CPython), NullSink).expect("CPython");
+    for kind in [RuntimeKind::PyPyNoJit, RuntimeKind::PyPyJit] {
+        let rt = RuntimeConfig::new(kind).with_nursery(4096);
+        let (_, vm, _, _, result) =
+            run_with_sink(&src, &rt, NullSink).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        assert!(vm.gc.minor_collections > 0, "{kind}: no minor collection ran");
+        assert_eq!(result, expected, "{kind}");
+    }
+}
